@@ -80,13 +80,15 @@ def minimal_plateaux(m: AdmissibleMap) -> list[Plateau]:
             if not any(_strictly_contains(P, Q) for Q in candidates if Q is not P)]
 
 
+def _hitting_number(g: LabelledGraph, minimal: list[Plateau]) -> int:
+    if not minimal:
+        return 0
+    return len(minimum_hitting_set(g.vertices, [P.vertices for P in minimal]))
+
+
 def minimal_plateau_hitting_number(m: AdmissibleMap) -> int:
     """Minimum number of target vertices meeting every minimal plateau."""
-    plats = minimal_plateaux(m)
-    if not plats:
-        return 0
-    return len(minimum_hitting_set(m.target.vertices,
-                                   [P.vertices for P in plats]))
+    return _hitting_number(m.target, minimal_plateaux(m))
 
 
 def _boundary_darts(g: LabelledGraph, plateau: Plateau):
@@ -97,10 +99,9 @@ def _boundary_darts(g: LabelledGraph, plateau: Plateau):
                 yield dart
 
 
-def bad_plateaux(m: AdmissibleMap) -> list[Plateau]:
-    """Minimal 2-unfolded plateaux whose single boundary edge has exactly 2 lifts."""
+def _bad_plateaux(m: AdmissibleMap, minimal: list[Plateau]) -> list[Plateau]:
     out = []
-    for plateau in minimal_plateaux(m):
+    for plateau in minimal:
         if plateau.prime != 2:
             continue
         boundary = list(_boundary_darts(m.target, plateau))
@@ -112,6 +113,11 @@ def bad_plateaux(m: AdmissibleMap) -> list[Plateau]:
         if lifts == 2:
             out.append(plateau)
     return out
+
+
+def bad_plateaux(m: AdmissibleMap) -> list[Plateau]:
+    """Minimal 2-unfolded plateaux whose single boundary edge has exactly 2 lifts."""
+    return _bad_plateaux(m, minimal_plateaux(m))
 
 
 # -- classification ------------------------------------------------------------
@@ -140,37 +146,21 @@ def _is_interval(g: LabelledGraph) -> bool:
 
 
 def _collapses_to_tree(g: LabelledGraph, chosen: tuple[Plateau, ...]) -> bool:
-    """Is the quotient of g by the chosen (disjoint) plateaux a tree?"""
-    node_of = {}
-    for i, plateau in enumerate(chosen):
-        for v in plateau.vertices:
-            node_of[v] = f"P{i}"
-    for v in g.vertices:
-        node_of.setdefault(v, v)
+    """Is the quotient of g by the chosen (disjoint) plateaux a tree?
+
+    Each plateau is connected, so the quotient is connected exactly when g is.
+    """
+    node_of = {v: i for i, plateau in enumerate(chosen) for v in plateau.vertices}
     collapsed_edges = {name for plateau in chosen for name in plateau.edges}
-    nodes = set(node_of.values())
-    adjacency: dict[str, set[str]] = {n: set() for n in nodes}
+    n_nodes = len(g.vertices) - len(node_of) + len(chosen)
     n_edges = 0
     for rec in g.edges:
         if rec.name in collapsed_edges:
             continue
-        a, b = node_of[rec.origin], node_of[rec.terminus]
-        if a == b:
+        if node_of.get(rec.origin, rec.origin) == node_of.get(rec.terminus, rec.terminus):
             return False  # quotient loop
         n_edges += 1
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    if n_edges != len(nodes) - 1:
-        return False
-    seen = set()
-    frontier = [next(iter(nodes))]
-    while frontier:
-        n = frontier.pop()
-        if n in seen:
-            continue
-        seen.add(n)
-        frontier.extend(adjacency[n])
-    return seen == nodes
+    return n_edges == n_nodes - 1 and g.is_connected()
 
 
 def _is_generalized_branched(m: AdmissibleMap, chosen: tuple[Plateau, ...]) -> bool:
@@ -286,8 +276,8 @@ def check_inequalities(m: AdmissibleMap) -> AuditReport:
     minimal = minimal_plateaux(m)
     # one subgraph may qualify for several primes; count subgraphs once
     subgraphs = {(P.vertices, P.edges) for P in minimal}
-    c = minimal_plateau_hitting_number(m)
-    bad_subgraphs = {(P.vertices, P.edges) for P in bad_plateaux(m)}
+    c = _hitting_number(tgt, minimal)
+    bad_subgraphs = {(P.vertices, P.edges) for P in _bad_plateaux(m, minimal)}
     good_plateau_count = len(subgraphs) - len(bad_subgraphs)
     classification = classify(m)
 
@@ -363,26 +353,7 @@ def check_inequalities(m: AdmissibleMap) -> AuditReport:
 
 def _has_plateau_preimage_component(m: AdmissibleMap, plateau: Plateau) -> bool:
     """Is some component of the preimage subgraph itself a plateau of the source?"""
-    src = m.source
     pre_vertices = [x for v in plateau.vertices for x in m.vertex_preimages[v]]
     pre_edges = {name for ename in plateau.edges for name in m.edge_preimages[ename]}
-    seen: set[str] = set()
-    for start in pre_vertices:
-        if start in seen:
-            continue
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            x = frontier.pop()
-            for dart in src.darts_at(x):
-                if dart.edge in pre_edges:
-                    y = src.terminus(dart)
-                    if y not in comp:
-                        comp.add(y)
-                        frontier.append(y)
-        seen |= comp
-        comp_edges = frozenset(name for name in pre_edges
-                               if src.edge(name).origin in comp)
-        if check_plateau(src, Plateau(plateau.prime, frozenset(comp), comp_edges)):
-            return True
-    return False
+    return any(check_plateau(m.source, Plateau(plateau.prime, frozenset(vertices), edges))
+               for vertices, edges in m.source.subgraph_components(pre_edges, pre_vertices))

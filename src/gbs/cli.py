@@ -18,7 +18,7 @@ from .covering import (branched_cover, compose, extract_proper_plateau,
                        is_topological_covering, plateau_free_cover,
                        verify_admissible, voltage_cover, restrict_to_component)
 from .decide import commensurable, is_large
-from .errors import GbsError, InputError, InternalError, ParseError
+from .errors import GbsError, InputError, InternalError
 from .graph import LabelledGraph
 from .isomorphism import edge_correspondence, find_isomorphism
 from .plateau import (all_plateaux, generates, minimum_generating_vertices, mu,
@@ -35,9 +35,11 @@ def _plateau_line(g: LabelledGraph, plateau) -> str:
 
 def _seed(args) -> int:
     env = os.environ.get("GBS_SEED")
-    if env is not None:
-        return int(env)
-    return args.seed
+    if env is None:
+        return args.seed
+    if not env.isdecimal():
+        raise InputError(f"GBS_SEED must be a nonnegative integer, not {env!r}")
+    return int(env)
 
 
 def _write(path: str, text: str) -> None:
@@ -310,19 +312,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GbsError as exc:
+    except (GbsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -235,10 +235,9 @@ def covering_characterizations(m: AdmissibleMap) -> dict[str, bool]:
                            for d in src.darts())
 
     constant_multiplicity = True
-    for comp in src.components():
-        values = {m.vertex_multiplicity[x] for x in comp}
-        values.update(m.edge_multiplicity[r.name] for r in src.edges
-                      if r.origin in comp)
+    for vertices, edges in src.subgraph_components():
+        values = {m.vertex_multiplicity[x] for x in vertices}
+        values.update(m.edge_multiplicity[name] for name in edges)
         if len(values) > 1:
             constant_multiplicity = False
             break
@@ -373,15 +372,10 @@ def restrict_to_component(m: AdmissibleMap, vertex: str | None = None) -> Admiss
     src = m.source
     if vertex is None:
         vertex = src.vertices[0]
-    component = None
-    for comp in src.components():
-        if vertex in comp:
-            component = set(comp)
-            break
-    if component is None:
-        raise InputError(f"unknown vertex {vertex!r}")
+    reached, edges = next(src.subgraph_components(starts=(vertex,)))
+    component = set(reached)
     vertices = tuple(v for v in src.vertices if v in component)
-    records = tuple(r for r in src.edges if r.origin in component)
+    records = tuple(r for r in src.edges if r.name in edges)
     sub = LabelledGraph(vertices, records)
     morphism = GraphMorphism(sub, m.target,
                              {v: m.morphism.vertex_map[v] for v in vertices},
@@ -451,19 +445,8 @@ def extract_proper_plateau(m: AdmissibleMap) -> Plateau:
                   and rec.label_terminus % prime != 0}
 
     first = min(marked, key=tgt.vertex_position.get)
-    seen = {first}
-    frontier = [first]
-    while frontier:
-        v = frontier.pop()
-        for dart in tgt.darts_at(v):
-            if dart.edge in kept_edges:
-                w = tgt.terminus(dart)
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-    component_edges = frozenset(name for name in kept_edges
-                                if tgt.edge(name).origin in seen)
-    plateau = Plateau(prime, frozenset(seen), component_edges)
+    vertices, edges = next(tgt.subgraph_components(kept_edges, (first,)))
+    plateau = Plateau(prime, frozenset(vertices), edges)
     if not check_plateau(tgt, plateau):
         raise InternalError("extracted component is not a plateau")
     if len(plateau.vertices) == len(tgt.vertices) and len(plateau.edges) == len(tgt.edges):

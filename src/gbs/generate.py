@@ -86,15 +86,14 @@ def generate_admissible_map(cfg: GeneratorConfig) -> AdmissibleMap:
     """Composite of covers over a generated graph, following the recipe.
 
     Recipe steps: `branched` (cover ramified over a random proper plateau,
-    degree-2 voltage cover when there is none), `voltage:<d>`, and
-    `compose` (a branched step when possible, else voltage of degree 2).
+    degree-2 voltage cover when there is none) and `voltage:<d>`.
     The source is connected and the target is the generated reduced graph.
     """
     rng = random.Random(cfg.seed)
     g = _random_graph(rng, cfg)
     current = identity_map(g)
     for step in cfg.map_recipe:
-        if step == "branched" or step == "compose":
+        if step == "branched":
             inner = _branched_step(rng, current)
         elif step.startswith("voltage:"):
             inner = _voltage_step(rng, current, int(step.split(":", 1)[1]))

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Container, Iterable, Iterator, NamedTuple
 
 from .errors import InputError
 
@@ -103,7 +103,7 @@ class LabelledGraph:
                 if end not in vset:
                     raise InputError(f"edge {rec.name!r} uses unknown vertex {end!r}")
             for label in (rec.label_origin, rec.label_terminus):
-                if not isinstance(label, int) or label == 0:
+                if not isinstance(label, int) or isinstance(label, bool) or label == 0:
                     raise InputError(f"edge {rec.name!r} carries a zero or "
                                      f"non-integer label {label!r}")
 
@@ -175,26 +175,44 @@ class LabelledGraph:
 
     # -- connectivity and Betti number ----------------------------------
 
-    def components(self) -> tuple[tuple[str, ...], ...]:
-        """Vertex sets of the connected components, each in discovery order."""
+    def subgraph_components(self, keep: Container[str] | None = None,
+                            starts: Iterable[str] | None = None
+                            ) -> Iterator[tuple[tuple[str, ...], frozenset[str]]]:
+        """Components of the spanning subgraph on the edges in `keep`.
+
+        Yields one (vertices, edges) pair per component that meets `starts`
+        (every vertex when None), in the order `starts` first reaches them:
+        the vertices in depth-first discovery order and the names of the
+        kept edges inside the component.  `keep=None` keeps every edge.
+        """
+        darts_at = self._darts_at
+        edge_by_name = self._edge_by_name
         seen: set[str] = set()
-        out: list[tuple[str, ...]] = []
-        for start in self.vertices:
+        for start in self.vertices if starts is None else starts:
             if start in seen:
                 continue
+            if start not in darts_at:
+                raise InputError(f"unknown vertex {start!r}")
             comp = [start]
+            walked: set[str] = set()
             seen.add(start)
             frontier = [start]
             while frontier:
-                v = frontier.pop()
-                for dart in self.darts_at(v):
-                    w = self.terminus(dart)
+                for name, forward in darts_at[frontier.pop()]:
+                    if keep is not None and name not in keep:
+                        continue
+                    walked.add(name)
+                    rec = edge_by_name[name]
+                    w = rec.terminus if forward else rec.origin
                     if w not in seen:
                         seen.add(w)
                         comp.append(w)
                         frontier.append(w)
-            out.append(tuple(comp))
-        return tuple(out)
+            yield tuple(comp), frozenset(walked)
+
+    def components(self) -> tuple[tuple[str, ...], ...]:
+        """Vertex sets of the connected components, each in discovery order."""
+        return tuple(vertices for vertices, _ in self.subgraph_components())
 
     def is_connected(self) -> bool:
         return len(self.components()) == 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .graph import Dart, LabelledGraph
+from .graph import LabelledGraph
 from .primes import is_prime, prime_factors
 
 
@@ -24,19 +24,12 @@ class Plateau:
     edges: frozenset[str]
     is_whole_graph: bool = False
 
-    def contains_dart(self, dart: Dart) -> bool:
-        return dart.edge in self.edges
-
 
 @dataclass(frozen=True)
 class PlateauCollection:
     """All proper plateaux of a graph; the whole graph is always a plateau."""
 
     proper_plateaux: tuple[Plateau, ...]
-    whole_graph_is_plateau: bool = True
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(sorted({p.prime for p in self.proper_plateaux}))
 
 
 def label_primes(g: LabelledGraph) -> list[int]:
@@ -47,57 +40,26 @@ def label_primes(g: LabelledGraph) -> list[int]:
     return sorted(found)
 
 
-def _coprime_components(g: LabelledGraph, p: int):
-    """Components of the subgraph keeping only edges with both labels coprime to p."""
-    keep = {rec.name for rec in g.edges
-            if rec.label_origin % p != 0 and rec.label_terminus % p != 0}
-    seen: set[str] = set()
-    for start in g.vertices:
-        if start in seen:
-            continue
-        comp_vertices = [start]
-        seen.add(start)
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for dart in g.darts_at(v):
-                if dart.edge not in keep:
-                    continue
-                w = g.terminus(dart)
-                if w not in seen:
-                    seen.add(w)
-                    comp_vertices.append(w)
-                    frontier.append(w)
-        vset = set(comp_vertices)
-        comp_edges = frozenset(name for name in keep
-                               if g.edge(name).origin in vset)
-        yield frozenset(comp_vertices), comp_edges
-
-
 def plateaux_for_prime(g: LabelledGraph, p: int) -> list[Plateau]:
     """The proper p-plateaux of g (pairwise vertex-disjoint).
 
-    The whole graph qualifies as a p-plateau exactly when p divides no
-    label at all; that case is tracked by :func:`all_plateaux` instead of
-    being listed here.
+    Each is a component of the subgraph keeping only edges with both labels
+    coprime to p.  The whole graph qualifies as a p-plateau exactly when p
+    divides no label at all; that case is tracked by :func:`all_plateaux`
+    instead of being listed here.
     """
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
+    keep = {rec.name for rec in g.edges
+            if rec.label_origin % p != 0 and rec.label_terminus % p != 0}
     out: list[Plateau] = []
     n_vertices, n_edges = len(g.vertices), len(g.edges)
-    for vset, eset in _coprime_components(g, p):
-        if len(vset) == n_vertices and len(eset) == n_edges:
+    for vertices, edges in g.subgraph_components(keep):
+        if len(vertices) == n_vertices and len(edges) == n_edges:
             continue  # whole graph
-        ok = True
-        for v in vset:
-            for dart in g.darts_at(v):
-                if dart.edge not in eset and g.label(dart) % p != 0:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(Plateau(p, vset, eset))
+        if all(dart.edge in edges or g.label(dart) % p == 0
+               for v in vertices for dart in g.darts_at(v)):
+            out.append(Plateau(p, frozenset(vertices), edges))
     out.sort(key=lambda P: min(g.vertex_position[v] for v in P.vertices))
     return out
 
@@ -114,17 +76,8 @@ def check_plateau(g: LabelledGraph, plateau: Plateau) -> bool:
             return False
     # connectivity of the subgraph
     start = next(iter(plateau.vertices))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        v = frontier.pop()
-        for dart in g.darts_at(v):
-            if dart.edge in plateau.edges:
-                w = g.terminus(dart)
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-    if seen != plateau.vertices:
+    vertices, _ = next(g.subgraph_components(plateau.edges, (start,)))
+    if len(vertices) != len(plateau.vertices):
         return False
     # divisibility dichotomy at every origin inside the plateau
     p = plateau.prime

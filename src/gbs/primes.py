@@ -3,43 +3,40 @@
 from __future__ import annotations
 
 
+def _least_divisor(n: int, d: int = 2) -> int:
+    """Smallest divisor of n in [d, sqrt(n)], or n itself when there is none.
+
+    Callers pass n with no divisor in [2, d), so the result is prime.
+    """
+    while d * d <= n:
+        if n % d == 0:
+            return d
+        d += 1
+    return n
+
+
 def prime_factors(n: int) -> list[int]:
     """Distinct prime factors of |n| in ascending order."""
     n = abs(n)
     out: list[int] = []
     d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
+    while n > 1:
+        d = _least_divisor(n, d)  # resumes where the last factor was found
+        out.append(d)
+        while n % d == 0:
+            n //= d
     return out
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def smallest_prime_factor(n: int) -> int:
     n = abs(n)
     if n < 2:
         raise ValueError("no prime factor")
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
+    return _least_divisor(n)
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and smallest_prime_factor(n) == n
 
 
 def valuation(n: int, p: int) -> int:

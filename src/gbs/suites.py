@@ -153,6 +153,8 @@ SUITES = {
 
 
 def run_suite(name: str, count: int = 1000, base_seed: int = 1) -> SuiteReport:
+    if count < 0:
+        raise InputError(f"count must be a nonnegative integer, not {count}")
     try:
         runner = SUITES[name]
     except KeyError:

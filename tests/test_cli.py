@@ -193,5 +193,15 @@ class TestOtherCommands:
         text2 = open(prefix2 + ".map").read().replace("two", "x")
         assert text1 == text2
 
+    @pytest.mark.parametrize("value", ["abc", "-3", "1.5", ""])
+    def test_bad_env_seed_is_exit_two(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("GBS_SEED", value)
+        assert main(["suite", "rank-monotonicity", "--count", "1"]) == 2
+        assert "GBS_SEED" in capsys.readouterr().err
+
+    def test_negative_count_is_exit_two(self, capsys):
+        assert main(["suite", "audit", "--count", "-3", "--seed", "1"]) == 2
+        assert "count" in capsys.readouterr().err
+
     def test_unknown_suite(self, capsys):
         assert main(["suite", "nope"]) == 2

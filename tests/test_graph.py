@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import bs, circle_graph, f1, f2, f3, f4_source
 from gbs import InputError, LabelledGraph, are_isomorphic
@@ -192,3 +193,87 @@ class TestMaximalSubtree:
 
     def test_triangle_prefers_first_edges(self):
         assert f3().maximal_subtree() == frozenset({"e_1", "e_2"})
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("label", [True, 2.0])
+    def test_non_integer_or_zero_label_rejected(self, label):
+        with pytest.raises(InputError):
+            LabelledGraph.build(["u", "w"], [("s", "u", "w", label, 3)])
+
+
+def _union_find_components(g, keep, starts):
+    """(vertex set, edge set) of each kept-edge component meeting starts, in order."""
+    parent = {v: v for v in g.vertices}
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    kept = [rec for rec in g.edges if rec.name in keep]
+    for rec in kept:
+        parent[find(rec.origin)] = find(rec.terminus)
+    out, emitted = [], set()
+    for start in starts:
+        root = find(start)
+        if root in emitted:
+            continue
+        emitted.add(root)
+        out.append((frozenset(v for v in g.vertices if find(v) == root),
+                    frozenset(rec.name for rec in kept if find(rec.origin) == root)))
+    return out
+
+
+def _dfs_orders(g, keep, starts):
+    """Stack-based depth-first discovery order, darts taken in `darts_at` order."""
+    seen, out = set(), []
+    for start in starts:
+        if start in seen:
+            continue
+        seen.add(start)
+        order, stack = [start], [start]
+        while stack:
+            for dart in g.darts_at(stack.pop()):
+                w = g.terminus(dart)
+                if dart.edge in keep and w not in seen:
+                    seen.add(w)
+                    order.append(w)
+                    stack.append(w)
+        out.append(tuple(order))
+    return out
+
+
+class TestSubgraphComponents:
+    @given(connected_graphs(max_vertices=7, max_extra_edges=5), st.data())
+    @settings(max_examples=150)
+    def test_matches_union_find_and_dfs(self, g, data):
+        names = [rec.name for rec in g.edges]
+        keep = data.draw(st.sets(st.sampled_from(names))) if names else set()
+        starts = data.draw(st.lists(st.sampled_from(g.vertices), max_size=8))
+        walked = list(g.subgraph_components(keep, starts))
+        assert [(frozenset(vs), es) for vs, es in walked] == \
+            _union_find_components(g, keep, starts)
+        assert [vs for vs, _ in walked] == _dfs_orders(g, keep, starts)
+
+    @given(connected_graphs(max_vertices=7, max_extra_edges=5))
+    def test_defaults_keep_every_edge_and_start_everywhere(self, g):
+        every = {rec.name for rec in g.edges}
+        walked = list(g.subgraph_components())
+        assert walked == list(g.subgraph_components(every, g.vertices))
+        assert g.components() == tuple(_dfs_orders(g, every, g.vertices))
+        assert [(frozenset(vs), es) for vs, es in walked] == \
+            _union_find_components(g, every, g.vertices)
+
+    def test_disconnected_graph(self):
+        g = LabelledGraph.build(["a", "b", "c", "d"],
+                                [("x", "a", "c", 2, 3), ("y", "d", "d", 5, 7)])
+        assert list(g.subgraph_components()) == [
+            (("a", "c"), frozenset({"x"})), (("b",), frozenset()),
+            (("d",), frozenset({"y"}))]
+        assert list(g.subgraph_components({"y"}, ["d", "a", "d"])) == [
+            (("d",), frozenset({"y"})), (("a",), frozenset())]
+
+    def test_unknown_start_rejected(self):
+        with pytest.raises(InputError):
+            list(f3().subgraph_components(starts=["nowhere"]))
