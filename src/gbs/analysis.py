@@ -14,8 +14,8 @@ from itertools import combinations
 from .errors import InputError, InternalError
 from .covering import AdmissibleMap, verify_admissible
 from .graph import LabelledGraph
-from .plateau import (Plateau, all_plateaux, check_plateau, label_primes,
-                      minimum_hitting_set, plateaux_for_prime)
+from .plateau import (Plateau, all_plateaux, check_plateau,
+                      minimum_hitting_set)
 
 
 def doubled_deltas(m: AdmissibleMap) -> dict[str, int]:
@@ -251,14 +251,6 @@ class AuditReport:
         return "\n".join(lines)
 
 
-def _two_plateaux_for_parity(g: LabelledGraph):
-    """Proper 2-plateaux, plus the whole graph when no label is even."""
-    yield from plateaux_for_prime(g, 2)
-    if all(g.label(d) % 2 != 0 for d in g.darts()):
-        yield Plateau(2, frozenset(g.vertices),
-                      frozenset(r.name for r in g.edges), is_whole_graph=True)
-
-
 def check_inequalities(m: AdmissibleMap) -> AuditReport:
     """Evaluate the Betti/terminal/plateau inequalities on one admissible map."""
     if not verify_admissible(m):
@@ -310,43 +302,48 @@ def check_inequalities(m: AdmissibleMap) -> AuditReport:
     entries.append(AuditEntry("minimal-plateau-bound", beta + t + c <= rhs + slack,
                               f"beta+t+c={beta + t + c} vs {rhs}+{slack}"))
 
-    parity_ok, parity_detail = True, "all 2-plateaux have constant preimage parity"
-    for plateau in _two_plateaux_for_parity(tgt):
+    inventory = all_plateaux(tgt).proper_plateaux
+    two_plateaux = [P for P in inventory if P.prime == 2]
+
+    def parity_varies(plateau: Plateau) -> bool:
         parities = {len(m.vertex_preimages[v]) % 2 for v in plateau.vertices}
         parities |= {len(m.edge_preimages[name]) % 2 for name in plateau.edges}
-        if len(parities) > 1:
-            parity_ok, parity_detail = False, f"parity varies on 2-plateau {sorted(plateau.vertices)}"
-            break
-    entries.append(AuditEntry("parity-constant", parity_ok, parity_detail))
+        return len(parities) > 1
 
-    even_ok, even_detail = True, "2-unfolded plateaux carry even multiplicities"
-    for plateau in plateaux_for_prime(tgt, 2):
-        if not totally_unfolded(m, plateau):
-            continue
+    parity_plateaux = list(two_plateaux)
+    if all(tgt.label(d) % 2 != 0 for d in tgt.darts()):
+        parity_plateaux.append(Plateau(2, frozenset(tgt.vertices),
+                                       frozenset(r.name for r in tgt.edges),
+                                       is_whole_graph=True))
+    varying = next((P for P in parity_plateaux if parity_varies(P)), None)
+    entries.append(AuditEntry(
+        "parity-constant", varying is None,
+        "all 2-plateaux have constant preimage parity" if varying is None
+        else f"parity varies on 2-plateau {sorted(varying.vertices)}"))
+
+    def odd_multiplicity(plateau: Plateau) -> bool:
         mults = [m.vertex_multiplicity[x]
                  for v in plateau.vertices for x in m.vertex_preimages[v]]
         mults += [m.edge_multiplicity[name]
                   for ename in plateau.edges for name in m.edge_preimages[ename]]
         mults.append(m.total_multiplicity())
-        if any(value % 2 != 0 for value in mults):
-            even_ok = False
-            even_detail = f"odd multiplicity over 2-plateau {sorted(plateau.vertices)}"
-            break
-    entries.append(AuditEntry("unfolded-even-multiplicity", even_ok, even_detail))
+        return any(value % 2 != 0 for value in mults)
 
-    unfolded_ok, unfolded_detail = True, "plateaux without plateau preimages are unfolded"
-    for prime in label_primes(tgt):
-        for plateau in plateaux_for_prime(tgt, prime):
-            if _has_plateau_preimage_component(m, plateau):
-                continue
-            if not totally_unfolded(m, plateau):
-                unfolded_ok = False
-                unfolded_detail = (f"{prime}-plateau {sorted(plateau.vertices)} has no "
-                                   "plateau preimage yet is not totally unfolded")
-                break
-        if not unfolded_ok:
-            break
-    entries.append(AuditEntry("unfolded-preimage", unfolded_ok, unfolded_detail))
+    odd = next((P for P in two_plateaux
+                if totally_unfolded(m, P) and odd_multiplicity(P)), None)
+    entries.append(AuditEntry(
+        "unfolded-even-multiplicity", odd is None,
+        "2-unfolded plateaux carry even multiplicities" if odd is None
+        else f"odd multiplicity over 2-plateau {sorted(odd.vertices)}"))
+
+    folded = next((P for P in inventory
+                   if not _has_plateau_preimage_component(m, P)
+                   and not totally_unfolded(m, P)), None)
+    entries.append(AuditEntry(
+        "unfolded-preimage", folded is None,
+        "plateaux without plateau preimages are unfolded" if folded is None
+        else (f"{folded.prime}-plateau {sorted(folded.vertices)} has no "
+              "plateau preimage yet is not totally unfolded")))
 
     return AuditReport(classification, quantities, tuple(entries))
 

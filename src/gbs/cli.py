@@ -19,6 +19,7 @@ from .covering import (branched_cover, compose, extract_proper_plateau,
                        verify_admissible, voltage_cover, restrict_to_component)
 from .decide import commensurable, is_large
 from .errors import GbsError, InputError, InternalError
+from .generate import random_voltage_assignment
 from .graph import LabelledGraph
 from .isomorphism import edge_correspondence, find_isomorphism
 from .plateau import (all_plateaux, generates, minimum_generating_vertices, mu,
@@ -165,12 +166,7 @@ def cmd_cover_branch(args) -> int:
 
 def cmd_cover_voltage(args) -> int:
     g = io.load_graph(args.file)
-    rng = random.Random(_seed(args))
-    assignment = {}
-    for rec in g.edges:
-        perm = list(range(args.degree))
-        rng.shuffle(perm)
-        assignment[rec.name] = tuple(perm)
+    assignment = random_voltage_assignment(random.Random(_seed(args)), g, args.degree)
     cover = voltage_cover(g, args.degree, assignment)
     if args.component:
         cover = restrict_to_component(cover)

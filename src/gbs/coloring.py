@@ -16,13 +16,7 @@ def stable_colorings(graphs: list[LabelledGraph]) -> list[dict[str, str]]:
     """Jointly refine all graphs; returns one vertex->color dict per graph."""
     keys = [(i, v) for i, g in enumerate(graphs) for v in g.vertices]
     color: dict[tuple[int, str], str] = {key: "" for key in keys}
-
-    def partition(assignment: dict) -> frozenset[frozenset]:
-        classes: dict[str, set] = {}
-        for key, value in assignment.items():
-            classes.setdefault(value, set()).add(key)
-        return frozenset(frozenset(c) for c in classes.values())
-
+    classes = len(set(color.values()))
     while True:
         descriptors = {}
         for i, v in keys:
@@ -34,7 +28,9 @@ def stable_colorings(graphs: list[LabelledGraph]) -> list[dict[str, str]]:
         names = {desc: f"c{j}" for j, desc in
                  enumerate(sorted(set(descriptors.values())))}
         refined = {key: names[descriptors[key]] for key in keys}
-        if partition(refined) == partition(color):
+        # each descriptor starts with the old color, so refinement only
+        # splits classes and is stable once their number stops growing
+        if len(names) == classes:
             return [{v: refined[(i, v)] for v in g.vertices}
                     for i, g in enumerate(graphs)]
-        color = refined
+        color, classes = refined, len(names)

@@ -13,11 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InputError, InternalError
 from .graph import Dart, EdgeRecord, LabelledGraph
-from .plateau import (Plateau, check_plateau, label_primes,
+from .plateau import (Plateau, check_plateau, has_proper_plateau, label_primes,
                       plateaux_for_prime)
 from .primes import smallest_prime_factor, valuation
 
@@ -265,6 +265,47 @@ def is_topological_covering(m: AdmissibleMap) -> bool:
 # -- constructions -------------------------------------------------------------
 
 
+# (multiplicity, sheet numbers) of a vertex
+_VertexSheets = tuple[int, Iterable[int]]
+# (label at origin, label at terminus, multiplicity, sheets) of an edge, where
+# sheet j is the triple (j, origin sheet, terminus sheet)
+_EdgeSheets = tuple[int, int, int, Iterable[tuple[int, int, int]]]
+
+
+def _sheeted_cover(g: LabelledGraph, vertex_sheets: Callable[[str], _VertexSheets],
+                   edge_sheets: Callable[[EdgeRecord], _EdgeSheets],
+                   context: str) -> AdmissibleMap:
+    """Assemble a cover of g from its sheets and check that it is admissible.
+
+    Sheet i of vertex v is named `v.i` and sheet j of edge e is named `e.j`,
+    in the declaration order of g; every edge maps onto its base edge with
+    the same orientation.
+    """
+    vertices: list[str] = []
+    vmap: dict[str, str] = {}
+    vmult: dict[str, int] = {}
+    for v in g.vertices:
+        mult, sheets = vertex_sheets(v)
+        for i in sheets:
+            name = f"{v}.{i}"
+            vertices.append(name)
+            vmap[name] = v
+            vmult[name] = mult
+    records: list[EdgeRecord] = []
+    emap: dict[str, tuple[str, bool]] = {}
+    emult: dict[str, int] = {}
+    for rec in g.edges:
+        lo, lt, mult, sheets = edge_sheets(rec)
+        for j, i, k in sheets:
+            name = f"{rec.name}.{j}"
+            records.append(EdgeRecord(name, f"{rec.origin}.{i}", f"{rec.terminus}.{k}", lo, lt))
+            emap[name] = (rec.name, True)
+            emult[name] = mult
+    source = LabelledGraph(tuple(vertices), tuple(records))
+    cover = AdmissibleMap(GraphMorphism(source, g, vmap, emap), vmult, emult)
+    return assert_admissible(cover, context)
+
+
 def branched_cover(g: LabelledGraph, plateau: Plateau) -> AdmissibleMap:
     """Degree-p cover ramified over a proper p-plateau.
 
@@ -279,47 +320,20 @@ def branched_cover(g: LabelledGraph, plateau: Plateau) -> AdmissibleMap:
     if len(plateau.vertices) == len(g.vertices) and len(plateau.edges) == len(g.edges):
         raise InputError("branched covers require a proper plateau")
     p = plateau.prime
+    inside = plateau.vertices
 
-    def vertex_name(v: str, sheet: int) -> str:
-        return f"{v}.0" if v in plateau.vertices else f"{v}.{sheet}"
+    def vertex_sheets(v: str) -> _VertexSheets:
+        return (p, (0,)) if v in inside else (1, range(1, p + 1))
 
-    vertices: list[str] = []
-    vmap: dict[str, str] = {}
-    vmult: dict[str, int] = {}
-    for v in g.vertices:
-        if v in plateau.vertices:
-            vertices.append(f"{v}.0")
-            vmap[f"{v}.0"] = v
-            vmult[f"{v}.0"] = p
-        else:
-            for i in range(1, p + 1):
-                vertices.append(f"{v}.{i}")
-                vmap[f"{v}.{i}"] = v
-                vmult[f"{v}.{i}"] = 1
-
-    records: list[EdgeRecord] = []
-    emap: dict[str, tuple[str, bool]] = {}
-    emult: dict[str, int] = {}
-    for rec in g.edges:
+    def edge_sheets(rec: EdgeRecord) -> _EdgeSheets:
         if rec.name in plateau.edges:
-            name = f"{rec.name}.0"
-            records.append(EdgeRecord(name, f"{rec.origin}.0", f"{rec.terminus}.0",
-                                      rec.label_origin, rec.label_terminus))
-            emap[name] = (rec.name, True)
-            emult[name] = p
-        else:
-            lo = rec.label_origin // p if rec.origin in plateau.vertices else rec.label_origin
-            lt = rec.label_terminus // p if rec.terminus in plateau.vertices else rec.label_terminus
-            for i in range(1, p + 1):
-                name = f"{rec.name}.{i}"
-                records.append(EdgeRecord(name, vertex_name(rec.origin, i),
-                                          vertex_name(rec.terminus, i), lo, lt))
-                emap[name] = (rec.name, True)
-                emult[name] = 1
+            return rec.label_origin, rec.label_terminus, p, ((0, 0, 0),)
+        o_in, t_in = rec.origin in inside, rec.terminus in inside
+        return (rec.label_origin // p if o_in else rec.label_origin,
+                rec.label_terminus // p if t_in else rec.label_terminus,
+                1, ((i, 0 if o_in else i, 0 if t_in else i) for i in range(1, p + 1)))
 
-    source = LabelledGraph(tuple(vertices), tuple(records))
-    cover = AdmissibleMap(GraphMorphism(source, g, vmap, emap), vmult, emult)
-    return assert_admissible(cover, "branched_cover")
+    return _sheeted_cover(g, vertex_sheets, edge_sheets, "branched_cover")
 
 
 def voltage_cover(g: LabelledGraph, degree: int,
@@ -342,24 +356,12 @@ def voltage_cover(g: LabelledGraph, degree: int,
             raise InputError(f"assignment for edge {rec.name!r} is not a "
                              f"permutation of 0..{degree - 1}")
         perms[rec.name] = sigma
-
-    vertices = [f"{v}.{i + 1}" for v in g.vertices for i in range(degree)]
-    vmap = {f"{v}.{i + 1}": v for v in g.vertices for i in range(degree)}
-    records: list[EdgeRecord] = []
-    emap: dict[str, tuple[str, bool]] = {}
-    for rec in g.edges:
-        sigma = perms[rec.name]
-        for i in range(degree):
-            name = f"{rec.name}.{i + 1}"
-            records.append(EdgeRecord(name, f"{rec.origin}.{i + 1}",
-                                      f"{rec.terminus}.{sigma[i] + 1}",
-                                      rec.label_origin, rec.label_terminus))
-            emap[name] = (rec.name, True)
-    source = LabelledGraph(tuple(vertices), tuple(records))
-    cover = AdmissibleMap(GraphMorphism(source, g, vmap, emap),
-                          {x: 1 for x in vertices},
-                          {r.name: 1 for r in records})
-    return assert_admissible(cover, "voltage_cover")
+    sheets = range(1, degree + 1)
+    return _sheeted_cover(
+        g, lambda v: (1, sheets),
+        lambda rec: (rec.label_origin, rec.label_terminus, 1,
+                     ((i, i, perms[rec.name][i - 1] + 1) for i in sheets)),
+        "voltage_cover")
 
 
 def restrict_to_component(m: AdmissibleMap, vertex: str | None = None) -> AdmissibleMap:
@@ -458,46 +460,45 @@ def extract_proper_plateau(m: AdmissibleMap) -> Plateau:
 
 
 def _single_prime_cover(g: LabelledGraph, p: int,
-                        size_limit: int | None = None) -> AdmissibleMap:
-    """Cover of g with p-power multiplicities and no proper p-plateau upstairs."""
-    labels = {}
-    for rec in g.edges:
-        labels[Dart(rec.name, True)] = rec.label_origin
-        labels[Dart(rec.name, False)] = rec.label_terminus
+                        size_limit: int | None = None) -> AdmissibleMap | None:
+    """Cover of g with p-power multiplicities and no proper p-plateau upstairs.
 
-    def current_graph() -> LabelledGraph:
-        return LabelledGraph(g.vertices, tuple(
-            EdgeRecord(r.name, r.origin, r.terminus,
-                       labels[Dart(r.name, True)], labels[Dart(r.name, False)])
-            for r in g.edges))
-
+    Round 1 finds the proper p-plateaux of g; each later round finds those
+    of the stage graph, which has g's edges with every label that left the
+    previous round's plateau union divided by p.  After R rounds a vertex
+    or edge that lay in the union k times gets p**(R - k) sheets of
+    multiplicity p**k, edge sheet j joining vertex sheets j modulo their
+    counts, and the edges carry the last stage's labels.  Returns None when
+    g has no proper p-plateau.
+    """
     vertex_count = {v: 0 for v in g.vertices}
     edge_count = {r.name: 0 for r in g.edges}
     rounds = 0
-    while True:
-        stage = current_graph()
-        plateaux = plateaux_for_prime(stage, p)
-        if not plateaux:
-            break
+    stage = g
+    while plateaux := plateaux_for_prime(stage, p):
         rounds += 1
-        union_vertices = set()
-        union_edges = set()
-        for plat in plateaux:
-            union_vertices |= plat.vertices
-            union_edges |= plat.edges
+        union_vertices = set().union(*(plat.vertices for plat in plateaux))
+        union_edges = set().union(*(plat.edges for plat in plateaux))
         for v in union_vertices:
             vertex_count[v] += 1
         for name in union_edges:
             edge_count[name] += 1
-        for v in union_vertices:
-            for dart in stage.darts_at(v):
-                if dart.edge not in union_edges:
-                    value = labels[dart]
-                    if value % p != 0:
-                        raise InternalError("label leaving a plateau union must be divisible")
-                    labels[dart] = value // p
+
+        def divided(label: int, origin: str) -> int:
+            if origin not in union_vertices:
+                return label
+            if label % p != 0:
+                raise InternalError("label leaving a plateau union must be divisible")
+            return label // p
+
+        stage = LabelledGraph(g.vertices, tuple(
+            rec if rec.name in union_edges else
+            EdgeRecord(rec.name, rec.origin, rec.terminus,
+                       divided(rec.label_origin, rec.origin),
+                       divided(rec.label_terminus, rec.terminus))
+            for rec in stage.edges))
     if rounds == 0:
-        return identity_map(g)
+        return None
 
     def sheet_count(occupancy: int) -> int:
         return p ** (rounds - occupancy)
@@ -508,35 +509,18 @@ def _single_prime_cover(g: LabelledGraph, p: int,
             raise InputError(f"plateau-free cover would need {predicted} vertices "
                              f"for prime {p}, above the limit {size_limit}")
 
-    vertices: list[str] = []
-    vmap: dict[str, str] = {}
-    vmult: dict[str, int] = {}
-    for v in g.vertices:
-        for i in range(sheet_count(vertex_count[v])):
-            name = f"{v}.{i + 1}"
-            vertices.append(name)
-            vmap[name] = v
-            vmult[name] = p ** vertex_count[v]
-    records: list[EdgeRecord] = []
-    emap: dict[str, tuple[str, bool]] = {}
-    emult: dict[str, int] = {}
-    for rec in g.edges:
-        n_edge = sheet_count(edge_count[rec.name])
+    def vertex_sheets(v: str) -> _VertexSheets:
+        return p ** vertex_count[v], range(1, sheet_count(vertex_count[v]) + 1)
+
+    def edge_sheets(rec: EdgeRecord) -> _EdgeSheets:
+        final = stage.edge(rec.name)
         n_origin = sheet_count(vertex_count[rec.origin])
         n_terminus = sheet_count(vertex_count[rec.terminus])
-        lo = labels[Dart(rec.name, True)]
-        lt = labels[Dart(rec.name, False)]
-        for j in range(n_edge):
-            name = f"{rec.name}.{j + 1}"
-            records.append(EdgeRecord(name,
-                                      f"{rec.origin}.{j % n_origin + 1}",
-                                      f"{rec.terminus}.{j % n_terminus + 1}",
-                                      lo, lt))
-            emap[name] = (rec.name, True)
-            emult[name] = p ** edge_count[rec.name]
-    source = LabelledGraph(tuple(vertices), tuple(records))
-    cover = AdmissibleMap(GraphMorphism(source, g, vmap, emap), vmult, emult)
-    return assert_admissible(cover, "plateau_free_cover")
+        return (final.label_origin, final.label_terminus, p ** edge_count[rec.name],
+                ((j + 1, j % n_origin + 1, j % n_terminus + 1)
+                 for j in range(sheet_count(edge_count[rec.name]))))
+
+    return _sheeted_cover(g, vertex_sheets, edge_sheets, "plateau_free_cover")
 
 
 def plateau_free_cover(g: LabelledGraph,
@@ -558,14 +542,11 @@ def plateau_free_cover(g: LabelledGraph,
     g._require_connected()
     current = identity_map(g)
     for p in label_primes(g):
-        src = current.source
-        if not plateaux_for_prime(src, p):
+        step = _single_prime_cover(current.source, p, size_limit)
+        if step is None:
             continue
-        step = _single_prime_cover(src, p, size_limit)
         step = restrict_to_component(step)
         current = compose(current, step)
-    source = current.source
-    for p in label_primes(source):
-        if plateaux_for_prime(source, p):
-            raise InternalError("plateau_free_cover left a proper plateau")
+    if has_proper_plateau(current.source):
+        raise InternalError("plateau_free_cover left a proper plateau")
     return current

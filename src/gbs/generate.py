@@ -62,14 +62,21 @@ def generate_graph(cfg: GeneratorConfig) -> LabelledGraph:
     return _random_graph(random.Random(cfg.seed), cfg)
 
 
-def _voltage_step(rng: random.Random, current: AdmissibleMap,
-                  degree: int) -> AdmissibleMap:
-    src = current.source
+def random_voltage_assignment(rng: random.Random, g: LabelledGraph,
+                              degree: int) -> dict[str, tuple[int, ...]]:
+    """One shuffled permutation of 0..degree-1 per edge, in declaration order."""
     assignment = {}
-    for rec in src.edges:
+    for rec in g.edges:
         perm = list(range(degree))
         rng.shuffle(perm)
         assignment[rec.name] = tuple(perm)
+    return assignment
+
+
+def _voltage_step(rng: random.Random, current: AdmissibleMap,
+                  degree: int) -> AdmissibleMap:
+    src = current.source
+    assignment = random_voltage_assignment(rng, src, degree)
     return restrict_to_component(voltage_cover(src, degree, assignment))
 
 

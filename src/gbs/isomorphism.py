@@ -8,6 +8,7 @@ the same as one labelled (b, a).  Small-graph workloads only.
 from __future__ import annotations
 
 from .coloring import stable_colorings
+from .errors import InputError
 from .graph import LabelledGraph
 
 
@@ -95,5 +96,5 @@ def edge_correspondence(g1: LabelledGraph, g2: LabelledGraph,
                 taken.add(cand.name)
                 break
         else:
-            raise ValueError("vertex map is not an isomorphism")
+            raise InputError("vertex map is not an isomorphism")
     return matched

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from .errors import InputError
+
 
 def _least_divisor(n: int, d: int = 2) -> int:
     """Smallest divisor of n in [d, sqrt(n)], or n itself when there is none.
@@ -31,7 +33,7 @@ def prime_factors(n: int) -> list[int]:
 def smallest_prime_factor(n: int) -> int:
     n = abs(n)
     if n < 2:
-        raise ValueError("no prime factor")
+        raise InputError(f"{n} has no prime factor")
     return _least_divisor(n)
 
 

@@ -57,27 +57,19 @@ def verify_automorphism(a: GraphAutomorphism) -> int:
 
     order = 1
     for v in g.vertices:
-        order = math.lcm(order, _cycle_length(v, a.vertex_map.__getitem__))
+        order = math.lcm(order, len(_orbit(v, a.vertex_map.__getitem__)))
     for dart in g.darts():
-        order = math.lcm(order, _cycle_length(dart, a.dart_image))
+        order = math.lcm(order, len(_orbit(dart, a.dart_image)))
     return order
 
 
-def _cycle_length(start, step) -> int:
-    n = 1
+def _orbit(start, step) -> list:
+    """start, step(start), step(step(start)), ... up to the return to start."""
+    orbit = [start]
     item = step(start)
     while item != start:
-        item = step(item)
-        n += 1
-    return n
-
-
-def _dart_orbit(a: GraphAutomorphism, dart: Dart) -> list[Dart]:
-    orbit = [dart]
-    item = a.dart_image(dart)
-    while item != dart:
         orbit.append(item)
-        item = a.dart_image(item)
+        item = step(item)
     return orbit
 
 
@@ -85,7 +77,7 @@ def inverted_edges(a: GraphAutomorphism) -> frozenset[str]:
     """Edges whose dart orbit contains the reversed dart of some member."""
     out = set()
     for rec in a.graph.edges:
-        orbit = _dart_orbit(a, Dart(rec.name, True))
+        orbit = _orbit(Dart(rec.name, True), a.dart_image)
         if any(d.reverse() in orbit for d in orbit):
             out.update(d.edge for d in orbit)
     return frozenset(out)
@@ -153,16 +145,10 @@ def subdivide_inverted_edges(a: GraphAutomorphism) -> GraphAutomorphism:
 def _orbits(items, step):
     seen = set()
     for start in items:
-        if start in seen:
-            continue
-        orbit = [start]
-        seen.add(start)
-        item = step(start)
-        while item != start:
-            orbit.append(item)
-            seen.add(item)
-            item = step(item)
-        yield orbit
+        if start not in seen:
+            orbit = _orbit(start, step)
+            seen.update(orbit)
+            yield orbit
 
 
 def mapping_torus_graph(a: GraphAutomorphism) -> LabelledGraph:
@@ -192,7 +178,7 @@ def mapping_torus_graph(a: GraphAutomorphism) -> LabelledGraph:
     for rec in g.edges:
         if rec.name in seen_edges:
             continue
-        orbit = _dart_orbit(a, Dart(rec.name, True))
+        orbit = _orbit(Dart(rec.name, True), a.dart_image)
         member_edges = {d.edge for d in orbit}
         if len(member_edges) != len(orbit):
             raise InternalError("an edge repeats inside its own dart orbit")

@@ -1,8 +1,9 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bs, circle_graph, f3
-from gbs import LabelledGraph, are_isomorphic, find_isomorphism
+from gbs import InputError, LabelledGraph, are_isomorphic, find_isomorphism
 from gbs.isomorphism import edge_correspondence
 from strategies import connected_graphs
 
@@ -52,3 +53,9 @@ class TestIsomorphism:
         vmap = find_isomorphism(g, g)
         correspondence = edge_correspondence(g, g, vmap)
         assert sorted(correspondence) == sorted(correspondence.values())
+
+    def test_edge_correspondence_rejects_non_isomorphism(self):
+        g = f3()
+        swapped = {"v_a": "v_b", "v_b": "v_a", "v_c": "v_c"}
+        with pytest.raises(InputError, match="not an isomorphism"):
+            edge_correspondence(g, g, swapped)

@@ -8,6 +8,7 @@ from conftest import bs, f1, f2, f3, f4_source
 from gbs import (InputError, all_plateaux, generates, has_proper_plateau,
                  minimum_generating_vertices, minimum_hitting_set, mu,
                  plateaux_for_prime, rank)
+from gbs.primes import smallest_prime_factor
 from strategies import connected_graphs
 
 
@@ -96,6 +97,16 @@ class TestPlateauxForPrime:
             for v in P.vertices:
                 for dart in g.darts_at(v):
                     assert (g.label(dart) % p == 0) == (dart.edge not in P.edges)
+
+
+class TestPrimes:
+    @pytest.mark.parametrize("n", [0, 1, -1])
+    def test_no_prime_factor_is_input_error(self, n):
+        with pytest.raises(InputError, match="no prime factor"):
+            smallest_prime_factor(n)
+
+    def test_smallest_prime_factor(self):
+        assert [smallest_prime_factor(n) for n in (2, -9, 35, 97)] == [2, 3, 5, 97]
 
 
 class TestInventories:
