@@ -13,14 +13,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations, product
+from typing import Iterator
 
 from .coloring import stable_colorings
 from .covering import (AdmissibleMap, is_topological_covering,
                        orientation_double_cover, voltage_cover)
-from .errors import InputError
+from .errors import InputError, InternalError
 from .graph import LabelledGraph
 from .isomorphism import are_isomorphic
 from .plateau import has_proper_plateau
+
+# (d1!)^|E1| + (d2!)^|E2| voltage assignments at one degree pair, the most
+# a witness search may enumerate before it is refused with exit 2
+WITNESS_SEARCH_LIMIT = 100_000
 
 
 def is_large(g: LabelledGraph) -> bool:
@@ -85,41 +90,74 @@ def _prepared(g: LabelledGraph) -> LabelledGraph:
     return graph.normalize_signs()
 
 
-def _connected_covers(g: LabelledGraph, degree: int) -> list[AdmissibleMap]:
+def _connected_covers(g: LabelledGraph, degree: int) -> Iterator[AdmissibleMap]:
     """Every connected voltage cover of the given degree, in a fixed order."""
-    out = []
     perms = list(permutations(range(degree)))
     names = [rec.name for rec in g.edges]
     for choice in product(perms, repeat=len(names)):
         cover = voltage_cover(g, degree, dict(zip(names, choice)))
         if cover.source.is_connected():
-            out.append(cover)
-    return out
+            yield cover
+
+
+def _canonical_key(g: LabelledGraph) -> tuple:
+    """Least breadth-first encoding of a connected graph over all roots.
+
+    Needs pairwise distinct labels at every vertex, so that a label names
+    its dart and a root fixes the numbering: two such graphs then have
+    equal keys exactly when they are isomorphic.
+    """
+    stars: dict[str, list[tuple[int, int, str]]] = {v: [] for v in g.vertices}
+    for rec in g.edges:
+        stars[rec.origin].append((rec.label_origin, rec.label_terminus, rec.terminus))
+        stars[rec.terminus].append((rec.label_terminus, rec.label_origin, rec.origin))
+    for v, star in stars.items():
+        star.sort()
+        if len({row[0] for row in star}) < len(star):
+            raise InternalError(f"two darts at {v!r} share a label; no canonical key")
+
+    def encoding(root: str) -> tuple:
+        number, order = {root: 0}, [root]
+        for v in order:  # `order` grows in breadth-first order
+            for _, _, w in stars[v]:
+                if w not in number:
+                    number[w] = len(order)
+                    order.append(w)
+        if len(order) < len(stars):
+            raise InternalError("canonical keys are defined for connected graphs only")
+        return tuple(tuple((label, reverse, number[w]) for label, reverse, w in stars[v])
+                     for v in order)
+
+    return min(encoding(root) for root in g.vertices)
 
 
 def _witness_search(h1: LabelledGraph, h2: LabelledGraph,
                     max_degree: int) -> tuple[AdmissibleMap, AdmissibleMap] | None:
-    covers: dict[tuple[int, int], list[AdmissibleMap]] = {}
+    """The first connected pair (c1, c2) in cover order with isomorphic sources.
 
-    def covers_of(index: int, g: LabelledGraph, d: int) -> list[AdmissibleMap]:
-        key = (index, d)
-        if key not in covers:
-            covers[key] = _connected_covers(g, d)
-        return covers[key]
-
-    for total in range(2, 2 * max_degree + 1):
-        for d1 in range(1, max_degree + 1):
-            d2 = total - d1
-            if not 1 <= d2 <= max_degree:
-                continue
-            if d1 * len(h1.edges) != d2 * len(h2.edges):
-                continue
-            if d1 * len(h1.vertices) != d2 * len(h2.vertices):
-                continue
-            for c1 in covers_of(1, h1, d1):
-                for c2 in covers_of(2, h2, d2):
-                    if are_isomorphic(c1.source, c2.source):
-                        return c1, c2
+    Degree pairs satisfy d1*|V1| = d2*|V2| and d1*|E1| = d2*|E2|, by
+    increasing total; the covers of h2 are keyed once, and those of h1 are
+    built only until one matches a key.
+    """
+    n1, n2 = len(h1.vertices), len(h2.vertices)
+    a, b = n2 // math.gcd(n1, n2), n1 // math.gcd(n1, n2)
+    if a * len(h1.edges) != b * len(h2.edges):
+        return None
+    for k in range(1, max_degree // max(a, b) + 1):
+        d1, d2 = k * a, k * b
+        size = math.factorial(d1) ** len(h1.edges) + math.factorial(d2) ** len(h2.edges)
+        if size > WITNESS_SEARCH_LIMIT:
+            raise InputError(f"witness search at degrees {d1} and {d2} would enumerate "
+                             f"{size} covers, over the limit {WITNESS_SEARCH_LIMIT}")
+        keyed: dict[tuple, AdmissibleMap] = {}
+        for c2 in _connected_covers(h2, d2):
+            keyed.setdefault(_canonical_key(c2.source), c2)
+        for c1 in _connected_covers(h1, d1):
+            c2 = keyed.get(_canonical_key(c1.source))
+            if c2 is not None:
+                if not are_isomorphic(c1.source, c2.source):
+                    raise InternalError("covers with equal canonical keys are not isomorphic")
+                return c1, c2
     return None
 
 
@@ -131,7 +169,8 @@ def commensurable(g1: LabelledGraph, g2: LabelledGraph,
     without proper plateaux.  When asked for a witness, topological covers
     of each graph are enumerated up to the given total multiplicity; a
     verified isomorphic pair may exist only at higher degree, in which case
-    the answer stands but no witness is attached.
+    the answer stands but no witness is attached.  A degree pair needing
+    over WITNESS_SEARCH_LIMIT voltage assignments raises InputError.
     """
     for g in (g1, g2):
         g._require_connected()

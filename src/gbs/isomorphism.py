@@ -12,19 +12,17 @@ from .errors import InputError
 from .graph import LabelledGraph
 
 
-def _pair_signature(g: LabelledGraph, a: str, b: str) -> tuple:
-    """Sorted label pairs of the edges joining a and b (orientation-free)."""
-    pairs = []
+def _pair_signatures(g: LabelledGraph) -> dict[tuple[str, str], tuple]:
+    """(a, b) -> sorted label pairs of the edges joining a and b, read from a; loops sorted."""
+    table: dict[tuple[str, str], list[tuple[int, int]]] = {}
     for rec in g.edges:
-        if {rec.origin, rec.terminus} != ({a, b} if a != b else {a}):
-            continue
+        _, a, b, la, lb = rec
         if a == b:
-            pairs.append(tuple(sorted((rec.label_origin, rec.label_terminus))))
-        elif rec.origin == a:
-            pairs.append((rec.label_origin, rec.label_terminus))
+            table.setdefault((a, a), []).append(tuple(sorted((la, lb))))
         else:
-            pairs.append((rec.label_terminus, rec.label_origin))
-    return tuple(sorted(pairs))
+            table.setdefault((a, b), []).append((la, lb))
+            table.setdefault((b, a), []).append((lb, la))
+    return {ends: tuple(sorted(pairs)) for ends, pairs in table.items()}
 
 
 def find_isomorphism(g1: LabelledGraph, g2: LabelledGraph) -> dict[str, str] | None:
@@ -41,6 +39,7 @@ def find_isomorphism(g1: LabelledGraph, g2: LabelledGraph) -> dict[str, str] | N
     if census1 != census2:
         return None
 
+    sig1, sig2 = _pair_signatures(g1), _pair_signatures(g2)
     order = list(g1.vertices)
     assignment: dict[str, str] = {}
     used: set[str] = set()
@@ -48,10 +47,10 @@ def find_isomorphism(g1: LabelledGraph, g2: LabelledGraph) -> dict[str, str] | N
     def compatible(v: str, w: str) -> bool:
         if colors1[v] != colors2[w]:
             return False
-        if _pair_signature(g1, v, v) != _pair_signature(g2, w, w):
+        if sig1.get((v, v), ()) != sig2.get((w, w), ()):
             return False
         for u, image in assignment.items():
-            if _pair_signature(g1, v, u) != _pair_signature(g2, w, image):
+            if sig1.get((v, u), ()) != sig2.get((w, image), ()):
                 return False
         return True
 

@@ -1,6 +1,6 @@
 import pytest
 
-from gbs import AdmissibleMap, GraphMorphism, LabelledGraph
+from gbs import AdmissibleMap, GraphMorphism, LabelledGraph, voltage_cover
 
 
 def bs(m: int, n: int) -> LabelledGraph:
@@ -61,3 +61,23 @@ def f4_map() -> AdmissibleMap:
 def figures():
     return {"f1_7": f1(7), "f1_6": f1(6), "f2": f2(), "f3": f3(),
             "f4_target": f4_target(), "f4_source": f4_source()}
+
+
+R2 = LabelledGraph.build(["v"], [("a", "v", "v", 2, 3), ("b", "v", "v", 5, 7)])
+R3 = LabelledGraph.build(["v"], [("a", "v", "v", 2, 3), ("b", "v", "v", 5, 7),
+                                 ("c", "v", "v", 11, 13)])
+
+
+def witness_cases() -> dict[str, tuple[LabelledGraph, LabelledGraph, int]]:
+    """Commensurable pairs with the witness degree bound each is searched to."""
+    return {
+        "bs23-circle": (bs(2, 3), circle_graph([(2, 3), (2, 3)]), 2),
+        "bs35-cover": (bs(3, 5), voltage_cover(bs(3, 5), 3, {"e": (1, 2, 0)}).source, 3),
+        "bs2m3-bs23": (bs(2, -3), bs(2, 3), 2),
+        "r2-loops-swap": (voltage_cover(R2, 2, {"a": (1, 0), "b": (0, 1)}).source,
+                          voltage_cover(R2, 2, {"a": (1, 0), "b": (1, 0)}).source, 2),
+        "r2-swap-loops": (voltage_cover(R2, 2, {"a": (0, 1), "b": (1, 0)}).source,
+                          voltage_cover(R2, 2, {"a": (1, 0), "b": (1, 0)}).source, 2),
+        "r2-deg2-deg3": (voltage_cover(R2, 2, {"a": (1, 0), "b": (0, 1)}).source,
+                         voltage_cover(R2, 3, {"a": (1, 2, 0), "b": (0, 2, 1)}).source, 3),
+    }

@@ -1,7 +1,9 @@
+import time
+
 import pytest
 
-from conftest import bs, circle_graph, f1, f3, f4_map
-from gbs import emit_graph, emit_map, load_map, verify_admissible
+from conftest import R3, bs, circle_graph, f1, f3, f4_map
+from gbs import emit_graph, emit_map, load_map, verify_admissible, voltage_cover
 from gbs.cli import main
 
 
@@ -161,6 +163,18 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "iso-vertex" in out
         assert main(["cover", "verify", prefix + ".cover1.map"]) == 0
+
+    def test_witness_search_over_the_limit_is_exit_two(self, tmp_path, capsys):
+        # degrees 1 and 5 would enumerate 1!^15 + 5!^3 = 1,728,001 covers
+        cover = voltage_cover(R3, 5, {e: (1, 2, 3, 4, 0) for e in "abc"}).source
+        a = write_graph(tmp_path, "a.gbs", cover)
+        b = write_graph(tmp_path, "b.gbs", R3)
+        start = time.perf_counter()
+        assert main(["commensurable", a, b, "--witness", "--max-degree", "5",
+                     "--out", str(tmp_path / "wit")]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "1728001 covers" in capsys.readouterr().err
+        assert not list(tmp_path.glob("wit*"))
 
     def test_mapping_torus(self, tmp_path, capsys):
         path = tmp_path / "theta.aut"

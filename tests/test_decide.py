@@ -2,10 +2,12 @@ import math
 
 import pytest
 
-from conftest import bs, circle_graph, f1, f2, f3
-from gbs import (InputError, LabelledGraph, are_isomorphic, commensurable,
-                 is_large, is_topological_covering, universal_cover_coloring,
+from conftest import R3, bs, circle_graph, f1, f2, f3, witness_cases
+from gbs import (InputError, InternalError, LabelledGraph, are_isomorphic,
+                 commensurable, emit_graph, emit_map, is_large,
+                 is_topological_covering, universal_cover_coloring,
                  verify_admissible, voltage_cover)
+from gbs.decide import _canonical_key, _connected_covers, _prepared
 
 
 class TestIsLarge:
@@ -116,3 +118,70 @@ class TestCommensurable:
         # BS(2,-3) and BS(2,3) share the index-2 subgroup presented by the
         # circle with labels 2,3,2,3
         assert verdict.answer == "commensurable"
+
+
+def pairwise_witness(h1, h2, max_degree):
+    """The search by pairwise isomorphism tests that canonical keys replace."""
+    for total in range(2, 2 * max_degree + 1):
+        for d1 in range(1, max_degree + 1):
+            d2 = total - d1
+            if (not 1 <= d2 <= max_degree or d1 * len(h1.edges) != d2 * len(h2.edges)
+                    or d1 * len(h1.vertices) != d2 * len(h2.vertices)):
+                continue
+            covers2 = list(_connected_covers(h2, d2))
+            for c1 in _connected_covers(h1, d1):
+                for c2 in covers2:
+                    if are_isomorphic(c1.source, c2.source):
+                        return c1, c2
+    return None
+
+
+def emitted(witness) -> str:
+    return "".join(emit_graph(m.source) + emit_map(m, "src.gbs", "tgt.gbs")
+                   for m in witness)
+
+
+class TestWitnessSearch:
+    # the degree-3 case takes seconds pairwise; its witness is pinned in test_golden
+    @pytest.mark.parametrize("name", [name for name in witness_cases()
+                                      if name != "r2-deg2-deg3"])
+    def test_same_witness_as_pairwise_search(self, name):
+        g1, g2, degree = witness_cases()[name]
+        found = commensurable(g1, g2, witness_max_degree=degree).witness
+        expected = pairwise_witness(_prepared(g1.reduce()), _prepared(g2.reduce()), degree)
+        assert emitted(found) == emitted(expected)
+
+    def test_key_rejects_equal_labels_at_a_vertex(self):
+        g = LabelledGraph.build(["v"], [("a", "v", "v", 2, 3), ("b", "v", "v", 2, 5)])
+        with pytest.raises(InternalError, match="share a label"):
+            _canonical_key(g)
+
+    def test_key_rejects_disconnected_graph(self):
+        g = voltage_cover(bs(2, 3), 2, {"e": (0, 1)}).source
+        with pytest.raises(InternalError, match="connected"):
+            _canonical_key(g)
+
+    def test_key_ignores_names_order_and_orientation(self):
+        g = circle_graph([(2, 3), (5, 7), (2, 3)])
+        h = LabelledGraph.build(["x", "y", "z"], [("p", "y", "x", 3, 2),
+                                                  ("q", "z", "y", 7, 5),
+                                                  ("r", "z", "x", 2, 3)])
+        assert _canonical_key(g) == _canonical_key(h)
+        assert _canonical_key(g) == _canonical_key(circle_graph([(5, 7), (2, 3), (2, 3)]))
+        assert _canonical_key(g) != _canonical_key(circle_graph([(2, 3), (7, 5), (2, 3)]))
+
+    def test_key_tells_reverse_labels_apart(self):
+        # same labels and termini at both ends, paired differently
+        a = LabelledGraph.build(["x", "y"], [("e", "x", "y", 2, 3), ("f", "x", "y", 5, 7)])
+        b = LabelledGraph.build(["x", "y"], [("e", "x", "y", 2, 7), ("f", "x", "y", 5, 3)])
+        assert not are_isomorphic(a, b)
+        assert _canonical_key(a) != _canonical_key(b)
+
+    def test_over_the_limit_is_refused(self):
+        cover = voltage_cover(R3, 5, {e: (1, 2, 3, 4, 0) for e in "abc"}).source
+        with pytest.raises(InputError, match="1728001 covers"):
+            commensurable(cover, R3, witness_max_degree=5)
+
+    def test_earlier_degree_pairs_answer_below_the_limit(self):
+        verdict = commensurable(R3, R3, witness_max_degree=5)
+        assert verdict.certificate.endswith("witness degrees 1 and 1")

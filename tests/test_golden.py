@@ -1,18 +1,19 @@
-"""Golden outputs: sheet names, wiring and suite reports, pinned byte for byte.
+"""Golden outputs: sheet names, wiring, witnesses and suite reports, pinned byte for byte.
 
 The cover constructions name and wire their sheets deterministically, and
 the suite reports are deterministic for a fixed count and seed; these
-values were recorded before the constructions shared one sheet builder and
-must never change silently.
+values were recorded before the constructions shared one sheet builder,
+the witness digests before the witness search keyed covers canonically,
+and they must never change silently.
 """
 
 import hashlib
 
 import pytest
 
-from conftest import bs, f2, f3
-from gbs import (LabelledGraph, branched_cover, emit_graph, emit_map,
-                 plateau_free_cover, plateaux_for_prime, voltage_cover)
+from conftest import bs, f2, f3, witness_cases
+from gbs import (LabelledGraph, branched_cover, commensurable, emit_graph,
+                 emit_map, plateau_free_cover, plateaux_for_prime, voltage_cover)
 from gbs.cli import main
 
 PATH_2_3 = LabelledGraph.build(["a", "b"], [("e", "a", "b", 2, 3)])
@@ -119,3 +120,20 @@ def test_suite_report_digest(capsys, name):
     count, digest = SUITE_DIGESTS[name]
     assert main(["suite", name, "--count", str(count), "--seed", "1"]) == 0
     assert sha256(capsys.readouterr().out) == digest
+
+
+WITNESS_DIGESTS = {  # witness case: sha256 of both witness parts, first then second
+    "bs23-circle": "5ff5468c339ae17e9700d6297b1ba04864e576d1d6fccd9a7cf00627c47c82b7",
+    "bs35-cover": "19673cc70628db8bbea0a86b4239bdae3bcfb5a8af4b9f5e4cd37efebf0439f4",
+    "bs2m3-bs23": "4fb84e961e0114b3f627aeeb06161dbb38999a26e6c97b461f9d9a771e1b37ee",
+    "r2-loops-swap": "a56f9658431f09f635d9c43f0b81f3d5a6950955221610a6b579e560f59ba686",
+    "r2-swap-loops": "d602061519929405428923778554c241d71a0b922e601291ab0ac4f0131278ea",
+    "r2-deg2-deg3": "3131ad6e95562d73296bc9e66ccf180daeaf67c449b0aadb6fc3d2c98d859650",
+}
+
+
+@pytest.mark.parametrize("name", WITNESS_DIGESTS)
+def test_witness_digest(name):
+    g1, g2, degree = witness_cases()[name]
+    witness = commensurable(g1, g2, witness_max_degree=degree).witness
+    assert sha256("".join(emitted(m) for m in witness)) == WITNESS_DIGESTS[name]
