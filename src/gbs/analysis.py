@@ -72,12 +72,16 @@ def _strictly_contains(big: Plateau, small: Plateau) -> bool:
             and (small.vertices, small.edges) != (big.vertices, big.edges))
 
 
-def minimal_plateaux(m: AdmissibleMap) -> list[Plateau]:
-    """Interior, totally unfolded plateaux of the target, minimal by inclusion."""
-    candidates = [P for P in all_plateaux(m.target).proper_plateaux
+def _minimal_plateaux(m: AdmissibleMap, inventory: tuple[Plateau, ...]) -> list[Plateau]:
+    candidates = [P for P in inventory
                   if _is_interior(m.target, P) and totally_unfolded(m, P)]
     return [P for P in candidates
             if not any(_strictly_contains(P, Q) for Q in candidates if Q is not P)]
+
+
+def minimal_plateaux(m: AdmissibleMap) -> list[Plateau]:
+    """Interior, totally unfolded plateaux of the target, minimal by inclusion."""
+    return _minimal_plateaux(m, all_plateaux(m.target).proper_plateaux)
 
 
 def _hitting_number(g: LabelledGraph, minimal: list[Plateau]) -> int:
@@ -197,6 +201,10 @@ def classify(m: AdmissibleMap) -> MapClassification:
         raise InputError("classify requires an admissible map")
     if not m.source.is_connected():
         raise InputError("classify requires a connected source")
+    return _classify(m, minimal_plateaux(m))
+
+
+def _classify(m: AdmissibleMap, minimal: list[Plateau]) -> MapClassification:
     src, tgt = m.source, m.target
 
     if src.is_circle() and _is_interval(tgt):
@@ -209,7 +217,7 @@ def classify(m: AdmissibleMap) -> MapClassification:
             return MapClassification("branched-2-cover-of-tree")
         return MapClassification("accordion", size=size)
 
-    candidates = [P for P in minimal_plateaux(m) if P.prime == 2]
+    candidates = [P for P in minimal if P.prime == 2]
     for r in range(len(candidates) + 1):
         for chosen in combinations(candidates, r):
             if _is_generalized_branched(m, chosen):
@@ -260,18 +268,19 @@ def check_inequalities(m: AdmissibleMap) -> AuditReport:
     if not m.target.is_reduced():
         raise InputError("audit requires a reduced target")
     src, tgt = m.source, m.target
+    inventory = all_plateaux(tgt).proper_plateaux
 
     beta, t = tgt.betti(), len(tgt.terminal_vertices())
     beta_bar, t_bar = src.betti(), len(src.terminal_vertices())
     bad = bad_vertices(m)
     t_good = t - len(bad)
-    minimal = minimal_plateaux(m)
+    minimal = _minimal_plateaux(m, inventory)
     # one subgraph may qualify for several primes; count subgraphs once
     subgraphs = {(P.vertices, P.edges) for P in minimal}
     c = _hitting_number(tgt, minimal)
     bad_subgraphs = {(P.vertices, P.edges) for P in _bad_plateaux(m, minimal)}
     good_plateau_count = len(subgraphs) - len(bad_subgraphs)
-    classification = classify(m)
+    classification = _classify(m, minimal)
 
     quantities = {
         "beta": beta, "t": t, "beta-source": beta_bar, "t-source": t_bar,
@@ -302,7 +311,6 @@ def check_inequalities(m: AdmissibleMap) -> AuditReport:
     entries.append(AuditEntry("minimal-plateau-bound", beta + t + c <= rhs + slack,
                               f"beta+t+c={beta + t + c} vs {rhs}+{slack}"))
 
-    inventory = all_plateaux(tgt).proper_plateaux
     two_plateaux = [P for P in inventory if P.prime == 2]
 
     def parity_varies(plateau: Plateau) -> bool:

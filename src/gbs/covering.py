@@ -189,10 +189,8 @@ def identity_map(g: LabelledGraph) -> AdmissibleMap:
                          {r.name: 1 for r in g.edges})
 
 
-def compose(outer: AdmissibleMap, inner: AdmissibleMap) -> AdmissibleMap:
-    """Composite of inner: K -> H with outer: H -> G, multiplicities multiplied."""
-    if inner.target != outer.source:
-        raise InputError("compose requires inner.target == outer.source")
+def _compose(outer: AdmissibleMap, inner: AdmissibleMap) -> AdmissibleMap:
+    """Composite of inner: K -> H with outer: H -> G, unchecked: admissible maps compose."""
     vm = {x: outer.morphism.vertex_map[inner.morphism.vertex_map[x]]
           for x in inner.source.vertices}
     em = {}
@@ -206,9 +204,18 @@ def compose(outer: AdmissibleMap, inner: AdmissibleMap) -> AdmissibleMap:
     emult = {rec.name: inner.edge_multiplicity[rec.name]
              * outer.edge_multiplicity[inner.morphism.edge_map[rec.name][0]]
              for rec in inner.source.edges}
-    composite = AdmissibleMap(GraphMorphism(inner.source, outer.target, vm, em),
-                              vmult, emult)
-    return assert_admissible(composite, "compose")
+    return AdmissibleMap(GraphMorphism(inner.source, outer.target, vm, em), vmult, emult)
+
+
+def compose(outer: AdmissibleMap, inner: AdmissibleMap) -> AdmissibleMap:
+    """Composite of two admissible maps; the inputs and the composite are checked."""
+    if inner.target != outer.source:
+        raise InputError("compose requires inner.target == outer.source")
+    for role, m in (("outer", outer), ("inner", inner)):
+        result = verify_admissible(m)
+        if not result:
+            raise InputError(f"compose: the {role} map is not admissible: {result.render()}")
+    return assert_admissible(_compose(outer, inner), "compose")
 
 
 # -- covering characterizations ------------------------------------------------
@@ -273,9 +280,8 @@ _EdgeSheets = tuple[int, int, int, Iterable[tuple[int, int, int]]]
 
 
 def _sheeted_cover(g: LabelledGraph, vertex_sheets: Callable[[str], _VertexSheets],
-                   edge_sheets: Callable[[EdgeRecord], _EdgeSheets],
-                   context: str) -> AdmissibleMap:
-    """Assemble a cover of g from its sheets and check that it is admissible.
+                   edge_sheets: Callable[[EdgeRecord], _EdgeSheets]) -> AdmissibleMap:
+    """Assemble a cover of g from its sheets, unchecked.
 
     Sheet i of vertex v is named `v.i` and sheet j of edge e is named `e.j`,
     in the declaration order of g; every edge maps onto its base edge with
@@ -302,8 +308,7 @@ def _sheeted_cover(g: LabelledGraph, vertex_sheets: Callable[[str], _VertexSheet
             emap[name] = (rec.name, True)
             emult[name] = mult
     source = LabelledGraph(tuple(vertices), tuple(records))
-    cover = AdmissibleMap(GraphMorphism(source, g, vmap, emap), vmult, emult)
-    return assert_admissible(cover, context)
+    return AdmissibleMap(GraphMorphism(source, g, vmap, emap), vmult, emult)
 
 
 def branched_cover(g: LabelledGraph, plateau: Plateau) -> AdmissibleMap:
@@ -333,7 +338,7 @@ def branched_cover(g: LabelledGraph, plateau: Plateau) -> AdmissibleMap:
                 rec.label_terminus // p if t_in else rec.label_terminus,
                 1, ((i, 0 if o_in else i, 0 if t_in else i) for i in range(1, p + 1)))
 
-    return _sheeted_cover(g, vertex_sheets, edge_sheets, "branched_cover")
+    return assert_admissible(_sheeted_cover(g, vertex_sheets, edge_sheets), "branched_cover")
 
 
 def voltage_cover(g: LabelledGraph, degree: int,
@@ -357,11 +362,11 @@ def voltage_cover(g: LabelledGraph, degree: int,
                              f"permutation of 0..{degree - 1}")
         perms[rec.name] = sigma
     sheets = range(1, degree + 1)
-    return _sheeted_cover(
+    cover = _sheeted_cover(
         g, lambda v: (1, sheets),
         lambda rec: (rec.label_origin, rec.label_terminus, 1,
-                     ((i, i, perms[rec.name][i - 1] + 1) for i in sheets)),
-        "voltage_cover")
+                     ((i, i, perms[rec.name][i - 1] + 1) for i in sheets)))
+    return assert_admissible(cover, "voltage_cover")
 
 
 def restrict_to_component(m: AdmissibleMap, vertex: str | None = None) -> AdmissibleMap:
@@ -520,7 +525,7 @@ def _single_prime_cover(g: LabelledGraph, p: int,
                 ((j + 1, j % n_origin + 1, j % n_terminus + 1)
                  for j in range(sheet_count(edge_count[rec.name]))))
 
-    return _sheeted_cover(g, vertex_sheets, edge_sheets, "plateau_free_cover")
+    return _sheeted_cover(g, vertex_sheets, edge_sheets)
 
 
 def plateau_free_cover(g: LabelledGraph,
@@ -537,7 +542,8 @@ def plateau_free_cover(g: LabelledGraph,
     The total multiplicity is the product of a prime power per prime with
     proper plateaux, so graphs whose labels involve many primes can demand
     covers too large to materialize; pass `size_limit` to refuse (with
-    InputError) any intermediate source beyond that many vertices.
+    InputError) any intermediate source beyond that many vertices.  The
+    steps and their composites are trusted; only the final map is checked.
     """
     g._require_connected()
     current = identity_map(g)
@@ -546,7 +552,7 @@ def plateau_free_cover(g: LabelledGraph,
         if step is None:
             continue
         step = restrict_to_component(step)
-        current = compose(current, step)
+        current = _compose(current, step)
     if has_proper_plateau(current.source):
         raise InternalError("plateau_free_cover left a proper plateau")
-    return current
+    return assert_admissible(current, "plateau_free_cover")

@@ -3,8 +3,8 @@
 The generator is a Mersenne Twister (`random.Random`) seeded explicitly,
 so identical configurations reproduce identical graphs and maps bit for
 bit on every platform.  Maps are assembled only from the constructions in
-:mod:`gbs.covering`, so they are admissible by construction (and verified
-anyway).
+:mod:`gbs.covering`: each recipe step is checked by the construction that
+builds it, and their composites are admissible by construction.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .covering import (AdmissibleMap, branched_cover, compose, identity_map,
+from .covering import (AdmissibleMap, _compose, branched_cover, identity_map,
                        restrict_to_component, voltage_cover)
 from .errors import InputError
 from .graph import EdgeRecord, LabelledGraph
@@ -106,5 +106,5 @@ def generate_admissible_map(cfg: GeneratorConfig) -> AdmissibleMap:
             inner = _voltage_step(rng, current, int(step.split(":", 1)[1]))
         else:
             raise InputError(f"unknown recipe step {step!r}")
-        current = compose(current, inner)
+        current = _compose(current, inner)
     return current

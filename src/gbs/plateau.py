@@ -34,10 +34,9 @@ class PlateauCollection:
 
 def label_primes(g: LabelledGraph) -> list[int]:
     """Distinct primes dividing at least one label magnitude."""
-    found: set[int] = set()
-    for dart in g.darts():
-        found.update(prime_factors(g.label(dart)))
-    return sorted(found)
+    magnitudes = {abs(label) for rec in g.edges
+                  for label in (rec.label_origin, rec.label_terminus)}
+    return sorted({p for n in magnitudes for p in prime_factors(n)})
 
 
 def plateaux_for_prime(g: LabelledGraph, p: int) -> list[Plateau]:

@@ -143,6 +143,19 @@ class TestCoverCommands:
         out = capsys.readouterr().out
         assert "total-multiplicity=2" in out
 
+    @pytest.mark.parametrize("bad_first", [True, False], ids=["outer", "inner"])
+    def test_compose_rejects_non_admissible_input(self, tmp_path, capsys, bad_first):
+        (tmp_path / "g.gbs").write_text("vertex v\nedge a v v 2 3\n")
+        (tmp_path / "bad.map").write_text("map from g.gbs to g.gbs\nvmap v v 1\nemap a a 2\n")
+        (tmp_path / "id.map").write_text("map from g.gbs to g.gbs\nvmap v v 1\nemap a a 1\n")
+        bad, good = str(tmp_path / "bad.map"), str(tmp_path / "id.map")
+        maps = [bad, good] if bad_first else [good, bad]
+        assert main(["cover", "compose", *maps, "--out", str(tmp_path / "o")]) == 2
+        role = "outer" if bad_first else "inner"
+        assert f"{role} map is not admissible" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.map", "g.gbs", "id.map"]
+        assert main(["cover", "classify", bad]) == 2
+
 
 class TestOtherCommands:
     def test_commensurable_exit_codes(self, tmp_path, capsys):

@@ -1,16 +1,20 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bs, circle_graph, f1, f3, f4_map, f4_target
-from gbs import (InputError, LabelledGraph, all_plateaux, are_isomorphic,
-                 branched_cover, compose, covering_characterizations,
-                 extract_proper_plateau, has_proper_plateau, identity_map,
-                 is_topological_covering, orientation_double_cover,
+from gbs import (GeneratorConfig, InputError, LabelledGraph, all_plateaux,
+                 are_isomorphic, branched_cover, compose,
+                 covering_characterizations, extract_proper_plateau,
+                 generate_admissible_map, generate_graph, has_proper_plateau,
+                 identity_map, is_topological_covering, orientation_double_cover,
                  plateau_free_cover, plateaux_for_prime, rank,
                  restrict_to_component, split_components, verify_admissible,
                  voltage_cover)
-from gbs.covering import AdmissibleMap
+from gbs import covering, generate, suites
+from gbs.covering import AdmissibleMap, _compose, _single_prime_cover
 from strategies import connected_graphs
 
 
@@ -78,6 +82,15 @@ class TestCompose:
     def test_mismatched_graphs_rejected(self):
         with pytest.raises(InputError):
             compose(f4_map(), identity_map(bs(2, 3)))
+
+    def test_non_admissible_input_rejected_by_role(self):
+        m = f4_map()
+        broken = AdmissibleMap(m.morphism, dict(m.vertex_multiplicity),
+                               {"a": 2, "b": 1, "m": 2})
+        with pytest.raises(InputError, match="outer map is not admissible"):
+            compose(broken, identity_map(m.source))
+        with pytest.raises(InputError, match="inner map is not admissible"):
+            compose(identity_map(m.target), broken)
 
 
 class TestBranchedCover:
@@ -242,3 +255,91 @@ class TestCharacterizations:
     def test_agreement_on_identity(self):
         chars = covering_characterizations(identity_map(f3()))
         assert set(chars.values()) == {True}
+
+
+# -- the checks the constructions trust ----------------------------------------
+
+PATH_2_3 = LabelledGraph.build(["a", "b"], [("e", "a", "b", 2, 3)])
+
+
+def _checked(fn, seen: Counter):
+    """Wrap a private step so that every map it returns is verified."""
+    def spy(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        if result is not None:
+            outcome = verify_admissible(result)
+            assert outcome, f"{fn.__name__}: {outcome.render()}"
+            seen[fn.__name__] += 1
+        return result
+    return spy
+
+
+class TestTrustedSteps:
+    """The private steps run unchecked; here every one of them is verified."""
+
+    def test_plateau_free_steps_are_admissible(self, monkeypatch):
+        seen = Counter()
+        for name in ("_single_prime_cover", "restrict_to_component", "_compose"):
+            monkeypatch.setattr(covering, name, _checked(getattr(covering, name), seen))
+        built = 0
+        for seed in range(1, 125):  # the candidates of the plateau-free-cover suite
+            g = generate_graph(GeneratorConfig(seed=seed, max_vertices=5, max_edges=7,
+                                               max_label_magnitude=60))
+            try:
+                plateau_free_cover(g, size_limit=1500)
+            except InputError:
+                continue
+            built += 1
+        assert built == 100
+        assert seen["_single_prime_cover"] == seen["restrict_to_component"] \
+            == seen["_compose"] > built
+
+    def test_generated_composites_are_admissible(self, monkeypatch):
+        seen = Counter()
+        for name in ("restrict_to_component", "_compose"):
+            monkeypatch.setattr(generate, name, _checked(getattr(generate, name), seen))
+        for recipe in suites.RECIPES:
+            for seed in range(1, 201):
+                generate_admissible_map(GeneratorConfig(seed=seed, map_recipe=recipe))
+        assert seen["_compose"] == 200 * sum(len(recipe) for recipe in suites.RECIPES)
+
+
+@pytest.fixture
+def verify_calls(monkeypatch):
+    """Maps passed to `covering.verify_admissible`, in call order."""
+    calls = []
+    real = covering.verify_admissible
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(covering, "verify_admissible", counting)
+    return calls
+
+
+class TestCheckCount:
+    """Public constructions check their output once; private steps never do."""
+
+    @pytest.mark.parametrize("g", [PATH_2_3, bs(2, 4), bs(2, 3), f4_target()],
+                             ids=["two-primes", "one-prime", "plateau-free", "two-vertex"])
+    def test_plateau_free_cover(self, verify_calls, g):
+        m = plateau_free_cover(g)
+        assert verify_calls == [m]
+
+    def test_branched_and_voltage_cover(self, verify_calls):
+        g = bs(2, 4)
+        branched = branched_cover(g, plateau_of(g, 2, "v"))
+        voltage = voltage_cover(g, 2, {"e": (1, 0)})
+        assert verify_calls == [branched, voltage]
+
+    def test_compose_checks_inputs_then_composite(self, verify_calls):
+        outer = f4_map()
+        inner = identity_map(outer.source)
+        composite = compose(outer, inner)
+        assert verify_calls == [outer, inner, composite]
+
+    def test_private_steps(self, verify_calls):
+        step = _single_prime_cover(PATH_2_3, 2)
+        _compose(identity_map(PATH_2_3), restrict_to_component(step))
+        assert verify_calls == []

@@ -5,10 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bs, f1, f2, f3, f4_source
-from gbs import (InputError, all_plateaux, generates, has_proper_plateau,
-                 minimum_generating_vertices, minimum_hitting_set, mu,
-                 plateaux_for_prime, rank)
-from gbs.primes import smallest_prime_factor
+from gbs import (GeneratorConfig, InputError, LabelledGraph, all_plateaux,
+                 branched_cover, generate_graph, generates, has_proper_plateau,
+                 label_primes, minimum_generating_vertices, minimum_hitting_set,
+                 mu, plateau_free_cover, plateaux_for_prime, rank, voltage_cover)
+from gbs.primes import prime_factors, smallest_prime_factor
 from strategies import connected_graphs
 
 
@@ -107,6 +108,31 @@ class TestPrimes:
 
     def test_smallest_prime_factor(self):
         assert [smallest_prime_factor(n) for n in (2, -9, 35, 97)] == [2, 3, 5, 97]
+
+
+class TestLabelPrimes:
+    @staticmethod
+    def per_dart(g):
+        return sorted({p for d in g.darts() for p in prime_factors(g.label(d))})
+
+    def test_generated_graphs(self):
+        for seed in range(1, 301):
+            g = generate_graph(GeneratorConfig(seed=seed, max_label_magnitude=1000))
+            assert label_primes(g) == self.per_dart(g)
+
+    def test_golden_covers(self):
+        path = LabelledGraph.build(["a", "b"], [("e", "a", "b", 2, 3)])
+        three = LabelledGraph.build(["a", "b", "c"], [
+            ("e", "a", "b", 4, 3), ("f", "b", "c", 2, 9), ("l", "a", "a", 5, 7)])
+        covers = [branched_cover(bs(2, 4), plateaux_for_prime(bs(2, 4), 2)[0]),
+                  branched_cover(path, plateaux_for_prime(path, 3)[0]),
+                  branched_cover(f2(), plateaux_for_prime(f2(), 3)[0]),
+                  voltage_cover(f3(), 3, {"e_1": (1, 2, 0), "e_2": (0, 2, 1),
+                                          "e_3": (2, 1, 0)})]
+        covers += [plateau_free_cover(g) for g in (path, bs(2, 4), three)]
+        for m in covers:
+            for g in (m.source, m.target):
+                assert label_primes(g) == self.per_dart(g)
 
 
 class TestInventories:
