@@ -7,12 +7,12 @@ from .analysis import (AuditReport, MapClassification, bad_plateaux,
                        doubled_deltas, minimal_plateau_hitting_number,
                        minimal_plateaux, totally_unfolded)
 from .coloring import stable_colorings
-from .covering import (AdmissibleMap, GraphMorphism, Verification,
-                       branched_cover, compose, covering_characterizations,
-                       extract_proper_plateau, identity_map,
-                       is_topological_covering, orientation_double_cover,
-                       plateau_free_cover, restrict_to_component,
-                       split_components, verify_admissible, voltage_cover)
+from .covering import (AdmissibleMap, Verification, branched_cover, compose,
+                       covering_characterizations, extract_proper_plateau,
+                       identity_map, is_topological_covering,
+                       orientation_double_cover, plateau_free_cover,
+                       restrict_to_component, split_components,
+                       verify_admissible, voltage_cover)
 from .decide import (CommensurabilityVerdict, commensurable, is_large,
                      universal_cover_coloring)
 from .errors import GbsError, InputError, InternalError, ParseError

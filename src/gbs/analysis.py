@@ -321,8 +321,7 @@ def check_inequalities(m: AdmissibleMap) -> AuditReport:
     parity_plateaux = list(two_plateaux)
     if all(tgt.label(d) % 2 != 0 for d in tgt.darts()):
         parity_plateaux.append(Plateau(2, frozenset(tgt.vertices),
-                                       frozenset(r.name for r in tgt.edges),
-                                       is_whole_graph=True))
+                                       frozenset(r.name for r in tgt.edges)))
     varying = next((P for P in parity_plateaux if parity_varies(P)), None)
     entries.append(AuditEntry(
         "parity-constant", varying is None,

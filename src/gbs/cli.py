@@ -21,7 +21,7 @@ from .decide import commensurable, is_large
 from .errors import GbsError, InputError, InternalError
 from .generate import random_voltage_assignment
 from .graph import LabelledGraph
-from .isomorphism import edge_correspondence, find_isomorphism
+from .isomorphism import edge_correspondence
 from .plateau import (all_plateaux, generates, minimum_generating_vertices, mu,
                       plateaux_for_prime, rank)
 from .suites import run_suite
@@ -130,11 +130,10 @@ def cmd_commensurable(args) -> int:
         _write(f"{prefix}.target2.gbs", io.emit_graph(second.target))
         _emit_cover(first, f"{prefix}.cover1", f"{prefix}.target1.gbs")
         _emit_cover(second, f"{prefix}.cover2", f"{prefix}.target2.gbs")
-        vmap = find_isomorphism(first.source, second.source)
-        for v, image in vmap.items():
+        for v, image in verdict.isomorphism.items():
             print(f"iso-vertex {v} {image}")
         for name, image in edge_correspondence(first.source, second.source,
-                                               vmap).items():
+                                               verdict.isomorphism).items():
             print(f"iso-edge {name} {image}")
     if verdict.answer == "commensurable":
         return 0

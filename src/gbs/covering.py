@@ -23,54 +23,32 @@ from .primes import smallest_prime_factor, valuation
 
 
 @dataclass(frozen=True, eq=False)
-class GraphMorphism:
-    """Vertex-to-vertex, edge-to-edge map commuting with reversal."""
+class AdmissibleMap:
+    """Graph morphism (commuting with reversal) with vertex and edge multiplicities."""
 
     source: LabelledGraph
     target: LabelledGraph
     vertex_map: Mapping[str, str]
     edge_map: Mapping[str, tuple[str, bool]]  # edge -> (image edge, same orientation)
-
-    def map_vertex(self, v: str) -> str:
-        return self.vertex_map[v]
+    vertex_multiplicity: Mapping[str, int]
+    edge_multiplicity: Mapping[str, int]
 
     def map_dart(self, dart: Dart) -> Dart:
         image, same = self.edge_map[dart.edge]
         return Dart(image, dart.forward == same)
 
-
-@dataclass(frozen=True, eq=False)
-class AdmissibleMap:
-    morphism: GraphMorphism
-    vertex_multiplicity: Mapping[str, int]
-    edge_multiplicity: Mapping[str, int]
-
-    @property
-    def source(self) -> LabelledGraph:
-        return self.morphism.source
-
-    @property
-    def target(self) -> LabelledGraph:
-        return self.morphism.target
-
-    def map_vertex(self, v: str) -> str:
-        return self.morphism.map_vertex(v)
-
-    def map_dart(self, dart: Dart) -> Dart:
-        return self.morphism.map_dart(dart)
-
     @cached_property
     def vertex_preimages(self) -> dict[str, tuple[str, ...]]:
         table: dict[str, list[str]] = {v: [] for v in self.target.vertices}
         for x in self.source.vertices:
-            table[self.map_vertex(x)].append(x)
+            table[self.vertex_map[x]].append(x)
         return {v: tuple(xs) for v, xs in table.items()}
 
     @cached_property
     def edge_preimages(self) -> dict[str, tuple[str, ...]]:
         table: dict[str, list[str]] = {r.name: [] for r in self.target.edges}
         for rec in self.source.edges:
-            table[self.morphism.edge_map[rec.name][0]].append(rec.name)
+            table[self.edge_map[rec.name][0]].append(rec.name)
         return {name: tuple(es) for name, es in table.items()}
 
     def lifts_at(self, x: str, target_dart: Dart) -> tuple[Dart, ...]:
@@ -114,7 +92,7 @@ def verify_admissible(m: AdmissibleMap) -> Verification:
     incidence problems are reported distinctly from multiplicity problems.
     """
     src, tgt = m.source, m.target
-    vm, em = m.morphism.vertex_map, m.morphism.edge_map
+    vm, em = m.vertex_map, m.edge_map
 
     if set(vm) != set(src.vertices):
         return _fail("structure", "vertex-map", "vertex map must cover exactly the source vertices")
@@ -182,29 +160,26 @@ def assert_admissible(m: AdmissibleMap, context: str) -> AdmissibleMap:
 
 
 def identity_map(g: LabelledGraph) -> AdmissibleMap:
-    morphism = GraphMorphism(g, g, {v: v for v in g.vertices},
-                             {r.name: (r.name, True) for r in g.edges})
-    return AdmissibleMap(morphism,
-                         {v: 1 for v in g.vertices},
-                         {r.name: 1 for r in g.edges})
+    return AdmissibleMap(g, g, {v: v for v in g.vertices},
+                         {r.name: (r.name, True) for r in g.edges},
+                         {v: 1 for v in g.vertices}, {r.name: 1 for r in g.edges})
 
 
 def _compose(outer: AdmissibleMap, inner: AdmissibleMap) -> AdmissibleMap:
     """Composite of inner: K -> H with outer: H -> G, unchecked: admissible maps compose."""
-    vm = {x: outer.morphism.vertex_map[inner.morphism.vertex_map[x]]
-          for x in inner.source.vertices}
+    vm = {x: outer.vertex_map[inner.vertex_map[x]] for x in inner.source.vertices}
     em = {}
     for rec in inner.source.edges:
-        mid, same1 = inner.morphism.edge_map[rec.name]
-        out, same2 = outer.morphism.edge_map[mid]
+        mid, same1 = inner.edge_map[rec.name]
+        out, same2 = outer.edge_map[mid]
         em[rec.name] = (out, same1 == same2)
     vmult = {x: inner.vertex_multiplicity[x]
-             * outer.vertex_multiplicity[inner.map_vertex(x)]
+             * outer.vertex_multiplicity[inner.vertex_map[x]]
              for x in inner.source.vertices}
     emult = {rec.name: inner.edge_multiplicity[rec.name]
-             * outer.edge_multiplicity[inner.morphism.edge_map[rec.name][0]]
+             * outer.edge_multiplicity[inner.edge_map[rec.name][0]]
              for rec in inner.source.edges}
-    return AdmissibleMap(GraphMorphism(inner.source, outer.target, vm, em), vmult, emult)
+    return AdmissibleMap(inner.source, outer.target, vm, em, vmult, emult)
 
 
 def compose(outer: AdmissibleMap, inner: AdmissibleMap) -> AdmissibleMap:
@@ -230,13 +205,13 @@ def covering_characterizations(m: AdmissibleMap) -> dict[str, bool]:
     local_bijection = True
     for x in src.vertices:
         images = [m.map_dart(d) for d in src.darts_at(x)]
-        if sorted(images) != sorted(tgt.darts_at(m.map_vertex(x))):
+        if sorted(images) != sorted(tgt.darts_at(m.vertex_map[x])):
             local_bijection = False
             break
 
     unit_gcds = all(m.local_gcd(x, td) == 1
                     for x in src.vertices
-                    for td in tgt.darts_at(m.map_vertex(x)))
+                    for td in tgt.darts_at(m.vertex_map[x]))
 
     label_preserving = all(src.label(d) == tgt.label(m.map_dart(d))
                            for d in src.darts())
@@ -308,7 +283,7 @@ def _sheeted_cover(g: LabelledGraph, vertex_sheets: Callable[[str], _VertexSheet
             emap[name] = (rec.name, True)
             emult[name] = mult
     source = LabelledGraph(tuple(vertices), tuple(records))
-    return AdmissibleMap(GraphMorphism(source, g, vmap, emap), vmult, emult)
+    return AdmissibleMap(source, g, vmap, emap, vmult, emult)
 
 
 def branched_cover(g: LabelledGraph, plateau: Plateau) -> AdmissibleMap:
@@ -318,8 +293,6 @@ def branched_cover(g: LabelledGraph, plateau: Plateau) -> AdmissibleMap:
     else is copied p times with multiplicity 1.  Labels are copied except
     on oriented edges leaving the plateau, whose labels are divided by p.
     """
-    if plateau.is_whole_graph:
-        raise InputError("branched covers require a proper plateau")
     if not check_plateau(g, plateau):
         raise InputError("not a plateau of this graph")
     if len(plateau.vertices) == len(g.vertices) and len(plateau.edges) == len(g.edges):
@@ -384,10 +357,9 @@ def restrict_to_component(m: AdmissibleMap, vertex: str | None = None) -> Admiss
     vertices = tuple(v for v in src.vertices if v in component)
     records = tuple(r for r in src.edges if r.name in edges)
     sub = LabelledGraph(vertices, records)
-    morphism = GraphMorphism(sub, m.target,
-                             {v: m.morphism.vertex_map[v] for v in vertices},
-                             {r.name: m.morphism.edge_map[r.name] for r in records})
-    return AdmissibleMap(morphism,
+    return AdmissibleMap(sub, m.target,
+                         {v: m.vertex_map[v] for v in vertices},
+                         {r.name: m.edge_map[r.name] for r in records},
                          {v: m.vertex_multiplicity[v] for v in vertices},
                          {r.name: m.edge_multiplicity[r.name] for r in records})
 
@@ -432,7 +404,7 @@ def extract_proper_plateau(m: AdmissibleMap) -> Plateau:
     src, tgt = m.source, m.target
     prime = None
     for x in src.vertices:
-        for target_dart in tgt.darts_at(m.map_vertex(x)):
+        for target_dart in tgt.darts_at(m.vertex_map[x]):
             k = m.local_gcd(x, target_dart)
             if k > 1:
                 prime = smallest_prime_factor(k)
@@ -475,6 +447,20 @@ def _single_prime_cover(g: LabelledGraph, p: int,
     multiplicity p**k, edge sheet j joining vertex sheets j modulo their
     counts, and the edges carry the last stage's labels.  Returns None when
     g has no proper p-plateau.
+
+    If g is connected, so is the cover:
+    1. An edge kept in a round (both labels prime to p) is never divided,
+       so it stays kept in every later round.
+    2. A proper plateau P of round r+1 meets the round-r union U_r: else P
+       has the same labels, kept edges and boundary in round r, so it is a
+       round-r plateau and lies in U_r.  So P meets some round-r plateau Q;
+       Q stays joined by kept edges, hence Q lies in P.
+    3. Chaining down from a last-round plateau gives a vertex in every
+       union: it has occupancy R and hence one sheet.
+    4. For each j < p**R, the vertex sheets j mod n_v and the edge sheets
+       j mod n_e form a connected copy of g, since n_origin and n_terminus
+       divide n_e.  Every vertex sheet lies in such a copy, and every copy
+       contains that one-sheet vertex.
     """
     vertex_count = {v: 0 for v in g.vertices}
     edge_count = {r.name: 0 for r in g.edges}
@@ -549,10 +535,8 @@ def plateau_free_cover(g: LabelledGraph,
     current = identity_map(g)
     for p in label_primes(g):
         step = _single_prime_cover(current.source, p, size_limit)
-        if step is None:
-            continue
-        step = restrict_to_component(step)
-        current = _compose(current, step)
+        if step is not None:
+            current = _compose(current, step)
     if has_proper_plateau(current.source):
         raise InternalError("plateau_free_cover left a proper plateau")
     return assert_admissible(current, "plateau_free_cover")

@@ -20,7 +20,7 @@ from .covering import (AdmissibleMap, is_topological_covering,
                        orientation_double_cover, voltage_cover)
 from .errors import InputError, InternalError
 from .graph import LabelledGraph
-from .isomorphism import are_isomorphic
+from .isomorphism import find_isomorphism
 from .plateau import has_proper_plateau
 
 # (d1!)^|E1| + (d2!)^|E2| voltage assignments at one degree pair, the most
@@ -78,6 +78,7 @@ class CommensurabilityVerdict:
     answer: str  # commensurable | not-commensurable | out-of-scope
     witness: tuple[AdmissibleMap, AdmissibleMap] | None
     certificate: str
+    isomorphism: dict[str, str] | None = None  # witness sources, vertex to vertex
 
     def render(self) -> str:
         return f"answer={self.answer}\ncertificate={self.certificate}"
@@ -131,9 +132,10 @@ def _canonical_key(g: LabelledGraph) -> tuple:
     return min(encoding(root) for root in g.vertices)
 
 
-def _witness_search(h1: LabelledGraph, h2: LabelledGraph,
-                    max_degree: int) -> tuple[AdmissibleMap, AdmissibleMap] | None:
-    """The first connected pair (c1, c2) in cover order with isomorphic sources.
+def _witness_search(h1: LabelledGraph, h2: LabelledGraph, max_degree: int
+                    ) -> tuple[AdmissibleMap, AdmissibleMap, dict[str, str]] | None:
+    """The first connected pair (c1, c2) in cover order with isomorphic sources,
+    and a vertex bijection between those sources.
 
     Degree pairs satisfy d1*|V1| = d2*|V2| and d1*|E1| = d2*|E2|, by
     increasing total; the covers of h2 are keyed once, and those of h1 are
@@ -155,9 +157,10 @@ def _witness_search(h1: LabelledGraph, h2: LabelledGraph,
         for c1 in _connected_covers(h1, d1):
             c2 = keyed.get(_canonical_key(c1.source))
             if c2 is not None:
-                if not are_isomorphic(c1.source, c2.source):
+                isomorphism = find_isomorphism(c1.source, c2.source)
+                if isomorphism is None:
                     raise InternalError("covers with equal canonical keys are not isomorphic")
-                return c1, c2
+                return c1, c2, isomorphism
     return None
 
 
@@ -194,18 +197,19 @@ def commensurable(g1: LabelledGraph, g2: LabelledGraph,
             f"vs {sorted(set(colors2.values()))}")
 
     certificate = f"shared stable colors: {shared}"
-    witness = None
+    witness = isomorphism = None
     if witness_max_degree is not None:
         if witness_max_degree < 1:
             raise InputError("witness_max_degree must be positive")
-        witness = _witness_search(h1, h2, witness_max_degree)
-        if witness is None:
+        found = _witness_search(h1, h2, witness_max_degree)
+        if found is None:
             certificate += f"; no witness within total multiplicity {witness_max_degree}"
         else:
+            first, second, isomorphism = found
+            witness = (first, second)
             for part in witness:
                 if not is_topological_covering(part):
                     raise InputError("witness must be a topological covering")
-            certificate += (f"; witness degrees "
-                            f"{witness[0].total_multiplicity()} and "
-                            f"{witness[1].total_multiplicity()}")
-    return CommensurabilityVerdict("commensurable", witness, certificate)
+            certificate += (f"; witness degrees {first.total_multiplicity()} "
+                            f"and {second.total_multiplicity()}")
+    return CommensurabilityVerdict("commensurable", witness, certificate, isomorphism)

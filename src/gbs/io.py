@@ -22,7 +22,7 @@ from __future__ import annotations
 import os
 from typing import Callable
 
-from .covering import AdmissibleMap, GraphMorphism
+from .covering import AdmissibleMap
 from .errors import ParseError
 from .graph import EdgeRecord, LabelledGraph
 from .torus import GraphAutomorphism
@@ -163,8 +163,7 @@ def parse_map(text: str, resolve: Callable[[str], str]) -> AdmissibleMap:
     missing = [r.name for r in source.edges if r.name not in edge_map]
     if missing:
         raise ParseError(None, f"no emap line for source edge {missing[0]!r}")
-    return AdmissibleMap(GraphMorphism(source, target, vertex_map, edge_map),
-                         vmult, emult)
+    return AdmissibleMap(source, target, vertex_map, edge_map, vmult, emult)
 
 
 def _parse_positive(token: str, number: int) -> int:
@@ -180,9 +179,9 @@ def _parse_positive(token: str, number: int) -> int:
 def emit_map(m: AdmissibleMap, source_ref: str, target_ref: str) -> str:
     lines = [f"map from {source_ref} to {target_ref}"]
     for x in m.source.vertices:
-        lines.append(f"vmap {x} {m.morphism.vertex_map[x]} {m.vertex_multiplicity[x]}")
+        lines.append(f"vmap {x} {m.vertex_map[x]} {m.vertex_multiplicity[x]}")
     for rec in m.source.edges:
-        image, same = m.morphism.edge_map[rec.name]
+        image, same = m.edge_map[rec.name]
         token = image if same else "~" + image
         lines.append(f"emap {rec.name} {token} {m.edge_multiplicity[rec.name]}")
     return "\n".join(lines) + "\n"

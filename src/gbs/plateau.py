@@ -22,7 +22,6 @@ class Plateau:
     prime: int
     vertices: frozenset[str]
     edges: frozenset[str]
-    is_whole_graph: bool = False
 
 
 @dataclass(frozen=True)

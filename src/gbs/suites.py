@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .analysis import check_inequalities
-from .covering import (AdmissibleMap, GraphMorphism, covering_characterizations,
-                       plateau_free_cover, verify_admissible)
+from .covering import (AdmissibleMap, covering_characterizations, plateau_free_cover,
+                       verify_admissible)
 from .errors import InputError
 from .generate import GeneratorConfig, generate_admissible_map, generate_graph
 from .graph import LabelledGraph
@@ -188,8 +188,7 @@ def accordion_fixture(size: int) -> AdmissibleMap:
         emap[down] = ("s", False)  # descending strand runs against the segment
     source = LabelledGraph.build(vertices, records)
     vmap = {v: ("u" if v.startswith("x") else "w") for v in vertices}
-    morphism = GraphMorphism(source, target, vmap, emap)
-    return AdmissibleMap(morphism, {v: 2 for v in vertices},
+    return AdmissibleMap(source, target, vmap, emap, {v: 2 for v in vertices},
                          {name: 1 for name, *_ in records})
 
 
@@ -208,8 +207,8 @@ def star_branched_fixture() -> AdmissibleMap:
             emap[name] = (f"t{i}", True)
     source = LabelledGraph.build(vertices, records)
     vmap = {"c1": "c", "c2": "c", "x1": "l1", "x2": "l2", "x3": "l3"}
-    morphism = GraphMorphism(source, target, vmap, emap)
-    return AdmissibleMap(morphism, {"c1": 1, "c2": 1, "x1": 2, "x2": 2, "x3": 2},
+    return AdmissibleMap(source, target, vmap, emap,
+                         {"c1": 1, "c2": 1, "x1": 2, "x2": 2, "x3": 2},
                          {name: 1 for name, *_ in records})
 
 
@@ -220,9 +219,9 @@ def two_plateau_branched_fixture() -> AdmissibleMap:
     source = LabelledGraph.build(["x", "y"], [("a", "x", "y", 1, 1),
                                               ("b", "x", "y", 1, 1),
                                               ("m", "y", "y", 3, 5)])
-    morphism = GraphMorphism(source, target, {"x": "u", "y": "w"},
-                             {"a": ("s", True), "b": ("s", True), "m": ("l", True)})
-    return AdmissibleMap(morphism, {"x": 2, "y": 2}, {"a": 1, "b": 1, "m": 2})
+    return AdmissibleMap(source, target, {"x": "u", "y": "w"},
+                         {"a": ("s", True), "b": ("s", True), "m": ("l", True)},
+                         {"x": 2, "y": 2}, {"a": 1, "b": 1, "m": 2})
 
 
 def exceptional_fixture_maps() -> list[tuple[str, AdmissibleMap]]:

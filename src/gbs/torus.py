@@ -132,13 +132,9 @@ def subdivide_inverted_edges(a: GraphAutomorphism) -> GraphAutomorphism:
 
     result = GraphAutomorphism(LabelledGraph(tuple(vertices), tuple(records)),
                                vmap, emap)
-    order = verify_automorphism(result)
-    for dart in result.graph.darts():
-        image = dart
-        for _ in range(order):
-            image = result.dart_image(image)
-            if image == dart.reverse():
-                raise InternalError("subdivision left an orientation-reversing power")
+    verify_automorphism(result)
+    if inverted_edges(result):
+        raise InternalError("subdivision left an orientation-reversing power")
     return result
 
 

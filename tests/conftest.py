@@ -1,6 +1,6 @@
 import pytest
 
-from gbs import AdmissibleMap, GraphMorphism, LabelledGraph, voltage_cover
+from gbs import AdmissibleMap, LabelledGraph, voltage_cover
 
 
 def bs(m: int, n: int) -> LabelledGraph:
@@ -51,10 +51,10 @@ def f4_source() -> LabelledGraph:
 
 
 def f4_map() -> AdmissibleMap:
-    morphism = GraphMorphism(
+    return AdmissibleMap(
         f4_source(), f4_target(), {"x": "u", "y": "w"},
-        {"a": ("s", True), "b": ("s", True), "m": ("l", True)})
-    return AdmissibleMap(morphism, {"x": 2, "y": 2}, {"a": 1, "b": 1, "m": 2})
+        {"a": ("s", True), "b": ("s", True), "m": ("l", True)},
+        {"x": 2, "y": 2}, {"a": 1, "b": 1, "m": 2})
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import R3, bs, circle_graph, f1, f3, f4_map
 from gbs import emit_graph, emit_map, load_map, verify_admissible, voltage_cover
+from gbs import cli, decide, isomorphism
 from gbs.cli import main
 
 
@@ -176,6 +177,25 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "iso-vertex" in out
         assert main(["cover", "verify", prefix + ".cover1.map"]) == 0
+
+    def test_commensurable_witness_searches_isomorphism_once(self, tmp_path, capsys,
+                                                             monkeypatch):
+        calls = []
+        real = isomorphism.find_isomorphism
+
+        def counting(g1, g2):
+            calls.append((g1, g2))
+            return real(g1, g2)
+
+        for module in (isomorphism, decide, cli):
+            if getattr(module, "find_isomorphism", None) is real:
+                monkeypatch.setattr(module, "find_isomorphism", counting)
+        a = write_graph(tmp_path, "a.gbs", bs(2, 3))
+        b = write_graph(tmp_path, "b.gbs", circle_graph([(2, 3), (2, 3)]))
+        assert main(["commensurable", a, b, "--witness", "--max-degree", "2",
+                     "--out", str(tmp_path / "wit")]) == 0
+        assert "iso-vertex" in capsys.readouterr().out
+        assert len(calls) == 1
 
     def test_witness_search_over_the_limit_is_exit_two(self, tmp_path, capsys):
         # degrees 1 and 5 would enumerate 1!^15 + 5!^3 = 1,728,001 covers

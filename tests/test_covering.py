@@ -1,20 +1,21 @@
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bs, circle_graph, f1, f3, f4_map, f4_target
-from gbs import (GeneratorConfig, InputError, LabelledGraph, all_plateaux,
-                 are_isomorphic, branched_cover, compose,
+from gbs import (GeneratorConfig, InputError, LabelledGraph, Plateau,
+                 all_plateaux, are_isomorphic, branched_cover, compose,
                  covering_characterizations, extract_proper_plateau,
                  generate_admissible_map, generate_graph, has_proper_plateau,
-                 identity_map, is_topological_covering, orientation_double_cover,
-                 plateau_free_cover, plateaux_for_prime, rank,
-                 restrict_to_component, split_components, verify_admissible,
-                 voltage_cover)
+                 identity_map, is_topological_covering, label_primes,
+                 orientation_double_cover, plateau_free_cover,
+                 plateaux_for_prime, rank, restrict_to_component,
+                 split_components, verify_admissible, voltage_cover)
 from gbs import covering, generate, suites
-from gbs.covering import AdmissibleMap, _compose, _single_prime_cover
+from gbs.covering import _compose, _single_prime_cover
 from strategies import connected_graphs
 
 
@@ -34,8 +35,7 @@ class TestVerify:
 
     def test_broken_multiplicity_is_localized(self):
         m = f4_map()
-        broken = AdmissibleMap(m.morphism, dict(m.vertex_multiplicity),
-                               {"a": 2, "b": 1, "m": 2})
+        broken = replace(m, edge_multiplicity={"a": 2, "b": 1, "m": 2})
         result = verify_admissible(broken)
         assert not result
         assert result.kind == "condition-star"
@@ -44,19 +44,14 @@ class TestVerify:
     def test_total_multiplicity_check(self):
         g = LabelledGraph.build(["u", "w"], [("s", "u", "w", 2, 2)])
         cover = voltage_cover(g, 2, {"s": (0, 1)})
-        bad = AdmissibleMap(cover.morphism,
-                            {**cover.vertex_multiplicity, "u.1": 3},
-                            dict(cover.edge_multiplicity))
+        bad = replace(cover, vertex_multiplicity={**cover.vertex_multiplicity, "u.1": 3})
         result = verify_admissible(bad)
         assert not result
 
     def test_incidence_violation_reported_distinctly(self):
         g = f1(5)
-        morphism = identity_map(g).morphism
-        bad = AdmissibleMap(
-            type(morphism)(g, g, {"v_a": "v_a", "v_b": "v_b", "v_c": "v_a"},
-                           dict(morphism.edge_map)),
-            {v: 1 for v in g.vertices}, {r.name: 1 for r in g.edges})
+        bad = replace(identity_map(g),
+                      vertex_map={"v_a": "v_a", "v_b": "v_b", "v_c": "v_a"})
         result = verify_admissible(bad)
         assert not result and result.kind == "incidence"
 
@@ -68,7 +63,7 @@ class TestCompose:
         right = compose(identity_map(m.target), m)
         for composite in (left, right):
             assert composite.total_multiplicity() == m.total_multiplicity()
-            assert composite.morphism.vertex_map == m.morphism.vertex_map
+            assert composite.vertex_map == m.vertex_map
 
     def test_two_branched_covers_multiply(self):
         g = bs(4, 8)
@@ -85,8 +80,7 @@ class TestCompose:
 
     def test_non_admissible_input_rejected_by_role(self):
         m = f4_map()
-        broken = AdmissibleMap(m.morphism, dict(m.vertex_multiplicity),
-                               {"a": 2, "b": 1, "m": 2})
+        broken = replace(m, edge_multiplicity={"a": 2, "b": 1, "m": 2})
         with pytest.raises(InputError, match="outer map is not admissible"):
             compose(broken, identity_map(m.source))
         with pytest.raises(InputError, match="inner map is not admissible"):
@@ -132,6 +126,8 @@ class TestBranchedCover:
         plateau = plateau_of(g, 2, "v")
         with pytest.raises(InputError):
             branched_cover(bs(2, 3), plateau)
+        with pytest.raises(InputError, match="branched covers require a proper plateau"):
+            branched_cover(bs(2, 3), Plateau(5, frozenset({"v"}), frozenset({"e"})))
 
 
 class TestVoltageCover:
@@ -170,7 +166,7 @@ class TestVoltageCover:
         restricted = restrict_to_component(cover)
         for plateau in all_plateaux(g).proper_plateaux:
             pre_vertices = {x for x in restricted.source.vertices
-                            if restricted.map_vertex(x) in plateau.vertices}
+                            if restricted.vertex_map[x] in plateau.vertices}
             dest = {(q.prime, frozenset(q.vertices)) for q
                     in plateaux_for_prime(restricted.source, plateau.prime)}
             hit = {v for p, vs in dest for v in vs if p == plateau.prime}
@@ -262,13 +258,14 @@ class TestCharacterizations:
 PATH_2_3 = LabelledGraph.build(["a", "b"], [("e", "a", "b", 2, 3)])
 
 
-def _checked(fn, seen: Counter):
+def _checked(fn, seen: Counter, connected: bool = False):
     """Wrap a private step so that every map it returns is verified."""
     def spy(*args, **kwargs):
         result = fn(*args, **kwargs)
         if result is not None:
             outcome = verify_admissible(result)
             assert outcome, f"{fn.__name__}: {outcome.render()}"
+            assert not connected or result.source.is_connected(), fn.__name__
             seen[fn.__name__] += 1
         return result
     return spy
@@ -279,8 +276,9 @@ class TestTrustedSteps:
 
     def test_plateau_free_steps_are_admissible(self, monkeypatch):
         seen = Counter()
-        for name in ("_single_prime_cover", "restrict_to_component", "_compose"):
-            monkeypatch.setattr(covering, name, _checked(getattr(covering, name), seen))
+        monkeypatch.setattr(covering, "_single_prime_cover",
+                            _checked(covering._single_prime_cover, seen, connected=True))
+        monkeypatch.setattr(covering, "_compose", _checked(covering._compose, seen))
         built = 0
         for seed in range(1, 125):  # the candidates of the plateau-free-cover suite
             g = generate_graph(GeneratorConfig(seed=seed, max_vertices=5, max_edges=7,
@@ -291,8 +289,24 @@ class TestTrustedSteps:
                 continue
             built += 1
         assert built == 100
-        assert seen["_single_prime_cover"] == seen["restrict_to_component"] \
-            == seen["_compose"] > built
+        assert seen["_single_prime_cover"] == seen["_compose"] > built
+
+    @pytest.mark.parametrize(("bound", "covers"), [(12, 464), (60, 708)])
+    def test_single_prime_covers_of_connected_graphs_are_connected(self, bound, covers):
+        """The steps are composed as built, with no restriction to a component."""
+        built = 0
+        for seed in range(1, 301):
+            g = generate_graph(GeneratorConfig(seed=seed, max_vertices=6, max_edges=8,
+                                               max_label_magnitude=bound))
+            for p in label_primes(g):
+                try:
+                    step = _single_prime_cover(g, p, 500)
+                except InputError:
+                    continue
+                if step is not None:
+                    assert step.source.is_connected(), (seed, p)
+                    built += 1
+        assert built == covers
 
     def test_generated_composites_are_admissible(self, monkeypatch):
         seen = Counter()

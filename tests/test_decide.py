@@ -8,6 +8,7 @@ from gbs import (InputError, InternalError, LabelledGraph, are_isomorphic,
                  is_topological_covering, universal_cover_coloring,
                  verify_admissible, voltage_cover)
 from gbs.decide import _canonical_key, _connected_covers, _prepared
+from gbs.isomorphism import edge_correspondence
 
 
 class TestIsLarge:
@@ -81,6 +82,17 @@ class TestCommensurable:
         assert are_isomorphic(first.source, second.source)
         assert {first.total_multiplicity(),
                 second.total_multiplicity()} == {1, 2}
+
+    def test_witness_carries_the_isomorphism_of_its_sources(self):
+        verdict = commensurable(bs(2, 3), circle_graph([(2, 3), (2, 3)]),
+                                witness_max_degree=2)
+        first, second = verdict.witness
+        iso = verdict.isomorphism
+        assert sorted(iso) == sorted(first.source.vertices)
+        assert sorted(iso.values()) == sorted(second.source.vertices)
+        assert len(edge_correspondence(first.source, second.source, iso)) == \
+            len(first.source.edges)
+        assert commensurable(bs(2, 3), circle_graph([(2, 3), (2, 3)])).isomorphism is None
 
     def test_distinct_moduli(self):
         verdict = commensurable(bs(2, 3), bs(4, 9))

@@ -33,7 +33,7 @@ class TestGenerateMap:
         a = generate_admissible_map(cfg)
         b = generate_admissible_map(cfg)
         assert a.source == b.source
-        assert a.morphism.vertex_map == b.morphism.vertex_map
+        assert a.vertex_map == b.vertex_map
         assert a.vertex_multiplicity == b.vertex_multiplicity
 
     @pytest.mark.parametrize("recipe", RECIPES)

@@ -52,8 +52,8 @@ class TestMapFormat:
         map_path.write_text(emit_map(m, "src.gbs", "tgt.gbs"))
         loaded = load_map(str(map_path))
         assert verify_admissible(loaded)
-        assert loaded.morphism.vertex_map == m.morphism.vertex_map
-        assert dict(loaded.morphism.edge_map) == dict(m.morphism.edge_map)
+        assert loaded.vertex_map == m.vertex_map
+        assert dict(loaded.edge_map) == dict(m.edge_map)
         assert loaded.vertex_multiplicity == m.vertex_multiplicity
         assert loaded.edge_multiplicity == m.edge_multiplicity
 
@@ -63,7 +63,7 @@ class TestMapFormat:
                 "vmap v v 1\n"
                 "emap e ~e 1\n")
         m = parse_map(text, graphs.__getitem__)
-        assert m.morphism.edge_map["e"] == ("e", False)
+        assert m.edge_map["e"] == ("e", False)
 
     def test_missing_assignment(self):
         graphs = {"g.gbs": emit_graph(bs(2, 3))}

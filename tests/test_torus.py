@@ -59,7 +59,29 @@ class TestVerifyAutomorphism:
             verify_automorphism(bad)
 
 
+def reverses_some_dart(a) -> bool:
+    """Reference predicate: some power of `a` maps some dart to its reverse."""
+    order = verify_automorphism(a)
+    for dart in a.graph.darts():
+        image = dart
+        for _ in range(order):
+            image = a.dart_image(image)
+            if image == dart.reverse():
+                return True
+    return False
+
+
 class TestSubdivision:
+    @pytest.mark.parametrize(("make", "inverted"), [
+        (theta_symmetry, True), (two_cycle_rotation, False), (edge_flip, True),
+        (lambda: identity_automorphism(rose(2)), False)],
+        ids=["theta", "two-cycle", "edge-flip", "identity-rose"])
+    def test_inverted_edges_matches_reference(self, make, inverted):
+        aut = make()
+        assert reverses_some_dart(aut) == inverted
+        for a in (aut, subdivide_inverted_edges(aut)):
+            assert bool(inverted_edges(a)) == reverses_some_dart(a)
+
     def test_theta_orbit_structure(self):
         subdivided = subdivide_inverted_edges(theta_symmetry())
         g = subdivided.graph
