@@ -347,12 +347,15 @@ def restrict_to_component(m: AdmissibleMap, vertex: str | None = None) -> Admiss
 
     Defaults to the component containing the first source vertex in
     declaration order.  The target is left untouched; over a connected
-    target the restriction is again admissible.
+    target the restriction is again admissible.  A component holding every
+    source vertex is the whole source, and `m` itself is returned.
     """
     src = m.source
     if vertex is None:
         vertex = src.vertices[0]
     reached, edges = next(src.subgraph_components(starts=(vertex,)))
+    if len(reached) == len(src.vertices):
+        return m
     component = set(reached)
     vertices = tuple(v for v in src.vertices if v in component)
     records = tuple(r for r in src.edges if r.name in edges)

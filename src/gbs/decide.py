@@ -16,8 +16,7 @@ from itertools import permutations, product
 from typing import Iterator
 
 from .coloring import stable_colorings
-from .covering import (AdmissibleMap, is_topological_covering,
-                       orientation_double_cover, voltage_cover)
+from .covering import AdmissibleMap, orientation_double_cover, voltage_cover
 from .errors import InputError, InternalError
 from .graph import LabelledGraph
 from .isomorphism import find_isomorphism
@@ -207,9 +206,6 @@ def commensurable(g1: LabelledGraph, g2: LabelledGraph,
         else:
             first, second, isomorphism = found
             witness = (first, second)
-            for part in witness:
-                if not is_topological_covering(part):
-                    raise InputError("witness must be a topological covering")
             certificate += (f"; witness degrees {first.total_multiplicity()} "
                             f"and {second.total_multiplicity()}")
     return CommensurabilityVerdict("commensurable", witness, certificate, isomorphism)

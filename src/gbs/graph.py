@@ -7,8 +7,8 @@ two orientations are addressed through :class:`Dart` handles, so the two
 labels of an edge live independently at its two ends.
 
 Everything here is immutable: transformations (`reduce`, sign changes,
-`normalize_signs`) return new graphs, and all operations are deterministic
-in the declaration order of vertices and edges.
+`normalize_signs`) return graphs and never modify their input, and all
+operations are deterministic in the declaration order of vertices and edges.
 """
 
 from __future__ import annotations
@@ -86,26 +86,28 @@ class LabelledGraph:
     def __post_init__(self):
         if not self.vertices:
             raise InputError("a labelled graph needs at least one vertex")
-        seen: set[str] = set()
-        for v in self.vertices:
+        position: dict[str, int] = {}
+        for i, v in enumerate(self.vertices):
             _check_identifier("vertex", v)
-            if v in seen:
+            if v in position:
                 raise InputError(f"duplicate vertex {v!r}")
-            seen.add(v)
-        vset = seen
-        enames: set[str] = set()
+            position[v] = i
+        by_name: dict[str, EdgeRecord] = {}
         for rec in self.edges:
             _check_identifier("edge", rec.name)
-            if rec.name in enames:
+            if rec.name in by_name:
                 raise InputError(f"duplicate edge {rec.name!r}")
-            enames.add(rec.name)
+            by_name[rec.name] = rec
             for end in (rec.origin, rec.terminus):
-                if end not in vset:
+                if end not in position:
                     raise InputError(f"edge {rec.name!r} uses unknown vertex {end!r}")
             for label in (rec.label_origin, rec.label_terminus):
                 if not isinstance(label, int) or isinstance(label, bool) or label == 0:
                     raise InputError(f"edge {rec.name!r} carries a zero or "
                                      f"non-integer label {label!r}")
+        # the checking pass's tables: declaration index by vertex, record by edge name
+        object.__setattr__(self, "vertex_position", position)
+        object.__setattr__(self, "_edge_by_name", by_name)
 
     @classmethod
     def build(cls, vertices: Iterable[str],
@@ -113,14 +115,6 @@ class LabelledGraph:
         return cls(tuple(vertices), tuple(EdgeRecord(*e) for e in edges))
 
     # -- indexed access -------------------------------------------------
-
-    @cached_property
-    def _edge_by_name(self) -> dict[str, EdgeRecord]:
-        return {rec.name: rec for rec in self.edges}
-
-    @cached_property
-    def vertex_position(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
     def _darts_at(self) -> dict[str, tuple[Dart, ...]]:
@@ -254,54 +248,43 @@ class LabelledGraph:
             raise InputError("operation requires a connected graph")
 
     def _tree_structure(self, tree: frozenset[str]):
-        """Parent darts and depths of a BFS of the spanning tree."""
+        """BFS order and parent darts of the spanning tree from the first vertex."""
         root = self.vertices[0]
         parent_dart: dict[str, Dart] = {}
-        depth = {root: 0}
         order = [root]
-        frontier = [root]
-        while frontier:
-            v = frontier.pop(0)
+        for v in order:  # the list grows as the queue
             for dart in self.darts_at(v):
-                if dart.edge not in tree:
-                    continue
                 w = self.terminus(dart)
-                if w not in depth:
-                    depth[w] = depth[v] + 1
+                if dart.edge in tree and w != root and w not in parent_dart:
                     parent_dart[w] = dart  # dart runs parent -> child
                     order.append(w)
-                    frontier.append(w)
-        return order, parent_dart, depth
+        return order, parent_dart
 
-    def _tree_path(self, a: str, b: str, parent_dart, depth) -> list[Dart]:
+    def _tree_path(self, a: str, b: str, parent_dart) -> list[Dart]:
         """Darts of the spanning-tree path from a to b."""
-        up_a: list[Dart] = []
-        up_b: list[Dart] = []
-        while depth[a] > depth[b]:
-            d = parent_dart[a]
-            up_a.append(d.reverse())
-            a = self.origin(d)
-        while depth[b] > depth[a]:
-            d = parent_dart[b]
-            up_b.append(d.reverse())
-            b = self.origin(d)
-        while a != b:
-            da, db = parent_dart[a], parent_dart[b]
-            up_a.append(da.reverse())
-            up_b.append(db.reverse())
-            a, b = self.origin(da), self.origin(db)
+        def to_root(v: str) -> list[Dart]:
+            darts = []
+            while v in parent_dart:
+                darts.append(parent_dart[v].reverse())
+                v = self.origin(parent_dart[v])
+            return darts
+
+        up_a, up_b = to_root(a), to_root(b)
+        while up_a and up_b and up_a[-1] == up_b[-1]:
+            up_a.pop()
+            up_b.pop()
         return up_a + [d.reverse() for d in reversed(up_b)]
 
     def modulus(self) -> CycleBasisModulus:
         """Label-ratio products over the fundamental cycles of the chosen tree."""
         tree = self.maximal_subtree()
-        _, parent_dart, depth = self._tree_structure(tree)
+        _, parent_dart = self._tree_structure(tree)
         entries: list[ModulusEntry] = []
         for rec in self.edges:
             if rec.name in tree:
                 continue
             d0 = Dart(rec.name, True)
-            loop = [d0] + self._tree_path(rec.terminus, rec.origin, parent_dart, depth)
+            loop = [d0] + self._tree_path(rec.terminus, rec.origin, parent_dart)
             value = Fraction(1)
             for dart in loop:
                 value *= Fraction(self.label(dart), self.label(dart.reverse()))
@@ -381,69 +364,37 @@ class LabelledGraph:
         """
         self._require_connected()
         tree = self.maximal_subtree()
-        order, parent_dart, _ = self._tree_structure(tree)
-        recs = {r.name: [r.origin, r.terminus, r.label_origin, r.label_terminus]
-                for r in self.edges}
-
-        def flip_edge(name: str) -> None:
-            recs[name][2] = -recs[name][2]
-            recs[name][3] = -recs[name][3]
-
-        def flip_vertex(v: str) -> None:
-            for fields in recs.values():
-                if fields[0] == v:
-                    fields[2] = -fields[2]
-                if fields[1] == v:
-                    fields[3] = -fields[3]
-
+        order, parent_dart = self._tree_structure(tree)
+        g = self
         for v in order[1:]:
             dart = parent_dart[v]  # runs parent -> v
-            fields = recs[dart.edge]
-            near_parent = fields[2] if dart.forward else fields[3]
-            if near_parent < 0:
-                flip_edge(dart.edge)
-            near_child = fields[3] if dart.forward else fields[2]
-            if near_child < 0:
-                flip_vertex(v)
-        for rec in self.edges:
-            if rec.name in tree:
-                continue
-            fields = recs[rec.name]
-            if fields[2] < 0 and fields[3] < 0:
-                flip_edge(rec.name)
-        return LabelledGraph(self.vertices, tuple(
-            EdgeRecord(r.name, *recs[r.name]) for r in self.edges))
+            if g.label(dart) < 0:
+                g = g.sign_change_edge(dart.edge)
+            if g.label(dart.reverse()) < 0:
+                g = g.sign_change_vertex(v)
+        for name in [r.name for r in self.edges if r.name not in tree]:
+            if g.edge(name).label_origin < 0 and g.edge(name).label_terminus < 0:
+                g = g.sign_change_edge(name)
+        return g
 
     # -- reduction ---------------------------------------------------------
 
-    def reduce(self, _collapse_order: tuple[str, ...] | None = None) -> "LabelledGraph":
+    def reduce(self) -> "LabelledGraph":
         """Collapse non-loop edges with a label +-1 until none remain.
 
         Collapsing an edge merges its endpoints: the vertex at the +-1 end
         disappears, and each of its remaining edge ends moves to the other
         endpoint with its label multiplied by the product of the collapsed
-        edge's two labels.  Collapses happen in declaration order unless a
-        different scan order is supplied (used by tests to confirm the
-        result is independent of the order, up to isomorphism).
+        edge's two labels.  Collapses follow declaration order; the result
+        does not depend on that order, up to isomorphism.
         """
         self._require_connected()
         verts = list(self.vertices)
         recs = {r.name: [r.origin, r.terminus, r.label_origin, r.label_terminus]
                 for r in self.edges}
-        names = list(_collapse_order) if _collapse_order is not None \
-            else [r.name for r in self.edges]
-        if set(names) != set(recs):
-            raise InputError("collapse order must list every edge exactly once")
-
         while True:
-            target = None
-            for name in names:
-                if name not in recs:
-                    continue
-                o, t, lo, lt = recs[name]
-                if o != t and (abs(lo) == 1 or abs(lt) == 1):
-                    target = name
-                    break
+            target = next((name for name, (o, t, lo, lt) in recs.items()
+                           if o != t and (abs(lo) == 1 or abs(lt) == 1)), None)
             if target is None:
                 break
             o, t, lo, lt = recs.pop(target)
@@ -457,6 +408,5 @@ class LabelledGraph:
                     fields[1] = surviving
                     fields[3] *= factor
             verts.remove(dying)
-        kept = [r.name for r in self.edges if r.name in recs]
         return LabelledGraph(tuple(verts), tuple(
-            EdgeRecord(name, *recs[name]) for name in kept))
+            EdgeRecord(name, *fields) for name, fields in recs.items()))

@@ -1,4 +1,5 @@
 import time
+from pathlib import Path
 
 import pytest
 
@@ -236,8 +237,8 @@ class TestOtherCommands:
               "--out", prefix1])
         main(["cover", "voltage", path, "--degree", "2", "--seed", "2",
               "--out", prefix2])
-        text1 = open(prefix1 + ".map").read().replace("one", "x")
-        text2 = open(prefix2 + ".map").read().replace("two", "x")
+        text1 = Path(prefix1 + ".map").read_text().replace("one", "x")
+        text2 = Path(prefix2 + ".map").read_text().replace("two", "x")
         assert text1 == text2
 
     @pytest.mark.parametrize("value", ["abc", "-3", "1.5", ""])

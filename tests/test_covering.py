@@ -152,6 +152,16 @@ class TestVoltageCover:
         with pytest.raises(InputError):
             voltage_cover(bs(2, 3), 2, {"e": (0, 0)})
 
+    def test_restrict_to_component_cuts_only_when_disconnected(self):
+        connected = voltage_cover(bs(2, 3), 2, {"e": (1, 0)})
+        assert restrict_to_component(connected) is connected
+        split = voltage_cover(bs(2, 3), 2, {"e": (0, 1)})
+        part = restrict_to_component(split, "v.2")
+        assert part.source == LabelledGraph.build(["v.2"], [("e.2", "v.2", "v.2", 2, 3)])
+        assert (part.target, part.vertex_map, part.edge_map) == \
+            (split.target, {"v.2": "v"}, {"e.2": ("e", True)})
+        assert (part.vertex_multiplicity, part.edge_multiplicity) == ({"v.2": 1}, {"e.2": 1})
+
     @given(connected_graphs(), st.integers(1, 3), st.randoms(use_true_random=False))
     @settings(deadline=None, max_examples=40)
     def test_always_topological(self, g, degree, rng):

@@ -1,10 +1,11 @@
-"""Golden outputs: sheet names, wiring, witnesses and suite reports, pinned byte for byte.
+"""Golden outputs: sheet names, wiring, witnesses, graph moves and suite reports, pinned byte for byte.
 
 The cover constructions name and wire their sheets deterministically, and
 the suite reports are deterministic for a fixed count and seed; these
 values were recorded before the constructions shared one sheet builder,
 the witness digests before the witness search keyed covers canonically,
-and they must never change silently.
+the graph-move digest before `LabelledGraph` shared its sign changes and
+tree walks, and they must never change silently.
 """
 
 import hashlib
@@ -12,8 +13,9 @@ import hashlib
 import pytest
 
 from conftest import bs, f2, f3, witness_cases
-from gbs import (LabelledGraph, branched_cover, commensurable, emit_graph,
-                 emit_map, plateau_free_cover, plateaux_for_prime, voltage_cover)
+from gbs import (GeneratorConfig, LabelledGraph, branched_cover, commensurable,
+                 emit_graph, emit_map, generate_graph, is_topological_covering,
+                 plateau_free_cover, plateaux_for_prime, voltage_cover)
 from gbs.cli import main
 
 PATH_2_3 = LabelledGraph.build(["a", "b"], [("e", "a", "b", 2, 3)])
@@ -137,3 +139,19 @@ def test_witness_digest(name):
     g1, g2, degree = witness_cases()[name]
     witness = commensurable(g1, g2, witness_max_degree=degree).witness
     assert sha256("".join(emitted(m) for m in witness)) == WITNESS_DIGESTS[name]
+    assert all(is_topological_covering(m) for m in witness)
+
+
+def test_graph_moves_digest():
+    # modulus loops and values, normalize_signs and reduce on generated graphs
+    lines = []
+    for magnitude in (6, 18, 60):
+        for seed in range(1, 501):
+            g = generate_graph(GeneratorConfig(seed, max_vertices=7, max_edges=11,
+                                               max_label_magnitude=magnitude))
+            for entry in g.modulus().entries:
+                lines.append(" ".join(d.render() for d in entry.loop) + f" {entry.value}\n")
+            lines.append(emit_graph(g.normalize_signs()))
+            lines.append(emit_graph(g.reduce()))
+    assert sha256("".join(lines)) == \
+        "70e9421e20f6293620593346c29bb567e782fa037420c8a4a096ae5b3b5620ce"

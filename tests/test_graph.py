@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -66,11 +67,10 @@ class TestReduce:
             ["a", "b", "c"],
             [("e1", "a", "b", 1, 2), ("e2", "b", "c", 1, 3),
              ("e3", "a", "c", 5, 1)])
-        names = [r.name for r in g.edges]
         base = g.reduce()
-        import itertools
-        for order in itertools.permutations(names):
-            assert are_isomorphic(g.reduce(_collapse_order=order), base)
+        # collapses follow declaration order, so permuting the edges permutes them
+        for records in itertools.permutations(g.edges):
+            assert are_isomorphic(LabelledGraph(g.vertices, records).reduce(), base)
 
 
 class TestSignChanges:
@@ -195,11 +195,33 @@ class TestMaximalSubtree:
         assert f3().maximal_subtree() == frozenset({"e_1", "e_2"})
 
 
+BAD_IDENTIFIER = "identifier {!r}: must be a nonempty string without whitespace"
+
+
 class TestConstruction:
     @pytest.mark.parametrize("label", [True, 2.0])
     def test_non_integer_or_zero_label_rejected(self, label):
         with pytest.raises(InputError):
             LabelledGraph.build(["u", "w"], [("s", "u", "w", label, 3)])
+
+    @pytest.mark.parametrize("vertices, edges, message", [
+        ([], [], "a labelled graph needs at least one vertex"),
+        (["u", "w", "u"], [], "duplicate vertex 'u'"),
+        (["u", "w"], [("s", "u", "w", 2, 3), ("s", "w", "u", 2, 3)],
+         "duplicate edge 's'"),
+        (["u", "w"], [("s", "u", "x", 2, 3)], "edge 's' uses unknown vertex 'x'"),
+        (["u", ""], [], "bad vertex " + BAD_IDENTIFIER.format("")),
+        (["u", "w"], [("a b", "u", "w", 2, 3)], "bad edge " + BAD_IDENTIFIER.format("a b")),
+        (["u", 3], [], "bad vertex " + BAD_IDENTIFIER.format(3)),
+        (["u", "w"], [("s", "u", "w", 2, 0)],
+         "edge 's' carries a zero or non-integer label 0"),
+    ], ids=["no-vertices", "duplicate-vertex", "duplicate-edge", "unknown-endpoint",
+            "empty-identifier", "whitespace-identifier", "non-string-identifier",
+            "zero-label"])
+    def test_rejection_messages(self, vertices, edges, message):
+        with pytest.raises(InputError) as caught:
+            LabelledGraph.build(vertices, edges)
+        assert str(caught.value) == message
 
 
 def _union_find_components(g, keep, starts):
