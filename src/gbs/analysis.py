@@ -14,7 +14,7 @@ from itertools import combinations
 from .errors import InputError, InternalError
 from .covering import AdmissibleMap, verify_admissible
 from .graph import LabelledGraph
-from .plateau import (Plateau, all_plateaux, check_plateau,
+from .plateau import (Plateau, _proper_plateaux, all_plateaux, check_plateau,
                       minimum_hitting_set)
 
 
@@ -144,7 +144,8 @@ class MapClassification:
 
 
 def _is_interval(g: LabelledGraph) -> bool:
-    return (g.is_connected() and g.betti() == 0 and len(g.vertices) >= 2
+    # valences 1, 1, 2, ... sum to 2|V| - 2 = 2|E|: a connected one is a tree
+    return (g.is_connected() and len(g.vertices) >= 2
             and sorted(g.valence(v) for v in g.vertices) ==
             [1, 1] + [2] * (len(g.vertices) - 2))
 
@@ -268,7 +269,7 @@ def check_inequalities(m: AdmissibleMap) -> AuditReport:
     if not m.target.is_reduced():
         raise InputError("audit requires a reduced target")
     src, tgt = m.source, m.target
-    inventory = all_plateaux(tgt).proper_plateaux
+    inventory = _proper_plateaux(tgt)  # admissible: tgt is the image of the connected src
 
     beta, t = tgt.betti(), len(tgt.terminal_vertices())
     beta_bar, t_bar = src.betti(), len(src.terminal_vertices())

@@ -17,8 +17,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InputError, InternalError
 from .graph import Dart, EdgeRecord, LabelledGraph
-from .plateau import (Plateau, check_plateau, has_proper_plateau, label_primes,
-                      plateaux_for_prime)
+from .plateau import Plateau, _plateaux, check_plateau, has_proper_plateau, label_primes
 from .primes import smallest_prime_factor, valuation
 
 
@@ -378,7 +377,6 @@ def orientation_double_cover(g: LabelledGraph) -> AdmissibleMap | None:
     the modulus is already positive there is nothing to do and None is
     returned (the identity map already serves).
     """
-    g._require_connected()
     if not g.modulus().takes_negative_value():
         return None
     assignment = {}
@@ -469,7 +467,7 @@ def _single_prime_cover(g: LabelledGraph, p: int,
     edge_count = {r.name: 0 for r in g.edges}
     rounds = 0
     stage = g
-    while plateaux := plateaux_for_prime(stage, p):
+    while plateaux := _plateaux(stage, p):
         rounds += 1
         union_vertices = set().union(*(plat.vertices for plat in plateaux))
         union_edges = set().union(*(plat.edges for plat in plateaux))

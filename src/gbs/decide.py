@@ -36,7 +36,6 @@ def is_large(g: LabelledGraph) -> bool:
     group, which is virtually abelian, hence not large, even though its
     graph is a tree.
     """
-    g._require_connected()
     r = g.reduce()
     if len(r.vertices) == 1 and not r.edges:
         raise InputError("the graph presents a cyclic group; largeness is "
@@ -174,8 +173,6 @@ def commensurable(g1: LabelledGraph, g2: LabelledGraph,
     the answer stands but no witness is attached.  A degree pair needing
     over WITNESS_SEARCH_LIMIT voltage assignments raises InputError.
     """
-    for g in (g1, g2):
-        g._require_connected()
     r1, r2 = g1.reduce(), g2.reduce()
     violations = []
     for tag, r in (("first", r1), ("second", r2)):

@@ -291,9 +291,6 @@ class LabelledGraph:
             entries.append(ModulusEntry(tuple(loop), value))
         return CycleBasisModulus(tuple(entries))
 
-    def is_unimodular(self) -> bool:
-        return self.modulus().is_unimodular()
-
     def has_nontrivial_center(self) -> bool:
         """True when the modulus is identically 1 on the cycle basis."""
         return self.modulus().is_trivial()
@@ -311,9 +308,9 @@ class LabelledGraph:
         return True
 
     def is_circle(self) -> bool:
+        # all valences 2 make |E| = |V|, so a connected one has Betti number 1
         return (self.is_connected() and len(self.edges) >= 1
-                and all(self.valence(v) == 2 for v in self.vertices)
-                and self.betti() == 1)
+                and all(self.valence(v) == 2 for v in self.vertices))
 
     def circle_products(self) -> tuple[int, int]:
         """Products of the co-oriented and counter-oriented labels of a circle."""
@@ -362,7 +359,6 @@ class LabelledGraph:
         edge carries at most one negative label; when the modulus takes only
         positive values this makes every label positive.
         """
-        self._require_connected()
         tree = self.maximal_subtree()
         order, parent_dart = self._tree_structure(tree)
         g = self

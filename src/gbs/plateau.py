@@ -39,7 +39,7 @@ def label_primes(g: LabelledGraph) -> list[int]:
 
 
 def plateaux_for_prime(g: LabelledGraph, p: int) -> list[Plateau]:
-    """The proper p-plateaux of g (pairwise vertex-disjoint).
+    """The proper p-plateaux of a connected g (pairwise vertex-disjoint).
 
     Each is a component of the subgraph keeping only edges with both labels
     coprime to p.  The whole graph qualifies as a p-plateau exactly when p
@@ -48,6 +48,12 @@ def plateaux_for_prime(g: LabelledGraph, p: int) -> list[Plateau]:
     """
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
+    g._require_connected()
+    return _plateaux(g, p)
+
+
+def _plateaux(g: LabelledGraph, p: int) -> list[Plateau]:
+    """:func:`plateaux_for_prime` for a prime p and a graph known to be connected."""
     keep = {rec.name for rec in g.edges
             if rec.label_origin % p != 0 and rec.label_terminus % p != 0}
     out: list[Plateau] = []
@@ -90,14 +96,16 @@ def check_plateau(g: LabelledGraph, plateau: Plateau) -> bool:
 def all_plateaux(g: LabelledGraph) -> PlateauCollection:
     """Every proper plateau of g, over all primes dividing some label."""
     g._require_connected()
-    found: list[Plateau] = []
-    for p in label_primes(g):
-        found.extend(plateaux_for_prime(g, p))
-    return PlateauCollection(tuple(found))
+    return PlateauCollection(_proper_plateaux(g))
+
+
+def _proper_plateaux(g: LabelledGraph) -> tuple[Plateau, ...]:
+    """:func:`all_plateaux` for a graph known to be connected."""
+    return tuple(P for p in label_primes(g) for P in _plateaux(g, p))
 
 
 def has_proper_plateau(g: LabelledGraph) -> bool:
-    return any(plateaux_for_prime(g, p) for p in label_primes(g))
+    return any(_plateaux(g, p) for p in label_primes(g))
 
 
 # -- exact minimum hitting set ------------------------------------------------
@@ -113,11 +121,12 @@ def minimum_hitting_set(order: tuple[str, ...],
     constraints provides the lower bound.  Deterministic for fixed input.
     """
     position = {v: i for i, v in enumerate(order)}
+    if outside := {v for c in constraints for v in c} - position.keys():
+        raise InputError(f"constraint elements outside the order: {sorted(outside, key=repr)}")
     work = sorted({frozenset(c) for c in constraints},
                   key=lambda c: (len(c), sorted(position[v] for v in c)))
-    for c in work:
-        if not c:
-            raise InputError("unsatisfiable empty constraint")
+    if frozenset() in work:
+        raise InputError("unsatisfiable empty constraint")
     # drop supersets of other constraints: hitting the subset hits them too
     kept: list[frozenset[str]] = []
     for c in work:
@@ -161,8 +170,8 @@ def minimum_hitting_set(order: tuple[str, ...],
             return
         if len(chosen) + lower_bound(unmet) >= len(best):
             return
-        branch = min(unmet, key=lambda c: (len(c), sorted(position[v] for v in c)))
-        for v in sorted(branch, key=position.get):
+        # every unmet list keeps the sorted order of `kept`, smallest first
+        for v in sorted(unmet[0], key=position.get):
             search([c for c in unmet if v not in c], chosen | {v})
 
     search(kept, set())
@@ -172,15 +181,11 @@ def minimum_hitting_set(order: tuple[str, ...],
 # -- plateaunic number, rank, generating subsets ------------------------------
 
 
-def _constraints(g: LabelledGraph) -> list[frozenset[str]]:
-    sets = [P.vertices for P in all_plateaux(g).proper_plateaux]
-    sets.append(frozenset(g.vertices))  # the whole graph is a plateau
-    return sets
-
-
 def minimum_generating_vertices(g: LabelledGraph) -> frozenset[str]:
     """A smallest vertex set meeting every plateau (deterministic witness)."""
-    return minimum_hitting_set(g.vertices, _constraints(g))
+    sets = [P.vertices for P in all_plateaux(g).proper_plateaux]
+    sets.append(frozenset(g.vertices))  # the whole graph is a plateau
+    return minimum_hitting_set(g.vertices, sets)
 
 
 def mu(g: LabelledGraph) -> int:
@@ -190,7 +195,6 @@ def mu(g: LabelledGraph) -> int:
 
 def rank(g: LabelledGraph) -> int:
     """Minimal number of generators of the presented group: Betti number + mu."""
-    g._require_connected()
     return g.betti() + mu(g)
 
 
@@ -200,11 +204,9 @@ def generates(g: LabelledGraph, keep: frozenset[str] | set[str]) -> bool:
     True exactly when `keep` meets every plateau (the whole graph included,
     so the empty set never generates).
     """
-    g._require_connected()
+    plateaux = all_plateaux(g).proper_plateaux
     keep = frozenset(keep)
     for v in keep:
         if not g.has_vertex(v):
             raise InputError(f"unknown vertex {v!r}")
-    if not keep:
-        return False
-    return all(keep & P.vertices for P in all_plateaux(g).proper_plateaux)
+    return bool(keep) and all(keep & P.vertices for P in plateaux)

@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -86,6 +87,28 @@ class TestCoverCommands:
         out = capsys.readouterr().out
         assert "admissible=true" in out and "topological=false" in out
         assert "total-multiplicity=2" in out
+
+    def test_verify_reports_the_first_violation(self, tmp_path, capsys):
+        m = f4_map()
+        (tmp_path / "src.gbs").write_text(emit_graph(m.source))
+        (tmp_path / "tgt.gbs").write_text(emit_graph(m.target))
+        broken = replace(m, edge_multiplicity={"a": 2, "b": 1, "m": 2})
+        (tmp_path / "bad.map").write_text(emit_map(broken, "src.gbs", "tgt.gbs"))
+        assert main(["cover", "verify", str(tmp_path / "bad.map")]) == 1
+        assert capsys.readouterr().out == ("admissible=false kind=condition-star site=x/a "
+                                           "detail=lift multiplicity 2 differs from 1\n")
+
+    def test_disconnected_graph_is_rejected_before_branching(self, tmp_path, capsys):
+        path = str(tmp_path / "g.gbs")
+        Path(path).write_text("vertex a\nvertex b\nedge e a a 2 3\n")
+        assert main(["plateaux", path, "--prime", "2"]) == 2
+        assert main(["plateaux", path]) == 2
+        assert main(["cover", "branch", path, "--prime", "2", "--plateau-vertex", "b",
+                     "--out", str(tmp_path / "b")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: operation requires a connected graph\n" * 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.gbs"]
 
     def test_branch_writes_a_loadable_map(self, tmp_path, capsys):
         path = write_graph(tmp_path, "bs24.gbs", bs(2, 4))

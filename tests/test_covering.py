@@ -55,6 +55,32 @@ class TestVerify:
         result = verify_admissible(bad)
         assert not result and result.kind == "incidence"
 
+    F4_LIFT_LABEL = LabelledGraph.build(  # f4's source with lift a labelled 2
+        ["x", "y"], [("a", "x", "y", 2, 1), ("b", "x", "y", 1, 1), ("m", "y", "y", 3, 5)])
+
+    @pytest.mark.parametrize("changes, kind, site", [
+        ({"vertex_map": {"x": "u"}}, "structure", "vertex-map"),
+        ({"edge_map": {"a": ("s", True), "b": ("s", True)}}, "structure", "edge-map"),
+        ({"vertex_map": {"x": "u", "y": "z"}}, "structure", "y"),
+        ({"vertex_multiplicity": {"x": 2, "y": 0}}, "structure", "y"),
+        ({"edge_map": {"a": ("s", True), "b": ("s", True), "m": ("z", True)}},
+         "structure", "m"),
+        ({"edge_multiplicity": {"a": 1, "b": 1, "m": 0}}, "structure", "m"),
+        ({"vertex_multiplicity": {"x": 1, "y": 2}}, "condition-star", "x/s"),
+        ({"source": F4_LIFT_LABEL}, "condition-star", "x/a"),
+    ], ids=["vertex-map", "edge-map", "image-vertex", "vertex-multiplicity", "image-edge",
+            "edge-multiplicity", "lift-count", "lift-label"])
+    def test_first_violation_is_reported(self, changes, kind, site):
+        result = verify_admissible(replace(f4_map(), **changes))
+        assert (result.ok, result.kind, result.site) == (False, kind, site)
+
+    def test_non_constant_total_multiplicity(self):
+        two_points = LabelledGraph.build(["u", "w"], [])
+        result = verify_admissible(replace(identity_map(two_points),
+                                           vertex_multiplicity={"u": 1, "w": 2}))
+        assert (result.ok, result.kind, result.site) == (False, "total-multiplicity", "u")
+        assert result.message == "preimage multiplicities sum to [1, 2]"
+
 
 class TestCompose:
     def test_identity_neutral(self):

@@ -7,7 +7,7 @@ from gbs import (InputError, InternalError, LabelledGraph, are_isomorphic,
                  commensurable, emit_graph, emit_map, is_large,
                  is_topological_covering, universal_cover_coloring,
                  verify_admissible, voltage_cover)
-from gbs.decide import _canonical_key, _connected_covers, _prepared
+from gbs.decide import _canonical_key, _connected_covers, _prepared, _witness_search
 from gbs.isomorphism import edge_correspondence
 
 
@@ -33,6 +33,14 @@ class TestIsLarge:
         assert not is_large(klein_tree)
         assert not is_large(LabelledGraph.build(
             ["a", "b"], [("e", "a", "b", -2, 2)]))
+
+    def test_reduced_cycle_rank_two_or_non_circle(self):
+        assert is_large(R3)
+        lollipop = LabelledGraph.build(["u", "w"], [("s", "u", "w", 2, 4),
+                                                    ("l", "u", "u", 5, 7)])
+        assert lollipop.reduce() == lollipop and lollipop.betti() == 1
+        assert not lollipop.is_circle()
+        assert is_large(lollipop)
 
     def test_cyclic_rejected(self):
         with pytest.raises(InputError):
@@ -123,6 +131,11 @@ class TestCommensurable:
         assert verdict.answer == "commensurable"
         assert verdict.witness is None
         assert "no witness" in verdict.certificate
+
+    def test_witness_search_needs_equal_edge_vertex_ratios(self):
+        # a common cover has |E|/|V| of both graphs; `commensurable` never
+        # gets here, as graphs sharing a stable color have equal ratios
+        assert _witness_search(bs(2, 3), R3, 4) is None
 
     def test_negative_modulus_goes_through_double_cover(self):
         verdict = commensurable(bs(2, -3), bs(2, 3))

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 from fractions import Fraction
 
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bs, circle_graph, f1, f2, f3, f4_source
-from gbs import InputError, LabelledGraph, are_isomorphic
+from gbs import (InputError, LabelledGraph, all_plateaux, are_isomorphic, commensurable,
+                 generates, is_large, mu, orientation_double_cover, plateau_free_cover,
+                 plateaux_for_prime, rank)
 from strategies import connected_graphs
 
 
@@ -299,3 +302,44 @@ class TestSubgraphComponents:
     def test_unknown_start_rejected(self):
         with pytest.raises(InputError):
             list(f3().subgraph_components(starts=["nowhere"]))
+
+
+# operations on connected graphs only; each checks its graph once, itself or in a callee
+CONNECTED_ONLY = {
+    "reduce": LabelledGraph.reduce,
+    "modulus": LabelledGraph.modulus,
+    "normalize_signs": LabelledGraph.normalize_signs,
+    "rank": rank,
+    "mu": mu,
+    "generates-before-keep": lambda g: generates(g, {"zz"}),
+    "is_large": is_large,
+    "commensurable-first": lambda g: commensurable(g, bs(2, 3)),
+    "commensurable-second": lambda g: commensurable(bs(2, 3), g),
+    "orientation_double_cover": orientation_double_cover,
+    "all_plateaux": all_plateaux,
+    "plateaux_for_prime": lambda g: plateaux_for_prime(g, 2),
+    "plateau_free_cover": plateau_free_cover,
+}
+
+
+@pytest.mark.parametrize("operation", CONNECTED_ONLY.values(), ids=CONNECTED_ONLY)
+def test_disconnected_graphs_are_rejected(operation):
+    g = LabelledGraph.build(["a", "b"], [("e", "a", "a", 2, -3)])
+    with pytest.raises(InputError, match="^operation requires a connected graph$"):
+        operation(g)
+
+
+@pytest.mark.parametrize("operation", CONNECTED_ONLY.values(), ids=CONNECTED_ONLY)
+def test_connectivity_is_checked_once(operation, monkeypatch):
+    g = bs(2, -3)
+    checked = []
+    real = LabelledGraph._require_connected
+
+    def counting(self):
+        checked.append(self is g)
+        real(self)
+
+    monkeypatch.setattr(LabelledGraph, "_require_connected", counting)
+    with contextlib.suppress(InputError):  # generates then rejects the vertex zz
+        operation(g)
+    assert checked.count(True) == 1

@@ -118,3 +118,86 @@ class TestAutomorphismFormat:
         path = tmp_path / "g.gbs"
         path.write_text(emit_graph(f3()))
         assert load_graph(str(path)) == f3()
+
+
+# (text, line number, message) for every rejection a parser raises
+GRAPH_REJECTIONS = [
+    ("vertex v\nedge e v v x 3\n", 2, "label 'x' is not an integer"),
+    ("vertex v\nedge e v v 2 0\n", 2, "zero label"),
+    ("vertex v w\n", 1, "vertex lines take exactly one identifier"),
+    ("vertex v\n# twice\nvertex v\n", 3, "duplicate vertex 'v'"),
+    ("vertex v\nedge e v v 2\n", 2, "edge lines take id, endpoints and two labels"),
+    ("vertex v\nedge e v v 2 3\nedge e v v 5 7\n", 3, "duplicate edge 'e'"),
+    ("vertex v\nedge e w v 2 3\n", 2, "unknown vertex 'w'"),
+    ("vertex v\nloop e v 2 3\n", 2, "unrecognized declaration 'loop'"),
+    ("# nothing\n\n", None, "graph file declares no vertices"),
+]
+
+
+@pytest.mark.parametrize("text, line, message", GRAPH_REJECTIONS,
+                         ids=[m for _, _, m in GRAPH_REJECTIONS])
+def test_graph_rejections(text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse_graph(text)
+    assert (err.value.line_number, err.value.reason) == (line, message)
+
+
+MAP_GRAPHS = {"g.gbs": "vertex v\nedge e v v 2 3\n"}
+MAP_HEAD = "map from g.gbs to g.gbs\n"
+MAP_REJECTIONS = [
+    ("# empty\n", None, "empty map file"),
+    ("map g.gbs g.gbs\n", 1, "map files start with `map from <file> to <file>`"),
+    ("map from g.gbs to gone.gbs\n", 1, "cannot read referenced graph: gone.gbs"),
+    (MAP_HEAD + "vmap v v\n", 2, "vmap lines take vertex, image, multiplicity"),
+    (MAP_HEAD + "vmap x v 1\n", 2, "unknown source vertex 'x'"),
+    (MAP_HEAD + "vmap v x 1\n", 2, "unknown target vertex 'x'"),
+    (MAP_HEAD + "vmap v v 1\nvmap v v 1\n", 3, "repeated vmap for 'v'"),
+    (MAP_HEAD + "vmap v v two\n", 2, "multiplicity 'two' is not an integer"),
+    (MAP_HEAD + "vmap v v -1\n", 2, "multiplicities must be positive"),
+    (MAP_HEAD + "emap e e\n", 2, "emap lines take edge, image, multiplicity"),
+    (MAP_HEAD + "emap x e 1\n", 2, "unknown source edge 'x'"),
+    (MAP_HEAD + "emap e ~x 1\n", 2, "unknown target edge 'x'"),
+    (MAP_HEAD + "emap e e 1\nemap e ~e 1\n", 3, "repeated emap for 'e'"),
+    (MAP_HEAD + "emap e e 0\n", 2, "multiplicities must be positive"),
+    (MAP_HEAD + "vmap v v 1\nfv v v\n", 3, "unrecognized declaration 'fv'"),
+    (MAP_HEAD + "emap e e 1\n", None, "no vmap line for source vertex 'v'"),
+    (MAP_HEAD + "vmap v v 1\n", None, "no emap line for source edge 'e'"),
+]
+
+
+@pytest.mark.parametrize("text, line, message", MAP_REJECTIONS,
+                         ids=[f"{i}-{m}" for i, (_, _, m) in enumerate(MAP_REJECTIONS)])
+def test_map_rejections(text, line, message):
+    def resolve(ref):
+        if ref not in MAP_GRAPHS:
+            raise FileNotFoundError(ref)
+        return MAP_GRAPHS[ref]
+
+    with pytest.raises(ParseError) as err:
+        parse_map(text, resolve)
+    assert (err.value.line_number, err.value.reason) == (line, message)
+
+
+AUT_GRAPH = "vertex v\nvertex w\nedge e v w\n"
+AUTOMORPHISM_REJECTIONS = [
+    ("vertex v\nedge e v v 2\n", 2, "edge lines take id, endpoints and two labels"),
+    (AUT_GRAPH + "fv v\n", 4, "fv lines take a vertex and its image"),
+    (AUT_GRAPH + "fv v x\n", 4, "unknown vertex 'x'"),
+    (AUT_GRAPH + "fv v w\nfv v v\n", 5, "repeated fv for 'v'"),
+    (AUT_GRAPH + "fe e\n", 4, "fe lines take an edge and its image"),
+    (AUT_GRAPH + "fe e ~x\n", 4, "unknown edge 'x'"),
+    (AUT_GRAPH + "fe e e\nfe e ~e\n", 5, "repeated fe for 'e'"),
+    (AUT_GRAPH + "vmap v w 1\n", 4, "unrecognized declaration 'vmap'"),
+    ("fv v v\n", 1, "unknown vertex 'v'"),
+    ("# nothing\n", None, "automorphism file declares no vertices"),
+    (AUT_GRAPH + "fv v w\nfe e ~e\n", None, "no fv line for vertex 'w'"),
+    (AUT_GRAPH + "fv v w\nfv w v\n", None, "no fe line for edge 'e'"),
+]
+
+
+@pytest.mark.parametrize("text, line, message", AUTOMORPHISM_REJECTIONS,
+                         ids=[m for _, _, m in AUTOMORPHISM_REJECTIONS])
+def test_automorphism_rejections(text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse_automorphism(text)
+    assert (err.value.line_number, err.value.reason) == (line, message)

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bs, f1, f2, f3, f4_source
-from gbs import (GeneratorConfig, InputError, LabelledGraph, all_plateaux,
-                 branched_cover, generate_graph, generates, has_proper_plateau,
+from gbs import (GeneratorConfig, InputError, LabelledGraph, Plateau, all_plateaux,
+                 branched_cover, check_plateau, generate_graph, generates, has_proper_plateau,
                  label_primes, minimum_generating_vertices, minimum_hitting_set,
                  mu, plateau_free_cover, plateaux_for_prime, rank, voltage_cover)
 from gbs.primes import prime_factors, smallest_prime_factor
@@ -83,6 +83,14 @@ class TestPlateauxForPrime:
         with pytest.raises(InputError):
             plateaux_for_prime(bs(2, 3), 6)
 
+    def test_disconnected_rejected_after_primality(self):
+        # the isolated vertex b would be a p-plateau for every prime p
+        g = LabelledGraph.build(["a", "b"], [("e", "a", "a", 2, 3)])
+        with pytest.raises(InputError, match="^4 is not prime$"):
+            plateaux_for_prime(g, 4)
+        with pytest.raises(InputError, match="^operation requires a connected graph$"):
+            plateaux_for_prime(g, 2)
+
     @given(connected_graphs(), st.sampled_from([2, 3, 5, 7, 11]))
     @settings(deadline=None)
     def test_matches_oracle(self, g, p):
@@ -98,6 +106,21 @@ class TestPlateauxForPrime:
             for v in P.vertices:
                 for dart in g.darts_at(v):
                     assert (g.label(dart) % p == 0) == (dart.edge not in P.edges)
+
+
+class TestCheckPlateau:
+    @pytest.mark.parametrize("vertices, edges, expected", [
+        ({"v_b", "v_c"}, {"e_2"}, True),
+        (set(), set(), False),                  # empty
+        ({"v_b", "zz"}, set(), False),          # vertex outside the graph
+        ({"v_b", "v_c"}, {"e_2", "zz"}, False),  # edge outside the graph
+        ({"v_b"}, {"e_2"}, False),              # edge leaving the vertex set
+        ({"v_a", "v_c"}, set(), False),         # disconnected
+        ({"v_b"}, set(), False),                # e_2 leaves v_b with the odd label 7
+    ])
+    def test_conditions(self, vertices, edges, expected):
+        plateau = Plateau(2, frozenset(vertices), frozenset(edges))
+        assert check_plateau(f1(7), plateau) is expected
 
 
 class TestPrimes:
@@ -182,6 +205,19 @@ class TestHittingSet:
     def test_empty_constraint_rejected(self):
         with pytest.raises(InputError):
             minimum_hitting_set(("a",), [frozenset()])
+
+    def test_element_outside_order_rejected(self):
+        with pytest.raises(InputError,
+                           match=r"^constraint elements outside the order: \['z'\]$"):
+            minimum_hitting_set(("a", "b"), [frozenset({"z"})])
+
+    def test_search_improves_on_greedy(self):
+        # greedy takes b (it meets two constraints, as do c and d, and comes
+        # first), then a and d; only the branch and bound finds {c, d}
+        order = tuple("abcde")
+        constraints = [frozenset("bc"), frozenset("ac"), frozenset("bd"), frozenset("de")]
+        assert minimum_hitting_set(order, constraints) == frozenset("cd")
+        assert hitting_oracle(order, constraints) == 2
 
     @given(st.data())
     @settings(deadline=None)

@@ -58,6 +58,18 @@ class TestVerifyAutomorphism:
         with pytest.raises(InputError):
             verify_automorphism(bad)
 
+    SWAP = {"e1": ("e2", True), "e2": ("e1", True)}
+
+    @pytest.mark.parametrize("vertex_map, edge_map, message", [
+        ({"u": "w"}, SWAP, "vertex map must cover exactly the vertices"),
+        ({"u": "w", "w": "w"}, SWAP, "vertex map must be a bijection"),
+        ({"u": "w", "w": "u"}, {"e1": ("e2", True)}, "edge map must cover exactly the edges"),
+    ])
+    def test_coverage_and_bijection_rejections(self, vertex_map, edge_map, message):
+        bad = GraphAutomorphism(two_cycle_rotation().graph, vertex_map, edge_map)
+        with pytest.raises(InputError, match=f"^{message}$"):
+            verify_automorphism(bad)
+
 
 def reverses_some_dart(a) -> bool:
     """Reference predicate: some power of `a` maps some dart to its reverse."""
