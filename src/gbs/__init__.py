@@ -2,19 +2,17 @@
 labelled graphs: rank via plateaux, largeness, commensurability, admissible
 maps and covers, and mapping tori of finite-order graph automorphisms."""
 
-from .analysis import (AuditReport, MapClassification, bad_plateaux,
-                       bad_vertices, check_inequalities, classify,
-                       doubled_deltas, minimal_plateau_hitting_number,
+from .analysis import (AuditReport, MapClassification, bad_vertices,
+                       check_inequalities, classify, doubled_deltas,
                        minimal_plateaux, totally_unfolded)
 from .coloring import stable_colorings
 from .covering import (AdmissibleMap, Verification, branched_cover, compose,
                        covering_characterizations, extract_proper_plateau,
                        identity_map, is_topological_covering,
                        orientation_double_cover, plateau_free_cover,
-                       restrict_to_component, split_components,
-                       verify_admissible, voltage_cover)
-from .decide import (CommensurabilityVerdict, commensurable, is_large,
-                     universal_cover_coloring)
+                       restrict_to_component, verify_admissible,
+                       voltage_cover)
+from .decide import CommensurabilityVerdict, commensurable, is_large
 from .errors import GbsError, InputError, InternalError, ParseError
 from .generate import GeneratorConfig, generate_admissible_map, generate_graph
 from .graph import (CycleBasisModulus, Dart, EdgeRecord, LabelledGraph,
@@ -22,7 +20,6 @@ from .graph import (CycleBasisModulus, Dart, EdgeRecord, LabelledGraph,
 from .io import (emit_automorphism, emit_graph, emit_map, load_automorphism,
                  load_graph, load_map, parse_automorphism, parse_graph,
                  parse_map)
-from .isomorphism import are_isomorphic, find_isomorphism
 from .plateau import (Plateau, PlateauCollection, all_plateaux, check_plateau,
                       generates, has_proper_plateau, label_primes,
                       minimum_generating_vertices, minimum_hitting_set, mu,

@@ -85,14 +85,10 @@ def minimal_plateaux(m: AdmissibleMap) -> list[Plateau]:
 
 
 def _hitting_number(g: LabelledGraph, minimal: list[Plateau]) -> int:
+    """Minimum number of vertices of g meeting every minimal plateau."""
     if not minimal:
         return 0
     return len(minimum_hitting_set(g.vertices, [P.vertices for P in minimal]))
-
-
-def minimal_plateau_hitting_number(m: AdmissibleMap) -> int:
-    """Minimum number of target vertices meeting every minimal plateau."""
-    return _hitting_number(m.target, minimal_plateaux(m))
 
 
 def _boundary_darts(g: LabelledGraph, plateau: Plateau):
@@ -104,6 +100,7 @@ def _boundary_darts(g: LabelledGraph, plateau: Plateau):
 
 
 def _bad_plateaux(m: AdmissibleMap, minimal: list[Plateau]) -> list[Plateau]:
+    """Minimal 2-unfolded plateaux whose single boundary edge has exactly 2 lifts."""
     out = []
     for plateau in minimal:
         if plateau.prime != 2:
@@ -117,11 +114,6 @@ def _bad_plateaux(m: AdmissibleMap, minimal: list[Plateau]) -> list[Plateau]:
         if lifts == 2:
             out.append(plateau)
     return out
-
-
-def bad_plateaux(m: AdmissibleMap) -> list[Plateau]:
-    """Minimal 2-unfolded plateaux whose single boundary edge has exactly 2 lifts."""
-    return _bad_plateaux(m, minimal_plateaux(m))
 
 
 # -- classification ------------------------------------------------------------

@@ -21,11 +21,10 @@ from .decide import commensurable, is_large
 from .errors import GbsError, InputError, InternalError
 from .generate import random_voltage_assignment
 from .graph import LabelledGraph
-from .isomorphism import edge_correspondence
 from .plateau import (all_plateaux, generates, minimum_generating_vertices, mu,
                       plateaux_for_prime, rank)
 from .suites import run_suite
-from .torus import mapping_torus_graph, subdivide_inverted_edges, verify_automorphism
+from .torus import _mapping_torus_graph, _subdivide_inverted_edges, verify_automorphism
 
 
 def _plateau_line(g: LabelledGraph, plateau) -> str:
@@ -62,7 +61,8 @@ def _emit_cover(m, out_prefix: str, target_path: str) -> None:
 
 def cmd_rank(args) -> int:
     g = io.load_graph(args.file)
-    print(f"rank={rank(g)} betti={g.betti()} mu={mu(g)}")
+    plateaunic, betti = mu(g), g.betti()
+    print(f"rank={betti + plateaunic} betti={betti} mu={plateaunic}")
     return 0
 
 
@@ -132,8 +132,7 @@ def cmd_commensurable(args) -> int:
         _emit_cover(second, f"{prefix}.cover2", f"{prefix}.target2.gbs")
         for v, image in verdict.isomorphism.items():
             print(f"iso-vertex {v} {image}")
-        for name, image in edge_correspondence(first.source, second.source,
-                                               verdict.isomorphism).items():
+        for name, image in verdict.edge_isomorphism.items():
             print(f"iso-edge {name} {image}")
     if verdict.answer == "commensurable":
         return 0
@@ -216,7 +215,7 @@ def cmd_cover_audit(args) -> int:
 def cmd_mapping_torus(args) -> int:
     automorphism = io.load_automorphism(args.file)
     order = verify_automorphism(automorphism)
-    quotient = mapping_torus_graph(subdivide_inverted_edges(automorphism))
+    quotient = _mapping_torus_graph(_subdivide_inverted_edges(automorphism))
     print(f"order={order}")
     print(io.emit_graph(quotient), end="")
     if not args.graph_only:

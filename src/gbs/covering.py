@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InputError, InternalError
 from .graph import Dart, EdgeRecord, LabelledGraph
-from .plateau import Plateau, _plateaux, check_plateau, has_proper_plateau, label_primes
+from .plateau import Plateau, _has_proper_plateau, _plateaux, check_plateau, label_primes
 from .primes import smallest_prime_factor, valuation
 
 
@@ -319,8 +319,7 @@ def voltage_cover(g: LabelledGraph, degree: int,
 
     Sheet i of an edge runs from (origin, i) to (terminus, sigma(i)); labels
     are copied and every multiplicity is 1.  The source may be disconnected;
-    use :func:`split_components` or :func:`restrict_to_component` to pick
-    out connected pieces.
+    use :func:`restrict_to_component` to pick out a connected piece.
     """
     if degree < 1:
         raise InputError("degree must be positive")
@@ -364,10 +363,6 @@ def restrict_to_component(m: AdmissibleMap, vertex: str | None = None) -> Admiss
                          {r.name: m.edge_map[r.name] for r in records},
                          {v: m.vertex_multiplicity[v] for v in vertices},
                          {r.name: m.edge_multiplicity[r.name] for r in records})
-
-
-def split_components(m: AdmissibleMap) -> list[AdmissibleMap]:
-    return [restrict_to_component(m, comp[0]) for comp in m.source.components()]
 
 
 def orientation_double_cover(g: LabelledGraph) -> AdmissibleMap | None:
@@ -538,6 +533,6 @@ def plateau_free_cover(g: LabelledGraph,
         step = _single_prime_cover(current.source, p, size_limit)
         if step is not None:
             current = _compose(current, step)
-    if has_proper_plateau(current.source):
+    if _has_proper_plateau(current.source):
         raise InternalError("plateau_free_cover left a proper plateau")
     return assert_admissible(current, "plateau_free_cover")

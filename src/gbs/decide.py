@@ -19,8 +19,7 @@ from .coloring import stable_colorings
 from .covering import AdmissibleMap, orientation_double_cover, voltage_cover
 from .errors import InputError, InternalError
 from .graph import LabelledGraph
-from .isomorphism import find_isomorphism
-from .plateau import has_proper_plateau
+from .plateau import _has_proper_plateau
 
 # (d1!)^|E1| + (d2!)^|E2| voltage assignments at one degree pair, the most
 # a witness search may enumerate before it is refused with exit 2
@@ -58,25 +57,13 @@ def is_large(g: LabelledGraph) -> bool:
     return True
 
 
-def universal_cover_coloring(g: LabelledGraph) -> dict[str, str]:
-    """Coarsest stable coloring of a positively labelled graph.
-
-    Two vertices share a color exactly when the universal covers rooted
-    there are isomorphic as labelled trees.  Color names are canonical for
-    a single call; to compare two graphs, color them jointly (as
-    :func:`commensurable` does).
-    """
-    if any(g.label(d) < 0 for d in g.darts()):
-        raise InputError("coloring requires positive labels; normalize signs first")
-    return stable_colorings([g])[0]
-
-
 @dataclass(frozen=True)
 class CommensurabilityVerdict:
     answer: str  # commensurable | not-commensurable | out-of-scope
     witness: tuple[AdmissibleMap, AdmissibleMap] | None
     certificate: str
     isomorphism: dict[str, str] | None = None  # witness sources, vertex to vertex
+    edge_isomorphism: dict[str, str] | None = None  # witness sources, edge to edge
 
     def render(self) -> str:
         return f"answer={self.answer}\ncertificate={self.certificate}"
@@ -99,12 +86,14 @@ def _connected_covers(g: LabelledGraph, degree: int) -> Iterator[AdmissibleMap]:
             yield cover
 
 
-def _canonical_key(g: LabelledGraph) -> tuple:
-    """Least breadth-first encoding of a connected graph over all roots.
+def _canonical_key(g: LabelledGraph) -> tuple[tuple, list[str]]:
+    """Least breadth-first encoding of a connected graph over all roots, and
+    the breadth-first vertex order from the first root that attains it.
 
     Needs pairwise distinct labels at every vertex, so that a label names
     its dart and a root fixes the numbering: two such graphs then have
-    equal keys exactly when they are isomorphic.
+    equal keys exactly when they are isomorphic, and zipping their orders
+    gives an isomorphism.
     """
     stars: dict[str, list[tuple[int, int, str]]] = {v: [] for v in g.vertices}
     for rec in g.edges:
@@ -115,7 +104,7 @@ def _canonical_key(g: LabelledGraph) -> tuple:
         if len({row[0] for row in star}) < len(star):
             raise InternalError(f"two darts at {v!r} share a label; no canonical key")
 
-    def encoding(root: str) -> tuple:
+    def encoding(root: str) -> tuple[tuple, list[str]]:
         number, order = {root: 0}, [root]
         for v in order:  # `order` grows in breadth-first order
             for _, _, w in stars[v]:
@@ -125,15 +114,36 @@ def _canonical_key(g: LabelledGraph) -> tuple:
         if len(order) < len(stars):
             raise InternalError("canonical keys are defined for connected graphs only")
         return tuple(tuple((label, reverse, number[w]) for label, reverse, w in stars[v])
-                     for v in order)
+                     for v in order), order
 
-    return min(encoding(root) for root in g.vertices)
+    return min((encoding(root) for root in g.vertices), key=lambda pair: pair[0])
+
+
+def _key_bijection(g1: LabelledGraph, order1: list[str], g2: LabelledGraph,
+                   order2: list[str]) -> tuple[dict[str, str], dict[str, str]]:
+    """Vertex and edge maps that zip the orders of two equal canonical keys.
+
+    Labels at a vertex are distinct, so the dart at v labelled l goes to
+    the dart at the image of v labelled l; an image edge whose far end or
+    labels disagree means the keys were not equal.
+    """
+    vertex_map = dict(zip(order1, order2))
+    dart_at = {(g2.origin(d), g2.label(d)): d for d in g2.darts()}
+    edge_map: dict[str, str] = {}
+    for rec in g1.edges:
+        dart = dart_at.get((vertex_map[rec.origin], rec.label_origin))
+        if dart is None or (g2.terminus(dart), g2.label(dart.reverse())) != \
+                (vertex_map[rec.terminus], rec.label_terminus):
+            raise InternalError(f"edge {rec.name!r} has no image under the key bijection")
+        edge_map[rec.name] = dart.edge
+    return {v: vertex_map[v] for v in g1.vertices}, edge_map
 
 
 def _witness_search(h1: LabelledGraph, h2: LabelledGraph, max_degree: int
-                    ) -> tuple[AdmissibleMap, AdmissibleMap, dict[str, str]] | None:
+                    ) -> tuple[AdmissibleMap, AdmissibleMap,
+                               dict[str, str], dict[str, str]] | None:
     """The first connected pair (c1, c2) in cover order with isomorphic sources,
-    and a vertex bijection between those sources.
+    and the vertex and edge bijections between those sources.
 
     Degree pairs satisfy d1*|V1| = d2*|V2| and d1*|E1| = d2*|E2|, by
     increasing total; the covers of h2 are keyed once, and those of h1 are
@@ -149,16 +159,15 @@ def _witness_search(h1: LabelledGraph, h2: LabelledGraph, max_degree: int
         if size > WITNESS_SEARCH_LIMIT:
             raise InputError(f"witness search at degrees {d1} and {d2} would enumerate "
                              f"{size} covers, over the limit {WITNESS_SEARCH_LIMIT}")
-        keyed: dict[tuple, AdmissibleMap] = {}
+        keyed: dict[tuple, tuple[AdmissibleMap, list[str]]] = {}
         for c2 in _connected_covers(h2, d2):
-            keyed.setdefault(_canonical_key(c2.source), c2)
+            key, order2 = _canonical_key(c2.source)
+            keyed.setdefault(key, (c2, order2))
         for c1 in _connected_covers(h1, d1):
-            c2 = keyed.get(_canonical_key(c1.source))
-            if c2 is not None:
-                isomorphism = find_isomorphism(c1.source, c2.source)
-                if isomorphism is None:
-                    raise InternalError("covers with equal canonical keys are not isomorphic")
-                return c1, c2, isomorphism
+            key, order1 = _canonical_key(c1.source)
+            if key in keyed:
+                c2, order2 = keyed[key]
+                return c1, c2, *_key_bijection(c1.source, order1, c2.source, order2)
     return None
 
 
@@ -178,7 +187,7 @@ def commensurable(g1: LabelledGraph, g2: LabelledGraph,
     for tag, r in (("first", r1), ("second", r2)):
         if not r.is_strongly_slide_free():
             violations.append(f"{tag} graph is not strongly slide-free")
-        if has_proper_plateau(r):
+        if _has_proper_plateau(r):
             violations.append(f"{tag} graph has a proper plateau")
     if violations:
         return CommensurabilityVerdict("out-of-scope", None, "; ".join(violations))
@@ -193,7 +202,7 @@ def commensurable(g1: LabelledGraph, g2: LabelledGraph,
             f"vs {sorted(set(colors2.values()))}")
 
     certificate = f"shared stable colors: {shared}"
-    witness = isomorphism = None
+    witness = isomorphism = edge_isomorphism = None
     if witness_max_degree is not None:
         if witness_max_degree < 1:
             raise InputError("witness_max_degree must be positive")
@@ -201,8 +210,9 @@ def commensurable(g1: LabelledGraph, g2: LabelledGraph,
         if found is None:
             certificate += f"; no witness within total multiplicity {witness_max_degree}"
         else:
-            first, second, isomorphism = found
+            first, second, isomorphism, edge_isomorphism = found
             witness = (first, second)
             certificate += (f"; witness degrees {first.total_multiplicity()} "
                             f"and {second.total_multiplicity()}")
-    return CommensurabilityVerdict("commensurable", witness, certificate, isomorphism)
+    return CommensurabilityVerdict("commensurable", witness, certificate, isomorphism,
+                                   edge_isomorphism)

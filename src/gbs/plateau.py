@@ -105,6 +105,13 @@ def _proper_plateaux(g: LabelledGraph) -> tuple[Plateau, ...]:
 
 
 def has_proper_plateau(g: LabelledGraph) -> bool:
+    """Does the connected graph g have a proper plateau for some prime?"""
+    g._require_connected()
+    return _has_proper_plateau(g)
+
+
+def _has_proper_plateau(g: LabelledGraph) -> bool:
+    """:func:`has_proper_plateau` for a graph known to be connected."""
     return any(_plateaux(g, p) for p in label_primes(g))
 
 
@@ -194,8 +201,11 @@ def mu(g: LabelledGraph) -> int:
 
 
 def rank(g: LabelledGraph) -> int:
-    """Minimal number of generators of the presented group: Betti number + mu."""
-    return g.betti() + mu(g)
+    """Minimal number of generators of the presented group: Betti number + mu.
+
+    :func:`mu` proves g connected, so the Betti number is |E| - |V| + 1.
+    """
+    return mu(g) + len(g.edges) - len(g.vertices) + 1
 
 
 def generates(g: LabelledGraph, keep: frozenset[str] | set[str]) -> bool:

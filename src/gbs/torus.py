@@ -90,6 +90,12 @@ def subdivide_inverted_edges(a: GraphAutomorphism) -> GraphAutomorphism:
     own reverse, which the orbit quotient requires.
     """
     verify_automorphism(a)
+    return _subdivide_inverted_edges(a)
+
+
+def _subdivide_inverted_edges(a: GraphAutomorphism) -> GraphAutomorphism:
+    """:func:`subdivide_inverted_edges` for a verified automorphism; the
+    result is trusted to be an automorphism without inverted edges."""
     g = a.graph
     split = inverted_edges(a)
     if not split:
@@ -108,34 +114,20 @@ def subdivide_inverted_edges(a: GraphAutomorphism) -> GraphAutomorphism:
         else:
             records.append(rec)
 
-    def first_half(dart: Dart) -> Dart:
-        # first new dart crossed when traversing `dart` from its origin
-        return Dart(f"{dart.edge}__a", True) if dart.forward \
-            else Dart(f"{dart.edge}__b", False)
-
-    def second_half(dart: Dart) -> Dart:
-        return Dart(f"{dart.edge}__b", True) if dart.forward \
-            else Dart(f"{dart.edge}__a", False)
-
     vmap = dict(a.vertex_map)
     emap: dict[str, tuple[str, bool]] = {}
     for rec in g.edges:
-        image_dart = a.dart_image(Dart(rec.name, True))
         if rec.name in split:
-            vmap[f"{rec.name}__mid"] = f"{image_dart.edge}__mid"
-            a_image = first_half(image_dart)
-            b_image = second_half(image_dart)
-            emap[f"{rec.name}__a"] = (a_image.edge, a_image.forward)
-            emap[f"{rec.name}__b"] = (b_image.edge, b_image.forward)
+            image, same = a.edge_map[rec.name]
+            vmap[f"{rec.name}__mid"] = f"{image}__mid"
+            # the half at the origin goes to the half at the image's origin
+            first, second = ("__a", "__b") if same else ("__b", "__a")
+            emap[f"{rec.name}__a"] = (image + first, same)
+            emap[f"{rec.name}__b"] = (image + second, same)
         else:
             emap[rec.name] = a.edge_map[rec.name]
 
-    result = GraphAutomorphism(LabelledGraph(tuple(vertices), tuple(records)),
-                               vmap, emap)
-    verify_automorphism(result)
-    if inverted_edges(result):
-        raise InternalError("subdivision left an orientation-reversing power")
-    return result
+    return GraphAutomorphism(LabelledGraph(tuple(vertices), tuple(records)), vmap, emap)
 
 
 def _orbits(items, step):
@@ -159,6 +151,11 @@ def mapping_torus_graph(a: GraphAutomorphism) -> LabelledGraph:
     if inverted_edges(a):
         raise InputError("some power reverses an edge; apply "
                          "subdivide_inverted_edges first")
+    return _mapping_torus_graph(a)
+
+
+def _mapping_torus_graph(a: GraphAutomorphism) -> LabelledGraph:
+    """:func:`mapping_torus_graph` for a verified automorphism inverting no edge."""
     g = a.graph
 
     vertex_orbit: dict[str, str] = {}
@@ -180,23 +177,19 @@ def mapping_torus_graph(a: GraphAutomorphism) -> LabelledGraph:
             raise InternalError("an edge repeats inside its own dart orbit")
         seen_edges |= member_edges
         rep_dart = min(orbit, key=lambda d: (d.edge, not d.forward))
-        rep_edge = g.edge(rep_dart.edge)
         period = len(orbit)
         origin = g.origin(rep_dart)
         terminus = g.terminus(rep_dart)
         for end in (origin, terminus):
             if period % vertex_period[end] != 0:
                 raise InternalError("vertex orbit period must divide the edge period")
-        records.append(EdgeRecord(rep_edge.name,
+        records.append(EdgeRecord(rep_dart.edge,
                                   vertex_orbit[origin], vertex_orbit[terminus],
                                   period // vertex_period[origin],
                                   period // vertex_period[terminus]))
 
-    reps: list[str] = []
-    for v in g.vertices:
-        if vertex_orbit[v] == v:
-            reps.append(v)
-    quotient = LabelledGraph(tuple(reps), tuple(records))
+    reps = tuple(v for v in g.vertices if vertex_orbit[v] == v)
+    quotient = LabelledGraph(reps, tuple(records))
     if not quotient.has_nontrivial_center():
         raise InternalError("mapping torus quotient must have trivial modulus")
     return quotient
@@ -204,4 +197,5 @@ def mapping_torus_graph(a: GraphAutomorphism) -> LabelledGraph:
 
 def mapping_torus_rank(a: GraphAutomorphism) -> int:
     """Rank of the mapping torus of the automorphism."""
-    return rank(mapping_torus_graph(subdivide_inverted_edges(a)))
+    verify_automorphism(a)
+    return rank(_mapping_torus_graph(_subdivide_inverted_edges(a)))

@@ -68,6 +68,57 @@ R3 = LabelledGraph.build(["v"], [("a", "v", "v", 2, 3), ("b", "v", "v", 5, 7),
                                  ("c", "v", "v", 11, 13)])
 
 
+def distinct_labels(g: LabelledGraph) -> bool:
+    """Are the labels at every vertex pairwise distinct, as canonical keys need?"""
+    return all(len({g.label(d) for d in g.darts_at(v)}) == g.valence(v) for v in g.vertices)
+
+
+def subdivided(g: LabelledGraph):
+    """Each edge becomes a node joined to its two ends by the labels at those ends."""
+    nx = pytest.importorskip("networkx")
+    s = nx.MultiGraph()
+    s.add_nodes_from(g.vertices, kind="vertex")
+    for rec in g.edges:
+        middle = ("edge", rec.name)
+        s.add_node(middle, kind="edge")
+        s.add_edge(rec.origin, middle, label=rec.label_origin)
+        s.add_edge(rec.terminus, middle, label=rec.label_terminus)
+    return s
+
+
+def nx_isomorphic(g1: LabelledGraph, g2: LabelledGraph) -> bool:
+    """Label-preserving, orientation-free isomorphism, decided by networkx.
+
+    The independent oracle for every isomorphism in the tests; labels at a
+    vertex may repeat.  networkx is used by the tests only, never by the
+    package.
+    """
+    nx = pytest.importorskip("networkx")
+    return nx.is_isomorphic(subdivided(g1), subdivided(g2),
+                            node_match=nx.isomorphism.categorical_node_match("kind", None),
+                            edge_match=nx.isomorphism.categorical_multiedge_match("label", None))
+
+
+def is_label_preserving_isomorphism(g: LabelledGraph, h: LabelledGraph,
+                                    vertex_map: dict, edge_map: dict) -> bool:
+    """Bijective maps under which every edge of g lands on an edge of h with
+    the same labels at the images of its ends, in either orientation."""
+    if sorted(vertex_map) != sorted(g.vertices) or \
+            sorted(vertex_map.values()) != sorted(h.vertices):
+        return False
+    if sorted(edge_map) != sorted(r.name for r in g.edges) or \
+            sorted(edge_map.values()) != sorted(r.name for r in h.edges):
+        return False
+    for rec in g.edges:
+        image = h.edge(edge_map[rec.name])
+        ends = (vertex_map[rec.origin], vertex_map[rec.terminus],
+                rec.label_origin, rec.label_terminus)
+        if ends not in ((image.origin, image.terminus, image.label_origin, image.label_terminus),
+                        (image.terminus, image.origin, image.label_terminus, image.label_origin)):
+            return False
+    return True
+
+
 def witness_cases() -> dict[str, tuple[LabelledGraph, LabelledGraph, int]]:
     """Commensurable pairs with the witness degree bound each is searched to."""
     return {

@@ -1,10 +1,10 @@
 import pytest
 
 from conftest import bs, f1, f4_map
-from gbs import (InputError, bad_plateaux, bad_vertices, check_inequalities,
-                 classify, doubled_deltas, identity_map,
-                 minimal_plateau_hitting_number, minimal_plateaux,
+from gbs import (InputError, bad_vertices, check_inequalities, classify,
+                 doubled_deltas, identity_map, minimal_plateaux,
                  plateaux_for_prime, totally_unfolded, voltage_cover)
+from gbs.analysis import _bad_plateaux, _hitting_number
 from gbs.generate import generate_admissible_map
 from gbs.suites import (_map_config, accordion_fixture,
                         exceptional_fixture_maps, star_branched_fixture,
@@ -67,14 +67,14 @@ class TestMinimalPlateaux:
         m = f4_map()
         plats = minimal_plateaux(m)
         assert [(P.prime, P.vertices) for P in plats] == [(2, frozenset({"w"}))]
-        assert minimal_plateau_hitting_number(m) == 1
-        assert [(P.prime, P.vertices) for P in bad_plateaux(m)] == \
+        assert _hitting_number(m.target, plats) == 1
+        assert [(P.prime, P.vertices) for P in _bad_plateaux(m, plats)] == \
             [(2, frozenset({"w"}))]
 
     def test_identity_and_voltage_have_none(self):
         g = f1(6)
         assert minimal_plateaux(identity_map(g)) == []
-        assert minimal_plateau_hitting_number(identity_map(g)) == 0
+        assert _hitting_number(g, minimal_plateaux(identity_map(g))) == 0
         cover = voltage_cover(g, 2, {r.name: (1, 0) for r in g.edges})
         assert minimal_plateaux(cover) == []
 

@@ -6,8 +6,13 @@ import pytest
 
 from conftest import R3, bs, circle_graph, f1, f3, f4_map
 from gbs import emit_graph, emit_map, load_map, verify_admissible, voltage_cover
-from gbs import cli, decide, isomorphism
+from gbs import cli, plateau, torus
 from gbs.cli import main
+
+
+THETA_AUT = ("vertex P\nvertex Q\n"
+             "edge a P Q\nedge b P Q\nedge c P Q\n"
+             "fv P Q\nfv Q P\nfe a ~b\nfe b ~c\nfe c ~a\n")
 
 
 def write_graph(tmp_path, name, graph):
@@ -31,6 +36,20 @@ class TestBasicCommands:
         path = write_graph(tmp_path, "f3.gbs", f3())
         assert main(["rank", path]) == 0
         assert capsys.readouterr().out.strip() == "rank=3 betti=1 mu=2"
+
+    def test_rank_factors_labels_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        real = plateau.label_primes
+
+        def counting(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(plateau, "label_primes", counting)
+        path = write_graph(tmp_path, "f3.gbs", f3())
+        assert main(["rank", path]) == 0
+        assert capsys.readouterr().out == "rank=3 betti=1 mu=2\n"
+        assert len(calls) == 1
 
     def test_mu(self, tmp_path, capsys):
         path = write_graph(tmp_path, "f3.gbs", f3())
@@ -202,25 +221,6 @@ class TestOtherCommands:
         assert "iso-vertex" in out
         assert main(["cover", "verify", prefix + ".cover1.map"]) == 0
 
-    def test_commensurable_witness_searches_isomorphism_once(self, tmp_path, capsys,
-                                                             monkeypatch):
-        calls = []
-        real = isomorphism.find_isomorphism
-
-        def counting(g1, g2):
-            calls.append((g1, g2))
-            return real(g1, g2)
-
-        for module in (isomorphism, decide, cli):
-            if getattr(module, "find_isomorphism", None) is real:
-                monkeypatch.setattr(module, "find_isomorphism", counting)
-        a = write_graph(tmp_path, "a.gbs", bs(2, 3))
-        b = write_graph(tmp_path, "b.gbs", circle_graph([(2, 3), (2, 3)]))
-        assert main(["commensurable", a, b, "--witness", "--max-degree", "2",
-                     "--out", str(tmp_path / "wit")]) == 0
-        assert "iso-vertex" in capsys.readouterr().out
-        assert len(calls) == 1
-
     def test_witness_search_over_the_limit_is_exit_two(self, tmp_path, capsys):
         # degrees 1 and 5 would enumerate 1!^15 + 5!^3 = 1,728,001 covers
         cover = voltage_cover(R3, 5, {e: (1, 2, 3, 4, 0) for e in "abc"}).source
@@ -235,15 +235,28 @@ class TestOtherCommands:
 
     def test_mapping_torus(self, tmp_path, capsys):
         path = tmp_path / "theta.aut"
-        path.write_text(
-            "vertex P\nvertex Q\n"
-            "edge a P Q\nedge b P Q\nedge c P Q\n"
-            "fv P Q\nfv Q P\nfe a ~b\nfe b ~c\nfe c ~a\n")
+        path.write_text(THETA_AUT)
         assert main(["mapping-torus", str(path)]) == 0
         out = capsys.readouterr().out
         assert "order=6" in out and "rank=2" in out
         assert main(["mapping-torus", str(path), "--graph-only"]) == 0
         assert "rank=" not in capsys.readouterr().out
+
+    def test_mapping_torus_verifies_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        real = torus.verify_automorphism
+
+        def counting(a):
+            calls.append(a)
+            return real(a)
+
+        monkeypatch.setattr(torus, "verify_automorphism", counting)
+        monkeypatch.setattr(cli, "verify_automorphism", counting)
+        path = tmp_path / "theta.aut"
+        path.write_text(THETA_AUT)
+        assert main(["mapping-torus", str(path)]) == 0
+        assert "order=6" in capsys.readouterr().out
+        assert len(calls) == 1
 
     def test_suite_runs(self, capsys):
         assert main(["suite", "rank-monotonicity", "--count", "5",

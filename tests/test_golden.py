@@ -4,6 +4,8 @@ The cover constructions name and wire their sheets deterministically, and
 the suite reports are deterministic for a fixed count and seed; these
 values were recorded before the constructions shared one sheet builder,
 the witness digests before the witness search keyed covers canonically,
+the digests of the printed witness bijections before those were read off
+the canonical keys,
 the graph-move digest before `LabelledGraph` shared its sign changes and
 tree walks, and they must never change silently.
 """
@@ -140,6 +142,29 @@ def test_witness_digest(name):
     witness = commensurable(g1, g2, witness_max_degree=degree).witness
     assert sha256("".join(emitted(m) for m in witness)) == WITNESS_DIGESTS[name]
     assert all(is_topological_covering(m) for m in witness)
+
+
+ISO_LINE_DIGESTS = {  # witness case: sha256 of the iso-vertex and iso-edge lines
+    "bs23-circle": "f43cd331eb2d9035a73a1950e493b0194096842701c74fc97264cfd7d8be7c0f",
+    "bs35-cover": "ab55942fe7e96beda750c2fc27b9480edf2435f7ac3c6dc6a1c1237e0a6c9904",
+    "bs2m3-bs23": "48e15e16999d15f67cb5e7e6d147c83648a552174093692a256083cdec4c1f41",
+    "r2-loops-swap": "d0b6373e4e9877231a317dd063c8417900d921aa2dbd445ebc5dffa1e8092eef",
+    "r2-swap-loops": "dbb0147828a23ffba73d571f2b8700e4880089554740b0ebcf0bc6cde400d917",
+    "r2-deg2-deg3": "96b48ed5b43cb75ef5ebef66e5a5885fe6731a374915cba2dbf337a7b55463e4",
+}
+
+
+@pytest.mark.parametrize("name", ISO_LINE_DIGESTS)
+def test_witness_iso_lines_digest(tmp_path, capsys, name):
+    g1, g2, degree = witness_cases()[name]
+    paths = [tmp_path / "first.gbs", tmp_path / "second.gbs"]
+    for path, g in zip(paths, (g1, g2)):
+        path.write_text(emit_graph(g))
+    assert main(["commensurable", *map(str, paths), "--witness", "--max-degree",
+                 str(degree), "--out", str(tmp_path / "wit")]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines(keepends=True)
+             if line.startswith("iso-")]
+    assert sha256("".join(lines)) == ISO_LINE_DIGESTS[name]
 
 
 def test_graph_moves_digest():

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bs, circle_graph, f1, f2, f3, f4_source
-from gbs import (InputError, LabelledGraph, all_plateaux, are_isomorphic, commensurable,
-                 generates, is_large, mu, orientation_double_cover, plateau_free_cover,
-                 plateaux_for_prime, rank)
+from conftest import bs, circle_graph, f1, f2, f3, f4_source, nx_isomorphic
+from gbs import (InputError, LabelledGraph, all_plateaux, commensurable,
+                 generates, has_proper_plateau, is_large, mu, orientation_double_cover,
+                 plateau_free_cover, plateaux_for_prime, rank)
 from strategies import connected_graphs
 
 
@@ -73,7 +73,7 @@ class TestReduce:
         base = g.reduce()
         # collapses follow declaration order, so permuting the edges permutes them
         for records in itertools.permutations(g.edges):
-            assert are_isomorphic(LabelledGraph(g.vertices, records).reduce(), base)
+            assert nx_isomorphic(LabelledGraph(g.vertices, records).reduce(), base)
 
 
 class TestSignChanges:
@@ -318,6 +318,7 @@ CONNECTED_ONLY = {
     "orientation_double_cover": orientation_double_cover,
     "all_plateaux": all_plateaux,
     "plateaux_for_prime": lambda g: plateaux_for_prime(g, 2),
+    "has_proper_plateau": has_proper_plateau,
     "plateau_free_cover": plateau_free_cover,
 }
 

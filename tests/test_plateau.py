@@ -195,6 +195,13 @@ class TestInventories:
         assert not has_proper_plateau(bs(2, 3))
         assert not has_proper_plateau(f4_source())
 
+    def test_has_proper_plateau_rejects_disconnected_graph(self):
+        # the isolated vertex b would count as a plateau for every prime
+        g = LabelledGraph.build(["a", "b"], [("e", "a", "a", 2, 3)])
+        for check in (has_proper_plateau, all_plateaux):
+            with pytest.raises(InputError, match="^operation requires a connected graph$"):
+                check(g)
+
 
 class TestHittingSet:
     def test_examples(self):

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
-from gbs import (GraphAutomorphism, InputError, LabelledGraph, inverted_edges,
-                 mapping_torus_graph, mapping_torus_rank,
-                 subdivide_inverted_edges, verify_automorphism)
+from gbs import (GeneratorConfig, GraphAutomorphism, InputError, LabelledGraph,
+                 generate_graph, inverted_edges, mapping_torus_graph, mapping_torus_rank,
+                 subdivide_inverted_edges, verify_automorphism, voltage_cover)
+from gbs.torus import _subdivide_inverted_edges
 
 
 def theta_symmetry():
@@ -35,6 +38,41 @@ def two_cycle_rotation():
 def edge_flip():
     g = LabelledGraph.build(["u", "w"], [("e", "u", "w", 1, 1)])
     return GraphAutomorphism(g, {"u": "w", "w": "u"}, {"e": ("e", False)})
+
+
+def deck_transformations(count: int) -> list[tuple[LabelledGraph, int, GraphAutomorphism]]:
+    """(base, n, sheet shift) for connected cyclic voltage covers of generated graphs.
+
+    Edge e carries the voltage sigma_e(i) = i + c_e mod n, so the shift of
+    every sheet by one commutes with the covering: an automorphism of order
+    n that acts freely and inverts no edge.
+    """
+    rng = random.Random(3)
+    out = []
+    seed = 0
+    while len(out) < count:
+        seed += 1
+        base = generate_graph(GeneratorConfig(seed, max_vertices=4, max_edges=6))
+        if base.betti() == 0:  # every cyclic cover of a tree is disconnected
+            continue
+        n = rng.randrange(2, 5)
+        cover = None
+        while cover is None or not cover.is_connected():
+            shifts = {rec.name: rng.randrange(n) for rec in base.edges}
+            cover = voltage_cover(base, n, {e: [(i + c) % n for i in range(n)]
+                                            for e, c in shifts.items()}).source
+        sheets = range(1, n + 1)
+        shift = GraphAutomorphism(
+            cover, {f"{v}.{i}": f"{v}.{i % n + 1}" for v in base.vertices for i in sheets},
+            {f"{rec.name}.{i}": (f"{rec.name}.{i % n + 1}", True)
+             for rec in base.edges for i in sheets})
+        out.append((base, n, shift))
+    return out
+
+
+FIXTURES = {"theta": theta_symmetry, "two-cycle": two_cycle_rotation, "edge-flip": edge_flip,
+            "identity-rose": lambda: identity_automorphism(rose(2))}
+DECKS = deck_transformations(30)
 
 
 class TestVerifyAutomorphism:
@@ -182,3 +220,35 @@ class TestMappingTorus:
             assert quotient.has_nontrivial_center()
             assert all(rec.label_origin > 0 and rec.label_terminus > 0
                        for rec in quotient.edges)
+
+
+class TestTrustedSteps:
+    """The private torus steps skip the checks that their public callers make
+    once; each step is verified here instead."""
+
+    @pytest.mark.parametrize("aut", [make() for make in FIXTURES.values()]
+                             + [shift for _, _, shift in DECKS],
+                             ids=[*FIXTURES, *(f"deck-{i}" for i in range(len(DECKS)))])
+    def test_subdivision_is_an_automorphism_inverting_no_edge(self, aut):
+        order = verify_automorphism(aut)
+        subdivided = _subdivide_inverted_edges(aut)
+        assert verify_automorphism(subdivided) == order
+        assert not inverted_edges(subdivided)
+        assert not reverses_some_dart(subdivided)
+
+
+class TestDeckTransformations:
+    """Mapping tori of deck transformations: an independent oracle.
+
+    The shift acts freely, so its orbit quotient is the base graph with
+    every label 1, and the mapping torus has rank beta(base) + 1.
+    """
+
+    @pytest.mark.parametrize("base, n, shift", DECKS, ids=[f"deck-{i}" for i in range(len(DECKS))])
+    def test_rank_is_base_betti_plus_one(self, base, n, shift):
+        assert verify_automorphism(shift) == n
+        assert not inverted_edges(shift)
+        quotient = mapping_torus_graph(shift)
+        assert (len(quotient.vertices), len(quotient.edges)) == (len(base.vertices), len(base.edges))
+        assert all(rec.label_origin == rec.label_terminus == 1 for rec in quotient.edges)
+        assert mapping_torus_rank(shift) == base.betti() + 1
