@@ -26,6 +26,16 @@ from .plateau import (all_plateaux, generates, minimum_generating_vertices, mu,
 from .suites import run_suite
 from .torus import _mapping_torus_graph, _subdivide_inverted_edges, verify_automorphism
 
+# the most source vertices a `cover` command may build; each predicts the
+# size first and refuses a larger cover with exit 2, writing nothing
+COVER_VERTEX_LIMIT = 10_000
+
+
+def _check_cover_size(predicted: int) -> None:
+    if predicted > COVER_VERTEX_LIMIT:
+        raise InputError(f"cover would have {predicted} vertices, above the limit "
+                         f"{COVER_VERTEX_LIMIT}")
+
 
 def _plateau_line(g: LabelledGraph, plateau) -> str:
     vertices = ",".join(v for v in g.vertices if v in plateau.vertices)
@@ -156,6 +166,8 @@ def cmd_cover_branch(args) -> int:
     g = io.load_graph(args.file)
     for plateau in plateaux_for_prime(g, args.prime):
         if args.plateau_vertex in plateau.vertices:
+            inside = len(plateau.vertices)
+            _check_cover_size(inside + args.prime * (len(g.vertices) - inside))
             _emit_cover(branched_cover(g, plateau), args.out, args.file)
             return 0
     raise InputError(f"no proper {args.prime}-plateau contains "
@@ -164,6 +176,7 @@ def cmd_cover_branch(args) -> int:
 
 def cmd_cover_voltage(args) -> int:
     g = io.load_graph(args.file)
+    _check_cover_size(args.degree * len(g.vertices))
     assignment = random_voltage_assignment(random.Random(_seed(args)), g, args.degree)
     cover = voltage_cover(g, args.degree, assignment)
     if args.component:
@@ -174,7 +187,7 @@ def cmd_cover_voltage(args) -> int:
 
 def cmd_cover_plateau_free(args) -> int:
     g = io.load_graph(args.file)
-    _emit_cover(plateau_free_cover(g), args.out, args.file)
+    _emit_cover(plateau_free_cover(g, size_limit=COVER_VERTEX_LIMIT), args.out, args.file)
     return 0
 
 

@@ -76,58 +76,64 @@ def _prepared(g: LabelledGraph) -> LabelledGraph:
     return graph.normalize_signs()
 
 
-def _connected_covers(g: LabelledGraph, degree: int) -> Iterator[AdmissibleMap]:
-    """Every connected voltage cover of the given degree, in a fixed order."""
-    perms = list(permutations(range(degree)))
-    names = [rec.name for rec in g.edges]
-    for choice in product(perms, repeat=len(names)):
-        cover = voltage_cover(g, degree, dict(zip(names, choice)))
-        if cover.source.is_connected():
-            yield cover
+def _canonical_key(stars: list[list[tuple[int, int, int]]]) -> tuple[tuple, list[int]] | None:
+    """Least breadth-first encoding of a graph over all roots, and the
+    breadth-first vertex order from the first root that attains it; None if
+    the graph is disconnected.  Row k of the star table lists the darts at
+    vertex k as (label, reverse label, far vertex).
 
-
-def _canonical_key(g: LabelledGraph) -> tuple[tuple, list[str]]:
-    """Least breadth-first encoding of a connected graph over all roots, and
-    the breadth-first vertex order from the first root that attains it.
-
-    Needs pairwise distinct labels at every vertex, so that a label names
-    its dart and a root fixes the numbering: two such graphs then have
-    equal keys exactly when they are isomorphic, and zipping their orders
-    gives an isomorphism.
+    Needs pairwise distinct labels at every vertex, so that a label names its
+    dart and a root fixes the numbering: two such graphs then have equal keys
+    exactly when they are isomorphic, and zipping their orders gives one.
     """
-    stars: dict[str, list[tuple[int, int, str]]] = {v: [] for v in g.vertices}
-    for rec in g.edges:
-        stars[rec.origin].append((rec.label_origin, rec.label_terminus, rec.terminus))
-        stars[rec.terminus].append((rec.label_terminus, rec.label_origin, rec.origin))
-    for v, star in stars.items():
-        star.sort()
+    stars = [sorted(star) for star in stars]
+    for k, star in enumerate(stars):
         if len({row[0] for row in star}) < len(star):
-            raise InternalError(f"two darts at {v!r} share a label; no canonical key")
+            raise InternalError(f"two darts at vertex {k} share a label; no canonical key")
 
-    def encoding(root: str) -> tuple[tuple, list[str]]:
+    def encoding(root: int) -> tuple[tuple, list[int]]:
         number, order = {root: 0}, [root]
         for v in order:  # `order` grows in breadth-first order
             for _, _, w in stars[v]:
                 if w not in number:
                     number[w] = len(order)
                     order.append(w)
-        if len(order) < len(stars):
-            raise InternalError("canonical keys are defined for connected graphs only")
         return tuple(tuple((label, reverse, number[w]) for label, reverse, w in stars[v])
                      for v in order), order
 
-    return min((encoding(root) for root in g.vertices), key=lambda pair: pair[0])
+    first = encoding(0)
+    if len(first[1]) < len(stars):
+        return None
+    return min((first, *map(encoding, range(1, len(stars)))), key=lambda pair: pair[0])
 
 
-def _key_bijection(g1: LabelledGraph, order1: list[str], g2: LabelledGraph,
-                   order2: list[str]) -> tuple[dict[str, str], dict[str, str]]:
+def _connected_keys(g: LabelledGraph, degree: int
+                    ) -> Iterator[tuple[dict[str, tuple[int, ...]], tuple, list[int]]]:
+    """Assignment, key and order of each connected voltage cover of g of the
+    given degree, in assignment order, built as star tables only: sheet i of
+    the k-th vertex is row k*degree + i, its position in `voltage_cover`.
+    """
+    for choice in product(permutations(range(degree)), repeat=len(g.edges)):
+        stars: list[list[tuple[int, int, int]]] = [[] for _ in range(len(g.vertices) * degree)]
+        for rec, sigma in zip(g.edges, choice):
+            o, t = g.vertex_position[rec.origin] * degree, g.vertex_position[rec.terminus] * degree
+            for i, j in enumerate(sigma):
+                stars[o + i].append((rec.label_origin, rec.label_terminus, t + j))
+                stars[t + j].append((rec.label_terminus, rec.label_origin, o + i))
+        found = _canonical_key(stars)
+        if found is not None:
+            yield dict(zip((rec.name for rec in g.edges), choice)), *found
+
+
+def _key_bijection(g1: LabelledGraph, order1: list[int], g2: LabelledGraph,
+                   order2: list[int]) -> tuple[dict[str, str], dict[str, str]]:
     """Vertex and edge maps that zip the orders of two equal canonical keys.
 
     Labels at a vertex are distinct, so the dart at v labelled l goes to
     the dart at the image of v labelled l; an image edge whose far end or
     labels disagree means the keys were not equal.
     """
-    vertex_map = dict(zip(order1, order2))
+    vertex_map = {g1.vertices[k]: g2.vertices[m] for k, m in zip(order1, order2)}
     dart_at = {(g2.origin(d), g2.label(d)): d for d in g2.darts()}
     edge_map: dict[str, str] = {}
     for rec in g1.edges:
@@ -146,8 +152,8 @@ def _witness_search(h1: LabelledGraph, h2: LabelledGraph, max_degree: int
     and the vertex and edge bijections between those sources.
 
     Degree pairs satisfy d1*|V1| = d2*|V2| and d1*|E1| = d2*|E2|, by
-    increasing total; the covers of h2 are keyed once, and those of h1 are
-    built only until one matches a key.
+    increasing total; the covers of h2 are keyed once, those of h1 are keyed
+    only until one matches, and only the matching pair is built.
     """
     n1, n2 = len(h1.vertices), len(h2.vertices)
     a, b = n2 // math.gcd(n1, n2), n1 // math.gcd(n1, n2)
@@ -159,14 +165,13 @@ def _witness_search(h1: LabelledGraph, h2: LabelledGraph, max_degree: int
         if size > WITNESS_SEARCH_LIMIT:
             raise InputError(f"witness search at degrees {d1} and {d2} would enumerate "
                              f"{size} covers, over the limit {WITNESS_SEARCH_LIMIT}")
-        keyed: dict[tuple, tuple[AdmissibleMap, list[str]]] = {}
-        for c2 in _connected_covers(h2, d2):
-            key, order2 = _canonical_key(c2.source)
-            keyed.setdefault(key, (c2, order2))
-        for c1 in _connected_covers(h1, d1):
-            key, order1 = _canonical_key(c1.source)
+        keyed: dict[tuple, tuple[dict[str, tuple[int, ...]], list[int]]] = {}
+        for assignment2, key, order2 in _connected_keys(h2, d2):
+            keyed.setdefault(key, (assignment2, order2))
+        for assignment1, key, order1 in _connected_keys(h1, d1):
             if key in keyed:
-                c2, order2 = keyed[key]
+                assignment2, order2 = keyed[key]
+                c1, c2 = voltage_cover(h1, d1, assignment1), voltage_cover(h2, d2, assignment2)
                 return c1, c2, *_key_bijection(c1.source, order1, c2.source, order2)
     return None
 

@@ -1,6 +1,7 @@
 import pytest
 
 from gbs import AdmissibleMap, LabelledGraph, voltage_cover
+from gbs.decide import _canonical_key
 
 
 def bs(m: int, n: int) -> LabelledGraph:
@@ -71,6 +72,22 @@ R3 = LabelledGraph.build(["v"], [("a", "v", "v", 2, 3), ("b", "v", "v", 5, 7),
 def distinct_labels(g: LabelledGraph) -> bool:
     """Are the labels at every vertex pairwise distinct, as canonical keys need?"""
     return all(len({g.label(d) for d in g.darts_at(v)}) == g.valence(v) for v in g.vertices)
+
+
+def star_table(g: LabelledGraph) -> list[list[tuple[int, int, int]]]:
+    """Row k lists the darts at the k-th vertex of g as (label, reverse label,
+    position of the far vertex): the input of `decide._canonical_key`."""
+    stars: list[list[tuple[int, int, int]]] = [[] for _ in g.vertices]
+    for rec in g.edges:
+        o, t = g.vertex_position[rec.origin], g.vertex_position[rec.terminus]
+        stars[o].append((rec.label_origin, rec.label_terminus, t))
+        stars[t].append((rec.label_terminus, rec.label_origin, o))
+    return stars
+
+
+def graph_key(g: LabelledGraph):
+    """`_canonical_key` of the star table of g: (key, order) or None."""
+    return _canonical_key(star_table(g))
 
 
 def subdivided(g: LabelledGraph):

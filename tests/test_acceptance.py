@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they pass.
 """
 
+import hashlib
 import math
 import time
 
@@ -16,6 +17,21 @@ from gbs import GraphAutomorphism, LabelledGraph
 from gbs.torus import (mapping_torus_graph, mapping_torus_rank,
                        subdivide_inverted_edges)
 from gbs.suites import run_suite
+
+
+# sha256 of each suite report at the count and seed its criterion runs, recorded
+# at 7547f96: the reports are deterministic, so any change in one is a regression
+SUITE_REPORT_SHA256 = {
+    "rank-monotonicity": "9771111b458f44af37b5231dfbc45eabb494bc6d72e7c083a961a67f7a7fb313",
+    "covering-equivalence": "d14f7ddaedaf71d9ca2862e9926013011c656645c627dac3c7c7d54cf6b667fc",
+    "audit": "f63b000740f5075eb1c8df5935e91d5770d70a115883ea279ab6980728a3cc7a",
+    "plateau-free-cover": "86f9826677549edf3a567f0a4f589ab4391c62d91b9e14be57ffae0dcbd4e461",
+}
+
+
+def assert_report_unchanged(result) -> None:
+    digest = hashlib.sha256(result.render().encode()).hexdigest()
+    assert digest == SUITE_REPORT_SHA256[result.name]
 
 
 def report(number: int, message: str) -> None:
@@ -127,6 +143,7 @@ def test_criterion_07_rank_monotonicity_suite():
     elapsed = time.perf_counter() - start
     assert result.instances == 1000
     assert result.failures == 0
+    assert_report_unchanged(result)
     assert elapsed < 60.0
     report(7, f"1000 generated maps, zero violations, {elapsed:.1f}s")
 
@@ -135,12 +152,14 @@ def test_criterion_08_covering_equivalence_suite():
     result = run_suite("covering-equivalence", count=1000, base_seed=1)
     assert result.instances == 1000
     assert result.failures == 0
+    assert_report_unchanged(result)
     report(8, "four covering characterizations agree on 1000 maps")
 
 
 def test_criterion_09_inequality_audit_suite():
     result = run_suite("audit", count=1000, base_seed=1)
     assert result.failures == 0
+    assert_report_unchanged(result)
     # equality in the terminal/Betti count is exact on the exceptional fixtures
     from gbs.analysis import check_inequalities
     from gbs.suites import exceptional_fixture_maps
@@ -160,6 +179,7 @@ def test_criterion_10_plateau_free_covers():
     result = run_suite("plateau-free-cover", count=100, base_seed=1)
     assert result.instances == 100
     assert result.failures == 0
+    assert_report_unchanged(result)
     cover = plateau_free_cover(bs(2, 4))
     expected = LabelledGraph.build(
         ["z"], [("l1", "z", "z", 1, 2), ("l2", "z", "z", 1, 2)])

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import R3, bs, circle_graph, f1, f3, f4_map
+from conftest import R2, R3, bs, circle_graph, f1, f3, f4_map
 from gbs import emit_graph, emit_map, load_map, verify_admissible, voltage_cover
 from gbs import cli, plateau, torus
 from gbs.cli import main
@@ -199,6 +199,55 @@ class TestCoverCommands:
         assert f"{role} map is not admissible" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.map", "g.gbs", "id.map"]
         assert main(["cover", "classify", bad]) == 2
+
+
+class TestInputBounds:
+    # 2**61 - 1 is prime, far past trial division
+    BIG = "vertex a\nvertex b\nedge e a b 2305843009213693951 2\n"
+
+    def test_rank_on_a_huge_prime_label(self, tmp_path, capsys):
+        path = tmp_path / "big.gbs"
+        path.write_text(self.BIG)
+        start = time.perf_counter()
+        assert main(["rank", str(path)]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().out == "rank=2 betti=0 mu=2\n"
+
+    def test_unfactorable_label_is_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "square.gbs"
+        path.write_text(f"vertex a\nvertex b\nedge e a b {1000003 ** 2} 2\n")
+        assert main(["rank", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot factor {1000003 ** 2}: ")
+
+    @pytest.mark.parametrize("argv, predicted", [
+        (["voltage", "two-loops.gbs", "--degree", "200000"], 200000),
+        (["plateau-free", "big.gbs"], 2 ** 61 + 1),
+        (["branch", "big.gbs", "--prime", "2305843009213693951", "--plateau-vertex", "a"],
+         2 ** 61),
+    ], ids=["voltage", "plateau-free", "branch"])
+    def test_oversized_cover_is_exit_two(self, tmp_path, capsys, argv, predicted):
+        (tmp_path / "big.gbs").write_text(self.BIG)
+        write_graph(tmp_path, "two-loops.gbs", R2)
+        start = time.perf_counter()
+        assert main(["cover", argv[0], str(tmp_path / argv[1]), *argv[2:],
+                     "--out", str(tmp_path / "out")]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert f" {predicted} vertices" in err and f"limit {cli.COVER_VERTEX_LIMIT}" in err
+        assert not list(tmp_path.glob("out*"))
+
+    def test_cover_limit_is_inclusive(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "COVER_VERTEX_LIMIT", 6)
+        path = write_graph(tmp_path, "bs23.gbs", bs(2, 3))
+        assert main(["cover", "voltage", path, "--degree", "6",
+                     "--out", str(tmp_path / "six")]) == 0
+        assert main(["cover", "voltage", path, "--degree", "7",
+                     "--out", str(tmp_path / "seven")]) == 2
+        assert main(["cover", "branch", write_graph(tmp_path, "f1.gbs", f1(6)), "--prime", "3",
+                     "--plateau-vertex", "v_a", "--out", str(tmp_path / "br")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error: cover would have 7 vertices, above the limit 6\n") == 2
+        assert not list(tmp_path.glob("seven*")) and not list(tmp_path.glob("br*"))
 
 
 class TestOtherCommands:

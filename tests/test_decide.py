@@ -1,13 +1,14 @@
 import math
+from itertools import permutations, product
 
 import pytest
 
-from conftest import (R3, bs, circle_graph, f1, f2, f3, is_label_preserving_isomorphism,
-                      nx_isomorphic, witness_cases)
-from gbs import (InputError, InternalError, LabelledGraph, commensurable, emit_graph,
+from conftest import (R2, R3, bs, circle_graph, f1, f2, f3, is_label_preserving_isomorphism,
+                      graph_key, nx_isomorphic, star_table, witness_cases)
+from gbs import (InputError, InternalError, LabelledGraph, commensurable, decide, emit_graph,
                  emit_map, is_large, is_topological_covering, stable_colorings,
                  verify_admissible, voltage_cover)
-from gbs.decide import _canonical_key, _connected_covers, _prepared, _witness_search
+from gbs.decide import _canonical_key, _connected_keys, _prepared, _witness_search
 
 
 class TestIsLarge:
@@ -138,6 +139,15 @@ class TestCommensurable:
         assert verdict.answer == "commensurable"
 
 
+def connected_covers(g, degree):
+    """Every connected voltage cover of the given degree, built, in assignment order."""
+    names = [rec.name for rec in g.edges]
+    for choice in product(permutations(range(degree)), repeat=len(names)):
+        cover = voltage_cover(g, degree, dict(zip(names, choice)))
+        if cover.source.is_connected():
+            yield cover
+
+
 def pairwise_witness(h1, h2, max_degree):
     """The search by pairwise isomorphism tests that canonical keys replace."""
     for total in range(2, 2 * max_degree + 1):
@@ -146,8 +156,8 @@ def pairwise_witness(h1, h2, max_degree):
             if (not 1 <= d2 <= max_degree or d1 * len(h1.edges) != d2 * len(h2.edges)
                     or d1 * len(h1.vertices) != d2 * len(h2.vertices)):
                 continue
-            covers2 = list(_connected_covers(h2, d2))
-            for c1 in _connected_covers(h1, d1):
+            covers2 = list(connected_covers(h2, d2))
+            for c1 in connected_covers(h1, d1):
                 for c2 in covers2:
                     if nx_isomorphic(c1.source, c2.source):
                         return c1, c2
@@ -172,28 +182,58 @@ class TestWitnessSearch:
     def test_key_rejects_equal_labels_at_a_vertex(self):
         g = LabelledGraph.build(["v"], [("a", "v", "v", 2, 3), ("b", "v", "v", 2, 5)])
         with pytest.raises(InternalError, match="share a label"):
-            _canonical_key(g)
+            graph_key(g)
 
     def test_key_rejects_disconnected_graph(self):
-        g = voltage_cover(bs(2, 3), 2, {"e": (0, 1)}).source
-        with pytest.raises(InternalError, match="connected"):
-            _canonical_key(g)
+        assert graph_key(voltage_cover(bs(2, 3), 2, {"e": (0, 1)}).source) is None
+
+    @pytest.mark.parametrize("base, degree", [(R2, 2), (R2, 3), (R3, 3)],
+                             ids=["R2-2", "R2-3", "R3-3"])
+    def test_keys_from_permutations_match_the_built_covers(self, base, degree):
+        names = [rec.name for rec in base.edges]
+        keyed = [(tuple(a[n] for n in names), k, order)
+                 for a, k, order in _connected_keys(base, degree)]
+        expected = []
+        for choice in product(permutations(range(degree)), repeat=len(names)):
+            source = voltage_cover(base, degree, dict(zip(names, choice))).source
+            found = _canonical_key(star_table(source))
+            assert (found is None) == (not source.is_connected())
+            if found is not None:
+                expected.append((choice, *found))
+        assert keyed == expected
+        assert 0 < len(expected) < math.factorial(degree) ** len(names)
+
+    def test_only_the_witness_pair_is_built(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return voltage_cover(*args)
+
+        monkeypatch.setattr(decide, "voltage_cover", counting)
+        for name, (g1, g2, degree) in witness_cases().items():
+            h1, h2 = _prepared(g1.reduce()), _prepared(g2.reduce())
+            for max_degree in range(1, degree + 1):
+                calls.clear()
+                found = _witness_search(h1, h2, max_degree)
+                assert len(calls) == (0 if found is None else 2), (name, max_degree)
+            assert found is not None, name
 
     def test_key_ignores_names_order_and_orientation(self):
         g = circle_graph([(2, 3), (5, 7), (2, 3)])
         h = LabelledGraph.build(["x", "y", "z"], [("p", "y", "x", 3, 2),
                                                   ("q", "z", "y", 7, 5),
                                                   ("r", "z", "x", 2, 3)])
-        assert _canonical_key(g)[0] == _canonical_key(h)[0]
-        assert _canonical_key(g)[0] == _canonical_key(circle_graph([(5, 7), (2, 3), (2, 3)]))[0]
-        assert _canonical_key(g)[0] != _canonical_key(circle_graph([(2, 3), (7, 5), (2, 3)]))[0]
+        assert graph_key(g)[0] == graph_key(h)[0]
+        assert graph_key(g)[0] == graph_key(circle_graph([(5, 7), (2, 3), (2, 3)]))[0]
+        assert graph_key(g)[0] != graph_key(circle_graph([(2, 3), (7, 5), (2, 3)]))[0]
 
     def test_key_tells_reverse_labels_apart(self):
         # same labels and termini at both ends, paired differently
         a = LabelledGraph.build(["x", "y"], [("e", "x", "y", 2, 3), ("f", "x", "y", 5, 7)])
         b = LabelledGraph.build(["x", "y"], [("e", "x", "y", 2, 7), ("f", "x", "y", 5, 3)])
         assert not nx_isomorphic(a, b)
-        assert _canonical_key(a)[0] != _canonical_key(b)[0]
+        assert graph_key(a)[0] != graph_key(b)[0]
 
     def test_over_the_limit_is_refused(self):
         cover = voltage_cover(R3, 5, {e: (1, 2, 3, 4, 0) for e in "abc"}).source

@@ -10,9 +10,10 @@ import random
 
 from hypothesis import assume, given, settings
 
-from conftest import R2, R3, distinct_labels, is_label_preserving_isomorphism, nx_isomorphic
+from conftest import (R2, R3, distinct_labels, graph_key,
+                      is_label_preserving_isomorphism, nx_isomorphic)
 from gbs import LabelledGraph, voltage_cover
-from gbs.decide import _canonical_key, _key_bijection
+from gbs.decide import _key_bijection
 from strategies import connected_graphs
 
 
@@ -62,7 +63,7 @@ def test_canonical_key_agrees_with_networkx():
                      else connected_assignment(rng, base, degree))
             b = voltage_cover(base, degree, other).source
         same = nx_isomorphic(a, b)
-        assert (_canonical_key(a)[0] == _canonical_key(b)[0]) == same
+        assert (graph_key(a)[0] == graph_key(b)[0]) == same
         outcomes[same] += 1
     assert min(outcomes.values()) >= 20
 
@@ -77,7 +78,7 @@ def test_key_bijection_is_a_label_preserving_isomorphism():
                   for _ in range(12)]
         for a in covers:
             for b in (relabelled(rng, cover) for cover in covers):
-                (key_a, order_a), (key_b, order_b) = _canonical_key(a), _canonical_key(b)
+                (key_a, order_a), (key_b, order_b) = graph_key(a), graph_key(b)
                 if key_a != key_b:
                     continue
                 assert nx_isomorphic(a, b)
@@ -91,4 +92,4 @@ def test_key_bijection_is_a_label_preserving_isomorphism():
 @settings(deadline=None, max_examples=60)
 def test_canonical_key_agrees_on_unrelated_graphs(g, h):
     assume(distinct_labels(g) and distinct_labels(h))
-    assert (_canonical_key(g)[0] == _canonical_key(h)[0]) == nx_isomorphic(g, h)
+    assert (graph_key(g)[0] == graph_key(h)[0]) == nx_isomorphic(g, h)

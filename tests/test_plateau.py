@@ -9,7 +9,8 @@ from gbs import (GeneratorConfig, InputError, LabelledGraph, Plateau, all_platea
                  branched_cover, check_plateau, generate_graph, generates, has_proper_plateau,
                  label_primes, minimum_generating_vertices, minimum_hitting_set,
                  mu, plateau_free_cover, plateaux_for_prime, rank, voltage_cover)
-from gbs.primes import prime_factors, smallest_prime_factor
+from gbs.primes import (MILLER_RABIN_LIMIT, TRIAL_DIVISION_BOUND, _is_strong_probable_prime,
+                        is_prime, prime_factors, smallest_prime_factor)
 from strategies import connected_graphs
 
 
@@ -131,6 +132,42 @@ class TestPrimes:
 
     def test_smallest_prime_factor(self):
         assert [smallest_prime_factor(n) for n in (2, -9, 35, 97)] == [2, 3, 5, 97]
+
+    def test_factors_agree_with_naive_division(self):
+        def naive(n):
+            return [p for p in range(2, n + 1) if n % p == 0
+                    and all(p % q for q in range(2, p))]
+        for n in range(1, 400):
+            assert prime_factors(n) == naive(n)
+            assert prime_factors(-n) == naive(n)
+        bound = TRIAL_DIVISION_BOUND
+        # 999983 is the largest prime below the bound, 1000003 the least above
+        assert prime_factors(999983 ** 2) == [999983]
+        assert prime_factors(2 * 999983 * 1000003) == [2, 999983, 1000003]
+        assert is_prime(999999000001) and bound ** 2 > 999999000001
+
+    def test_prime_cofactor_past_the_bound_is_proved(self):
+        p = 2 ** 61 - 1
+        assert prime_factors(-6 * p) == [2, 3, p]
+        assert is_prime(p) and smallest_prime_factor(p) == p
+        assert not is_prime(p * 3)
+
+    @pytest.mark.parametrize("n", [1000003 ** 2, (2 ** 61 - 1) ** 2,
+                                   399165290221 * 798330580441, MILLER_RABIN_LIMIT,
+                                   2 ** 89 - 1])
+    def test_unprovable_cofactor_is_input_error(self, n):
+        # psi_12 = 399165290221 * 798330580441 fools the bases 2..37 and
+        # psi_13 = MILLER_RABIN_LIMIT all of 2..41; 2**89 - 1 is prime but
+        # beyond the limit, where Miller-Rabin proves nothing
+        with pytest.raises(InputError, match=f"cannot factor {2 * n}: .* up to 1000000"):
+            prime_factors(2 * n)
+        with pytest.raises(InputError, match="cannot factor"):
+            is_prime(n)
+
+    def test_miller_rabin_bases(self):
+        assert not _is_strong_probable_prime(399165290221 * 798330580441)
+        assert _is_strong_probable_prime(MILLER_RABIN_LIMIT)  # hence the limit
+        assert all(_is_strong_probable_prime(p) for p in (1000003, 2 ** 61 - 1, 2 ** 31 - 1))
 
 
 class TestLabelPrimes:
