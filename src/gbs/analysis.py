@@ -14,8 +14,7 @@ from itertools import combinations
 from .errors import InputError, InternalError
 from .covering import AdmissibleMap, verify_admissible
 from .graph import LabelledGraph
-from .plateau import (Plateau, _proper_plateaux, all_plateaux, check_plateau,
-                      minimum_hitting_set)
+from .plateau import Plateau, all_plateaux, check_plateau, minimum_hitting_set
 
 
 def doubled_deltas(m: AdmissibleMap) -> dict[str, int]:
@@ -261,7 +260,7 @@ def check_inequalities(m: AdmissibleMap) -> AuditReport:
     if not m.target.is_reduced():
         raise InputError("audit requires a reduced target")
     src, tgt = m.source, m.target
-    inventory = _proper_plateaux(tgt)  # admissible: tgt is the image of the connected src
+    inventory = all_plateaux(tgt).proper_plateaux
 
     beta, t = tgt.betti(), len(tgt.terminal_vertices())
     beta_bar, t_bar = src.betti(), len(src.terminal_vertices())

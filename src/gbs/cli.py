@@ -14,7 +14,7 @@ import sys
 
 from . import io
 from .analysis import check_inequalities, classify
-from .covering import (branched_cover, compose, extract_proper_plateau,
+from .covering import (COVER_VERTEX_LIMIT, branched_cover, compose, extract_proper_plateau,
                        is_topological_covering, plateau_free_cover,
                        verify_admissible, voltage_cover, restrict_to_component)
 from .decide import commensurable, is_large
@@ -25,10 +25,6 @@ from .plateau import (all_plateaux, generates, minimum_generating_vertices, mu,
                       plateaux_for_prime, rank)
 from .suites import run_suite
 from .torus import _mapping_torus_graph, _subdivide_inverted_edges, verify_automorphism
-
-# the most source vertices a `cover` command may build; each predicts the
-# size first and refuses a larger cover with exit 2, writing nothing
-COVER_VERTEX_LIMIT = 10_000
 
 
 def _check_cover_size(predicted: int) -> None:
@@ -187,7 +183,7 @@ def cmd_cover_voltage(args) -> int:
 
 def cmd_cover_plateau_free(args) -> int:
     g = io.load_graph(args.file)
-    _emit_cover(plateau_free_cover(g, size_limit=COVER_VERTEX_LIMIT), args.out, args.file)
+    _emit_cover(plateau_free_cover(g), args.out, args.file)
     return 0
 
 

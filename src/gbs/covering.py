@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InputError, InternalError
 from .graph import Dart, EdgeRecord, LabelledGraph
-from .plateau import Plateau, _has_proper_plateau, _plateaux, check_plateau, label_primes
+from .plateau import Plateau, _plateaux, check_plateau, has_proper_plateau, label_primes
 from .primes import smallest_prime_factor, valuation
 
 
@@ -431,9 +431,13 @@ def extract_proper_plateau(m: AdmissibleMap) -> Plateau:
 
 # -- plateau-free covers -------------------------------------------------------
 
+# the most source vertices of a `plateau_free_cover` by default and of any `gbs
+# cover` output; each predicts the size first and refuses a larger cover
+COVER_VERTEX_LIMIT = 10_000
+
 
 def _single_prime_cover(g: LabelledGraph, p: int,
-                        size_limit: int | None = None) -> AdmissibleMap | None:
+                        size_limit: int) -> AdmissibleMap | None:
     """Cover of g with p-power multiplicities and no proper p-plateau upstairs.
 
     Round 1 finds the proper p-plateaux of g; each later round finds those
@@ -490,11 +494,10 @@ def _single_prime_cover(g: LabelledGraph, p: int,
     def sheet_count(occupancy: int) -> int:
         return p ** (rounds - occupancy)
 
-    if size_limit is not None:
-        predicted = sum(sheet_count(vertex_count[v]) for v in g.vertices)
-        if predicted > size_limit:
-            raise InputError(f"plateau-free cover would need {predicted} vertices "
-                             f"for prime {p}, above the limit {size_limit}")
+    predicted = sum(sheet_count(vertex_count[v]) for v in g.vertices)
+    if predicted > size_limit:
+        raise InputError(f"plateau-free cover would need {predicted} vertices "
+                         f"for prime {p}, above the limit {size_limit}")
 
     def vertex_sheets(v: str) -> _VertexSheets:
         return p ** vertex_count[v], range(1, sheet_count(vertex_count[v]) + 1)
@@ -511,7 +514,7 @@ def _single_prime_cover(g: LabelledGraph, p: int,
 
 
 def plateau_free_cover(g: LabelledGraph,
-                       size_limit: int | None = None) -> AdmissibleMap:
+                       size_limit: int = COVER_VERTEX_LIMIT) -> AdmissibleMap:
     """Admissible map onto g with connected, plateau-free source.
 
     Handles one prime at a time: the labels of oriented edges leaving the
@@ -523,9 +526,9 @@ def plateau_free_cover(g: LabelledGraph,
 
     The total multiplicity is the product of a prime power per prime with
     proper plateaux, so graphs whose labels involve many primes can demand
-    covers too large to materialize; pass `size_limit` to refuse (with
-    InputError) any intermediate source beyond that many vertices.  The
-    steps and their composites are trusted; only the final map is checked.
+    covers too large to materialize: a step past `size_limit` source
+    vertices is refused with InputError before it is built.  The steps
+    and their composites are trusted; only the final map is checked.
     """
     g._require_connected()
     current = identity_map(g)
@@ -533,6 +536,8 @@ def plateau_free_cover(g: LabelledGraph,
         step = _single_prime_cover(current.source, p, size_limit)
         if step is not None:
             current = _compose(current, step)
-    if _has_proper_plateau(current.source):
+    if not current.source.is_connected():
+        raise InternalError("plateau_free_cover left a disconnected source")
+    if has_proper_plateau(current.source):
         raise InternalError("plateau_free_cover left a proper plateau")
     return assert_admissible(current, "plateau_free_cover")

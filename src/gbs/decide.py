@@ -19,7 +19,7 @@ from .coloring import stable_colorings
 from .covering import AdmissibleMap, orientation_double_cover, voltage_cover
 from .errors import InputError, InternalError
 from .graph import LabelledGraph
-from .plateau import _has_proper_plateau
+from .plateau import has_proper_plateau
 
 # (d1!)^|E1| + (d2!)^|E2| voltage assignments at one degree pair, the most
 # a witness search may enumerate before it is refused with exit 2
@@ -192,7 +192,7 @@ def commensurable(g1: LabelledGraph, g2: LabelledGraph,
     for tag, r in (("first", r1), ("second", r2)):
         if not r.is_strongly_slide_free():
             violations.append(f"{tag} graph is not strongly slide-free")
-        if _has_proper_plateau(r):
+        if has_proper_plateau(r):
             violations.append(f"{tag} graph has a proper plateau")
     if violations:
         return CommensurabilityVerdict("out-of-scope", None, "; ".join(violations))

@@ -16,7 +16,7 @@ from .covering import (AdmissibleMap, _compose, branched_cover, identity_map,
                        restrict_to_component, voltage_cover)
 from .errors import InputError
 from .graph import EdgeRecord, LabelledGraph
-from .plateau import _proper_plateaux
+from .plateau import all_plateaux
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ def _voltage_step(rng: random.Random, current: AdmissibleMap,
 
 def _branched_step(rng: random.Random, current: AdmissibleMap) -> AdmissibleMap:
     src = current.source
-    plateaux = _proper_plateaux(src)  # the source is connected by construction
+    plateaux = all_plateaux(src).proper_plateaux
     if not plateaux:
         # plateau-free source: fall back to a degree-2 voltage cover
         return _voltage_step(rng, current, 2)

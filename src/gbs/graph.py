@@ -204,9 +204,13 @@ class LabelledGraph:
                         frontier.append(w)
             yield tuple(comp), frozenset(walked)
 
-    def components(self) -> tuple[tuple[str, ...], ...]:
-        """Vertex sets of the connected components, each in discovery order."""
+    @cached_property
+    def _components(self) -> tuple[tuple[str, ...], ...]:
         return tuple(vertices for vertices, _ in self.subgraph_components())
+
+    def components(self) -> tuple[tuple[str, ...], ...]:
+        """Vertex sets of the connected components, each in discovery order (walked once)."""
+        return self._components
 
     def is_connected(self) -> bool:
         return len(self.components()) == 1

@@ -96,22 +96,12 @@ def check_plateau(g: LabelledGraph, plateau: Plateau) -> bool:
 def all_plateaux(g: LabelledGraph) -> PlateauCollection:
     """Every proper plateau of g, over all primes dividing some label."""
     g._require_connected()
-    return PlateauCollection(_proper_plateaux(g))
-
-
-def _proper_plateaux(g: LabelledGraph) -> tuple[Plateau, ...]:
-    """:func:`all_plateaux` for a graph known to be connected."""
-    return tuple(P for p in label_primes(g) for P in _plateaux(g, p))
+    return PlateauCollection(tuple(P for p in label_primes(g) for P in _plateaux(g, p)))
 
 
 def has_proper_plateau(g: LabelledGraph) -> bool:
     """Does the connected graph g have a proper plateau for some prime?"""
     g._require_connected()
-    return _has_proper_plateau(g)
-
-
-def _has_proper_plateau(g: LabelledGraph) -> bool:
-    """:func:`has_proper_plateau` for a graph known to be connected."""
     return any(_plateaux(g, p) for p in label_primes(g))
 
 
@@ -201,11 +191,8 @@ def mu(g: LabelledGraph) -> int:
 
 
 def rank(g: LabelledGraph) -> int:
-    """Minimal number of generators of the presented group: Betti number + mu.
-
-    :func:`mu` proves g connected, so the Betti number is |E| - |V| + 1.
-    """
-    return mu(g) + len(g.edges) - len(g.vertices) + 1
+    """Minimal number of generators of the presented group: Betti number + mu."""
+    return mu(g) + g.betti()
 
 
 def generates(g: LabelledGraph, keep: frozenset[str] | set[str]) -> bool:

@@ -20,7 +20,7 @@ MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def _is_strong_probable_prime(n: int) -> bool:
-    """Miller-Rabin on every base in _MILLER_RABIN_BASES, for odd n > 41."""
+    """Miller-Rabin on every base in _MILLER_RABIN_BASES, for n > 41; False proves n composite."""
     s, t = 0, n - 1
     while t % 2 == 0:
         s, t = s + 1, t // 2
@@ -78,6 +78,9 @@ def smallest_prime_factor(n: int) -> int:
 
 
 def is_prime(n: int) -> bool:
+    """Is n prime?  Only a probable prime at or past MILLER_RABIN_LIMIT is refused."""
+    if n > TRIAL_DIVISION_BOUND ** 2 and not _is_strong_probable_prime(n):
+        return False
     return n >= 2 and smallest_prime_factor(n) == n
 
 

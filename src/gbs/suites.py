@@ -15,7 +15,7 @@ from .covering import (AdmissibleMap, covering_characterizations, plateau_free_c
 from .errors import InputError
 from .generate import GeneratorConfig, generate_admissible_map, generate_graph
 from .graph import LabelledGraph
-from .plateau import _has_proper_plateau, mu, rank
+from .plateau import has_proper_plateau, mu, rank
 
 RECIPES: tuple[tuple[str, ...], ...] = (
     ("voltage:2",),
@@ -138,7 +138,7 @@ def suite_plateau_free(count: int, base_seed: int) -> SuiteReport:
         tag = str(seed)
         out.record(tag, "admissible", bool(verify_admissible(m)))
         out.record(tag, "connected-source", m.source.is_connected())
-        out.record(tag, "plateau-free-source", not _has_proper_plateau(m.source))
+        out.record(tag, "plateau-free-source", not has_proper_plateau(m.source))
         out.record(tag, "mu-monotonicity", m.source.betti() + mu(m.source)
                    >= g.betti() + mu(g))
     return out.report()

@@ -1,6 +1,9 @@
+from collections import Counter
+
 import pytest
 
-from gbs import AdmissibleMap, LabelledGraph, voltage_cover
+from gbs import (AdmissibleMap, LabelledGraph, covering, run_suite, verify_admissible,
+                 voltage_cover)
 from gbs.decide import _canonical_key
 
 
@@ -149,3 +152,29 @@ def witness_cases() -> dict[str, tuple[LabelledGraph, LabelledGraph, int]]:
         "r2-deg2-deg3": (voltage_cover(R2, 2, {"a": (1, 0), "b": (0, 1)}).source,
                          voltage_cover(R2, 3, {"a": (1, 2, 0), "b": (0, 2, 1)}).source, 3),
     }
+
+
+def checked(fn, seen: Counter, connected: bool = False):
+    """Wrap a private step so that every map it returns is verified."""
+    def spy(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        if result is not None:
+            outcome = verify_admissible(result)
+            assert outcome, f"{fn.__name__}: {outcome.render()}"
+            assert not connected or result.source.is_connected(), fn.__name__
+            seen[fn.__name__] += 1
+        return result
+    return spy
+
+
+@pytest.fixture(scope="session")
+def plateau_free_suite():
+    """The `plateau-free-cover` suite at count 100 and seed 1, run once with
+    every private step verified: (report, verified steps by function name)."""
+    seen = Counter()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(covering, "_single_prime_cover",
+                      checked(covering._single_prime_cover, seen, connected=True))
+        patch.setattr(covering, "_compose", checked(covering._compose, seen))
+        report = run_suite("plateau-free-cover", count=100, base_seed=1)
+    return report, seen

@@ -175,8 +175,8 @@ def test_criterion_09_inequality_audit_suite():
               f"{exact} exceptional fixtures hit the equality exactly")
 
 
-def test_criterion_10_plateau_free_covers():
-    result = run_suite("plateau-free-cover", count=100, base_seed=1)
+def test_criterion_10_plateau_free_covers(plateau_free_suite):
+    result, _ = plateau_free_suite
     assert result.instances == 100
     assert result.failures == 0
     assert_report_unchanged(result)

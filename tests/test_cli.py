@@ -219,6 +219,11 @@ class TestInputBounds:
         assert main(["rank", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot factor {1000003 ** 2}: ")
 
+    def test_composite_past_trial_division_is_not_prime(self, tmp_path, capsys):
+        path = write_graph(tmp_path, "f3.gbs", f3())
+        assert main(["plateaux", path, "--prime", str(1000003 ** 2)]) == 2
+        assert capsys.readouterr().err == "error: 1000006000009 is not prime\n"
+
     @pytest.mark.parametrize("argv, predicted", [
         (["voltage", "two-loops.gbs", "--degree", "200000"], 200000),
         (["plateau-free", "big.gbs"], 2 ** 61 + 1),

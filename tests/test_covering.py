@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 from dataclasses import replace
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bs, circle_graph, f1, f3, f4_map, f4_target, nx_isomorphic
+from conftest import bs, checked, circle_graph, f1, f3, f4_map, f4_target, nx_isomorphic
 from gbs import (GeneratorConfig, InputError, LabelledGraph, Plateau,
                  all_plateaux, branched_cover, compose,
                  covering_characterizations, extract_proper_plateau,
@@ -15,7 +16,7 @@ from gbs import (GeneratorConfig, InputError, LabelledGraph, Plateau,
                  plateaux_for_prime, rank, restrict_to_component,
                  verify_admissible, voltage_cover)
 from gbs import covering, generate, suites
-from gbs.covering import _compose, _single_prime_cover
+from gbs.covering import COVER_VERTEX_LIMIT, _compose, _single_prime_cover
 from strategies import connected_graphs
 
 
@@ -279,6 +280,15 @@ class TestPlateauFreeCover:
         with pytest.raises(InputError):
             plateau_free_cover(g, size_limit=3)
 
+    def test_bounded_by_default(self):
+        # 2**61 - 1 is prime: its one step would have 2**61 + 1 vertices
+        g = LabelledGraph.build(["a", "b"], [("e", "a", "b", 2 ** 61 - 1, 2)])
+        start = time.perf_counter()
+        with pytest.raises(InputError, match=f"need {2 ** 61 + 1} vertices .* "
+                                             f"the limit {COVER_VERTEX_LIMIT}$"):
+            plateau_free_cover(g)
+        assert time.perf_counter() - start < 1.0
+
 
 class TestCharacterizations:
     def test_agreement_on_fixture(self):
@@ -295,38 +305,14 @@ class TestCharacterizations:
 PATH_2_3 = LabelledGraph.build(["a", "b"], [("e", "a", "b", 2, 3)])
 
 
-def _checked(fn, seen: Counter, connected: bool = False):
-    """Wrap a private step so that every map it returns is verified."""
-    def spy(*args, **kwargs):
-        result = fn(*args, **kwargs)
-        if result is not None:
-            outcome = verify_admissible(result)
-            assert outcome, f"{fn.__name__}: {outcome.render()}"
-            assert not connected or result.source.is_connected(), fn.__name__
-            seen[fn.__name__] += 1
-        return result
-    return spy
-
-
 class TestTrustedSteps:
     """The private steps run unchecked; here every one of them is verified."""
 
-    def test_plateau_free_steps_are_admissible(self, monkeypatch):
-        seen = Counter()
-        monkeypatch.setattr(covering, "_single_prime_cover",
-                            _checked(covering._single_prime_cover, seen, connected=True))
-        monkeypatch.setattr(covering, "_compose", _checked(covering._compose, seen))
-        built = 0
-        for seed in range(1, 125):  # the candidates of the plateau-free-cover suite
-            g = generate_graph(GeneratorConfig(seed=seed, max_vertices=5, max_edges=7,
-                                               max_label_magnitude=60))
-            try:
-                plateau_free_cover(g, size_limit=1500)
-            except InputError:
-                continue
-            built += 1
-        assert built == 100
-        assert seen["_single_prime_cover"] == seen["_compose"] > built
+    def test_plateau_free_steps_are_admissible(self, plateau_free_suite):
+        """Every step of the criterion-10 suite run, verified as it was built."""
+        report, seen = plateau_free_suite
+        assert report.instances == 100
+        assert seen["_single_prime_cover"] == seen["_compose"] == 245
 
     @pytest.mark.parametrize(("bound", "covers"), [(12, 464), (60, 708)])
     def test_single_prime_covers_of_connected_graphs_are_connected(self, bound, covers):
@@ -348,7 +334,7 @@ class TestTrustedSteps:
     def test_generated_composites_are_admissible(self, monkeypatch):
         seen = Counter()
         for name in ("restrict_to_component", "_compose"):
-            monkeypatch.setattr(generate, name, _checked(getattr(generate, name), seen))
+            monkeypatch.setattr(generate, name, checked(getattr(generate, name), seen))
         for recipe in suites.RECIPES:
             for seed in range(1, 201):
                 generate_admissible_map(GeneratorConfig(seed=seed, map_recipe=recipe))
@@ -391,6 +377,6 @@ class TestCheckCount:
         assert verify_calls == [outer, inner, composite]
 
     def test_private_steps(self, verify_calls):
-        step = _single_prime_cover(PATH_2_3, 2)
+        step = _single_prime_cover(PATH_2_3, 2, COVER_VERTEX_LIMIT)
         _compose(identity_map(PATH_2_3), restrict_to_component(step))
         assert verify_calls == []

@@ -304,7 +304,8 @@ class TestSubgraphComponents:
             list(f3().subgraph_components(starts=["nowhere"]))
 
 
-# operations on connected graphs only; each checks its graph once, itself or in a callee
+# operations on connected graphs only; each walks its graph's components once,
+# however many of its callees ask whether the graph is connected
 CONNECTED_ONLY = {
     "reduce": LabelledGraph.reduce,
     "modulus": LabelledGraph.modulus,
@@ -333,14 +334,14 @@ def test_disconnected_graphs_are_rejected(operation):
 @pytest.mark.parametrize("operation", CONNECTED_ONLY.values(), ids=CONNECTED_ONLY)
 def test_connectivity_is_checked_once(operation, monkeypatch):
     g = bs(2, -3)
-    checked = []
-    real = LabelledGraph._require_connected
+    walks = []
+    real = LabelledGraph.subgraph_components
 
-    def counting(self):
-        checked.append(self is g)
-        real(self)
+    def counting(self, keep=None, starts=None):
+        walks.append(self is g and keep is None and starts is None)
+        return real(self, keep, starts)
 
-    monkeypatch.setattr(LabelledGraph, "_require_connected", counting)
+    monkeypatch.setattr(LabelledGraph, "subgraph_components", counting)
     with contextlib.suppress(InputError):  # generates then rejects the vertex zz
         operation(g)
-    assert checked.count(True) == 1
+    assert walks.count(True) == 1

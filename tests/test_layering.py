@@ -1,0 +1,41 @@
+"""Module boundaries inside the package: a module calls another module's
+public functions.
+
+A private name imported from another module skips a check that its public
+twin makes.  Each one below is allowed for a reason; any other private
+import fails here, and so does an entry that no module imports any more.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gbs"
+
+# (importing module, imported module, name)
+ALLOWED = {
+    # composites of verified steps are admissible by construction; `compose`
+    # would verify both inputs and the result
+    ("generate", "covering", "_compose"),
+    # every stage round passes a prime from `label_primes`; `plateaux_for_prime`
+    # would run `is_prime` on it, trial division up to its square root
+    ("covering", "plateau", "_plateaux"),
+    # `gbs mapping-torus` verifies the automorphism once, to print its order,
+    # and then builds the quotient without verifying it again
+    ("cli", "torus", "_mapping_torus_graph"),
+    ("cli", "torus", "_subdivide_inverted_edges"),
+}
+
+
+def private_imports() -> set[tuple[str, str, str]]:
+    """Every `from .module import _name` in the package."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                found.update((path.stem, node.module, alias.name) for alias in node.names
+                             if alias.name.startswith("_"))
+    return found
+
+
+def test_private_imports_are_allowed():
+    assert private_imports() == ALLOWED

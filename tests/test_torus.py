@@ -1,10 +1,12 @@
+import math
 import random
 
 import pytest
 
-from gbs import (GeneratorConfig, GraphAutomorphism, InputError, LabelledGraph,
-                 generate_graph, inverted_edges, mapping_torus_graph, mapping_torus_rank,
-                 subdivide_inverted_edges, verify_automorphism, voltage_cover)
+from gbs import (AdmissibleMap, Dart, GeneratorConfig, GraphAutomorphism, InputError,
+                 LabelledGraph, generate_graph, inverted_edges, mapping_torus_graph,
+                 mapping_torus_rank, subdivide_inverted_edges, verify_admissible,
+                 verify_automorphism, voltage_cover)
 from gbs.torus import _subdivide_inverted_edges
 
 
@@ -252,3 +254,82 @@ class TestDeckTransformations:
         assert (len(quotient.vertices), len(quotient.edges)) == (len(base.vertices), len(base.edges))
         assert all(rec.label_origin == rec.label_terminus == 1 for rec in quotient.edges)
         assert mapping_torus_rank(shift) == base.betti() + 1
+
+
+def power(a: GraphAutomorphism, k: int) -> GraphAutomorphism:
+    """a applied k times."""
+    vertex_map, edge_map = {}, {}
+    for v in a.graph.vertices:
+        w = v
+        for _ in range(k):
+            w = a.vertex_map[w]
+        vertex_map[v] = w
+    for rec in a.graph.edges:
+        dart = Dart(rec.name, True)
+        for _ in range(k):
+            dart = a.dart_image(dart)
+        edge_map[rec.name] = (dart.edge, dart.forward)
+    return GraphAutomorphism(a.graph, vertex_map, edge_map)
+
+
+def orbit_of(start, step) -> list:
+    orbit = [start]
+    while (item := step(orbit[-1])) != start:
+        orbit.append(item)
+    return orbit
+
+
+def quotient_darts(a: GraphAutomorphism) -> dict[Dart, tuple[str, bool]]:
+    """Each dart of a.graph -> (its edge in the orbit quotient, same orientation).
+
+    As `mapping_torus_graph` documents, the quotient edge of an orbit is named
+    by its smallest member and oriented along the orbit of the first declared
+    member's forward dart.
+    """
+    out: dict[Dart, tuple[str, bool]] = {}
+    for rec in a.graph.edges:
+        if Dart(rec.name, True) not in out:
+            orbit = orbit_of(Dart(rec.name, True), a.dart_image)
+            name = min(dart.edge for dart in orbit)
+            for dart in orbit:
+                out[dart], out[dart.reverse()] = (name, True), (name, False)
+    return out
+
+
+class TestPowers:
+    """M(a^k) is the index-k subgroup <F_n, t^k> of M(a): an independent oracle.
+
+    Its rank is at least that of M(a), by the finite-index theorem, and
+    quotient(a^k) -> quotient(a), sending each a^k-orbit to its a-orbit, is
+    admissible: a vertex of a-period q has multiplicity k / gcd(q, k), an edge
+    of a-period r has k / gcd(r, k), and the total multiplicity is k.
+    """
+
+    @pytest.mark.parametrize("make", [theta_symmetry, two_cycle_rotation, edge_flip,
+                                      lambda: identity_automorphism(rose(3))],
+                             ids=["theta", "two-cycle", "edge-flip", "identity-rose3"])
+    def test_power_maps_are_admissible(self, make):
+        a = subdivide_inverted_edges(make())
+        order = verify_automorphism(a)
+        g = a.graph
+        quotient, darts = mapping_torus_graph(a), quotient_darts(a)
+        vertex_orbit = {v: orbit_of(v, a.vertex_map.__getitem__) for v in g.vertices}
+        base_rank = mapping_torus_rank(a)
+        for k in range(1, 2 * order + 2):
+            a_k = power(a, k)
+            assert mapping_torus_rank(a_k) >= base_rank
+            source, source_darts = mapping_torus_graph(a_k), quotient_darts(a_k)
+            edge_map, edge_multiplicity = {}, {}
+            for rec in source.edges:
+                forward = Dart(rec.name, True)
+                image, same = darts[forward]
+                edge_map[rec.name] = (image, same == source_darts[forward][1])
+                period = len(orbit_of(forward, a.dart_image))
+                edge_multiplicity[rec.name] = k // math.gcd(period, k)
+            m = AdmissibleMap(source, quotient, {v: min(vertex_orbit[v]) for v in source.vertices},
+                              edge_map,
+                              {v: k // math.gcd(len(vertex_orbit[v]), k) for v in source.vertices},
+                              edge_multiplicity)
+            outcome = verify_admissible(m)
+            assert outcome, (k, outcome.render())
+            assert m.total_multiplicity() == k
