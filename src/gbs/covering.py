@@ -285,6 +285,11 @@ def _sheeted_cover(g: LabelledGraph, vertex_sheets: Callable[[str], _VertexSheet
     return AdmissibleMap(source, g, vmap, emap, vmult, emult)
 
 
+# the most source vertices of a `branched_cover`, a default `plateau_free_cover`
+# and any `gbs cover` output; each predicts the size first and refuses a larger cover
+COVER_VERTEX_LIMIT = 10_000
+
+
 def branched_cover(g: LabelledGraph, plateau: Plateau) -> AdmissibleMap:
     """Degree-p cover ramified over a proper p-plateau.
 
@@ -298,6 +303,9 @@ def branched_cover(g: LabelledGraph, plateau: Plateau) -> AdmissibleMap:
         raise InputError("branched covers require a proper plateau")
     p = plateau.prime
     inside = plateau.vertices
+    predicted = len(inside) + p * (len(g.vertices) - len(inside))
+    if predicted > COVER_VERTEX_LIMIT:
+        raise InputError(f"cover would have {predicted} vertices, above the limit {COVER_VERTEX_LIMIT}")
 
     def vertex_sheets(v: str) -> _VertexSheets:
         return (p, (0,)) if v in inside else (1, range(1, p + 1))
@@ -431,22 +439,17 @@ def extract_proper_plateau(m: AdmissibleMap) -> Plateau:
 
 # -- plateau-free covers -------------------------------------------------------
 
-# the most source vertices of a `plateau_free_cover` by default and of any `gbs
-# cover` output; each predicts the size first and refuses a larger cover
-COVER_VERTEX_LIMIT = 10_000
-
-
 def _single_prime_cover(g: LabelledGraph, p: int,
                         size_limit: int) -> AdmissibleMap | None:
     """Cover of g with p-power multiplicities and no proper p-plateau upstairs.
 
-    Round 1 finds the proper p-plateaux of g; each later round finds those
-    of the stage graph, which has g's edges with every label that left the
-    previous round's plateau union divided by p.  After R rounds a vertex
-    or edge that lay in the union k times gets p**(R - k) sheets of
-    multiplicity p**k, edge sheet j joining vertex sheets j modulo their
-    counts, and the edges carry the last stage's labels.  Returns None when
-    g has no proper p-plateau.
+    Each round finds the proper p-plateaux of g read with the round's
+    labels: g's own in round 1, and in each later round the previous
+    round's with every label that left its plateau union divided by p.
+    After R rounds a vertex or edge that lay in the union k times gets
+    p**(R - k) sheets of multiplicity p**k, edge sheet j joining vertex
+    sheets j modulo their counts, and the edges carry the last round's
+    labels.  Returns None when g has no proper p-plateau.
 
     If g is connected, so is the cover:
     1. An edge kept in a round (both labels prime to p) is never divided,
@@ -464,30 +467,22 @@ def _single_prime_cover(g: LabelledGraph, p: int,
     """
     vertex_count = {v: 0 for v in g.vertices}
     edge_count = {r.name: 0 for r in g.edges}
+    labels = {rec.name: [rec.label_origin, rec.label_terminus] for rec in g.edges}
     rounds = 0
-    stage = g
-    while plateaux := _plateaux(stage, p):
+    while plateaux := _plateaux(g, p, labels):
         rounds += 1
         union_vertices = set().union(*(plat.vertices for plat in plateaux))
         union_edges = set().union(*(plat.edges for plat in plateaux))
-        for v in union_vertices:
-            vertex_count[v] += 1
         for name in union_edges:
             edge_count[name] += 1
-
-        def divided(label: int, origin: str) -> int:
-            if origin not in union_vertices:
-                return label
-            if label % p != 0:
-                raise InternalError("label leaving a plateau union must be divisible")
-            return label // p
-
-        stage = LabelledGraph(g.vertices, tuple(
-            rec if rec.name in union_edges else
-            EdgeRecord(rec.name, rec.origin, rec.terminus,
-                       divided(rec.label_origin, rec.origin),
-                       divided(rec.label_terminus, rec.terminus))
-            for rec in stage.edges))
+        for v in union_vertices:
+            vertex_count[v] += 1
+            for name, forward in g.darts_at(v):  # divide the labels leaving the union
+                if name not in union_edges:
+                    pair, end = labels[name], 0 if forward else 1
+                    if pair[end] % p != 0:
+                        raise InternalError("label leaving a plateau union must be divisible")
+                    pair[end] //= p
     if rounds == 0:
         return None
 
@@ -503,10 +498,9 @@ def _single_prime_cover(g: LabelledGraph, p: int,
         return p ** vertex_count[v], range(1, sheet_count(vertex_count[v]) + 1)
 
     def edge_sheets(rec: EdgeRecord) -> _EdgeSheets:
-        final = stage.edge(rec.name)
         n_origin = sheet_count(vertex_count[rec.origin])
         n_terminus = sheet_count(vertex_count[rec.terminus])
-        return (final.label_origin, final.label_terminus, p ** edge_count[rec.name],
+        return (*labels[rec.name], p ** edge_count[rec.name],
                 ((j + 1, j % n_origin + 1, j % n_terminus + 1)
                  for j in range(sheet_count(edge_count[rec.name]))))
 

@@ -52,16 +52,19 @@ def plateaux_for_prime(g: LabelledGraph, p: int) -> list[Plateau]:
     return _plateaux(g, p)
 
 
-def _plateaux(g: LabelledGraph, p: int) -> list[Plateau]:
-    """:func:`plateaux_for_prime` for a prime p and a graph known to be connected."""
-    keep = {rec.name for rec in g.edges
-            if rec.label_origin % p != 0 and rec.label_terminus % p != 0}
+def _plateaux(g: LabelledGraph, p: int,
+              labels: dict[str, list[int]] | None = None) -> list[Plateau]:
+    """:func:`plateaux_for_prime` for a prime p and a connected g, read with `labels`
+    (each edge's [origin, terminus] labels by name; g's own by default)."""
+    if labels is None:
+        labels = {rec.name: [rec.label_origin, rec.label_terminus] for rec in g.edges}
+    keep = {name for name, (lo, lt) in labels.items() if lo % p != 0 and lt % p != 0}
     out: list[Plateau] = []
     n_vertices, n_edges = len(g.vertices), len(g.edges)
     for vertices, edges in g.subgraph_components(keep):
         if len(vertices) == n_vertices and len(edges) == n_edges:
             continue  # whole graph
-        if all(dart.edge in edges or g.label(dart) % p == 0
+        if all(dart.edge in edges or labels[dart.edge][0 if dart.forward else 1] % p == 0
                for v in vertices for dart in g.darts_at(v)):
             out.append(Plateau(p, frozenset(vertices), edges))
     out.sort(key=lambda P: min(g.vertex_position[v] for v in P.vertices))
@@ -70,6 +73,8 @@ def _plateaux(g: LabelledGraph, p: int) -> list[Plateau]:
 
 def check_plateau(g: LabelledGraph, plateau: Plateau) -> bool:
     """Validate the plateau conditions of `plateau` against g directly."""
+    if not is_prime(plateau.prime):
+        return False
     if not plateau.vertices or not plateau.vertices <= set(g.vertices):
         return False
     for name in plateau.edges:

@@ -70,6 +70,10 @@ def figures():
 R2 = LabelledGraph.build(["v"], [("a", "v", "v", 2, 3), ("b", "v", "v", 5, 7)])
 R3 = LabelledGraph.build(["v"], [("a", "v", "v", 2, 3), ("b", "v", "v", 5, 7),
                                  ("c", "v", "v", 11, 13)])
+# the golden plateau-free cover target: labels over the primes 2, 3, 5 and 7
+THREE_PRIMES = LabelledGraph.build(
+    ["a", "b", "c"],
+    [("e", "a", "b", 4, 3), ("f", "b", "c", 2, 9), ("l", "a", "a", 5, 7)])
 
 
 def distinct_labels(g: LabelledGraph) -> bool:

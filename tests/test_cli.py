@@ -6,7 +6,7 @@ import pytest
 
 from conftest import R2, R3, bs, circle_graph, f1, f3, f4_map
 from gbs import emit_graph, emit_map, load_map, verify_admissible, voltage_cover
-from gbs import cli, plateau, torus
+from gbs import cli, covering, plateau, torus
 from gbs.cli import main
 
 
@@ -242,7 +242,8 @@ class TestInputBounds:
         assert not list(tmp_path.glob("out*"))
 
     def test_cover_limit_is_inclusive(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "COVER_VERTEX_LIMIT", 6)
+        monkeypatch.setattr(cli, "COVER_VERTEX_LIMIT", 6)  # voltage
+        monkeypatch.setattr(covering, "COVER_VERTEX_LIMIT", 6)  # branch
         path = write_graph(tmp_path, "bs23.gbs", bs(2, 3))
         assert main(["cover", "voltage", path, "--degree", "6",
                      "--out", str(tmp_path / "six")]) == 0

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bs, checked, circle_graph, f1, f3, f4_map, f4_target, nx_isomorphic
-from gbs import (GeneratorConfig, InputError, LabelledGraph, Plateau,
+from conftest import (THREE_PRIMES, bs, checked, circle_graph, f1, f3, f4_map, f4_target,
+                      nx_isomorphic)
+from gbs import (GeneratorConfig, InputError, InternalError, LabelledGraph, Plateau,
                  all_plateaux, branched_cover, compose,
                  covering_characterizations, extract_proper_plateau,
                  generate_admissible_map, generate_graph, has_proper_plateau,
@@ -147,6 +148,16 @@ class TestBranchedCover:
         assert len(src.vertices) == 5 and len(src.edges) == 4
         assert src.betti() == 0
         assert rank(src) == 4 >= rank(g)
+
+    def test_bounded_before_building(self):
+        # 2**61 - 1 is prime: the cover would copy vertex b 2**61 - 1 times
+        g = LabelledGraph.build(["a", "b"], [("e", "a", "b", 2 ** 61 - 1, 2)])
+        start = time.perf_counter()
+        plateau = plateaux_for_prime(g, 2 ** 61 - 1)[0]
+        with pytest.raises(InputError, match=f"^cover would have {2 ** 61} vertices, "
+                                             f"above the limit {COVER_VERTEX_LIMIT}$"):
+            branched_cover(g, plateau)
+        assert time.perf_counter() - start < 1.0
 
     def test_rejects_whole_graph_and_foreign_plateaux(self):
         g = bs(2, 4)
@@ -289,6 +300,27 @@ class TestPlateauFreeCover:
             plateau_free_cover(g)
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("g", [THREE_PRIMES, f3()], ids=["three-primes", "f3"])
+    def test_one_graph_per_prime_step(self, monkeypatch, g):
+        """The rounds of a step run on a label table; the step builds only its source."""
+        built, steps = [], []
+        real_init, real_step = LabelledGraph.__post_init__, covering._single_prime_cover
+
+        def counting_init(graph):
+            built.append(graph)
+            real_init(graph)
+
+        def counting_step(*args):
+            step = real_step(*args)
+            if step is not None:
+                steps.append(step)
+            return step
+
+        monkeypatch.setattr(LabelledGraph, "__post_init__", counting_init)
+        monkeypatch.setattr(covering, "_single_prime_cover", counting_step)
+        plateau_free_cover(g)
+        assert steps and [id(graph) for graph in built] == [id(step.source) for step in steps]
+
 
 class TestCharacterizations:
     def test_agreement_on_fixture(self):
@@ -339,6 +371,13 @@ class TestTrustedSteps:
             for seed in range(1, 201):
                 generate_admissible_map(GeneratorConfig(seed=seed, map_recipe=recipe))
         assert seen["_compose"] == 200 * sum(len(recipe) for recipe in suites.RECIPES)
+
+    def test_undivisible_leaving_label_is_internal_error(self, monkeypatch):
+        # {v_a} is no 2-plateau of f1(7): e_1 leaves it with the odd label 3
+        monkeypatch.setattr(covering, "_plateaux", lambda g, p, labels:
+                            [Plateau(p, frozenset({"v_a"}), frozenset())])
+        with pytest.raises(InternalError, match="must be divisible"):
+            _single_prime_cover(f1(7), 2, COVER_VERTEX_LIMIT)
 
 
 @pytest.fixture

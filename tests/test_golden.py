@@ -14,16 +14,13 @@ import hashlib
 
 import pytest
 
-from conftest import bs, f2, f3, witness_cases
+from conftest import THREE_PRIMES, bs, f2, f3, witness_cases
 from gbs import (GeneratorConfig, LabelledGraph, branched_cover, commensurable,
                  emit_graph, emit_map, generate_graph, is_topological_covering,
                  plateau_free_cover, plateaux_for_prime, voltage_cover)
 from gbs.cli import main
 
 PATH_2_3 = LabelledGraph.build(["a", "b"], [("e", "a", "b", 2, 3)])
-THREE_PRIMES = LabelledGraph.build(
-    ["a", "b", "c"],
-    [("e", "a", "b", 4, 3), ("f", "b", "c", 2, 9), ("l", "a", "a", 5, 7)])
 
 
 def emitted(m) -> str:

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from conftest import bs, f1, f2, f3, f4_source
 from gbs import (GeneratorConfig, InputError, LabelledGraph, Plateau, all_plateaux,
                  branched_cover, check_plateau, generate_graph, generates, has_proper_plateau,
-                 label_primes, minimum_generating_vertices, minimum_hitting_set,
-                 mu, plateau_free_cover, plateaux_for_prime, rank, voltage_cover)
+                 identity_map, label_primes, minimum_generating_vertices, minimum_hitting_set,
+                 mu, plateau_free_cover, plateaux_for_prime, rank, totally_unfolded,
+                 voltage_cover)
+from gbs.plateau import _plateaux
 from gbs.primes import (MILLER_RABIN_LIMIT, TRIAL_DIVISION_BOUND, _is_strong_probable_prime,
                         is_prime, prime_factors, smallest_prime_factor)
 from strategies import connected_graphs
@@ -92,11 +94,31 @@ class TestPlateauxForPrime:
         with pytest.raises(InputError, match="^operation requires a connected graph$"):
             plateaux_for_prime(g, 2)
 
-    @given(connected_graphs(), st.sampled_from([2, 3, 5, 7, 11]))
+    @given(connected_graphs(), st.sampled_from([2, 3, 5, 7, 11]), st.data())
     @settings(deadline=None)
-    def test_matches_oracle(self, g, p):
+    def test_matches_oracle(self, g, p, data):
+        """On g, and on a label table against g rebuilt with the table's labels.
+
+        The table divides by p, where p divides them, the labels leaving the
+        vertices `inside` by edges outside `kept`, as a plateau-free round does.
+        """
         computed = {(P.vertices, P.edges) for P in plateaux_for_prime(g, p)}
         assert computed == plateau_oracle(g, p)
+        names = [rec.name for rec in g.edges]
+        inside = data.draw(st.sets(st.sampled_from(g.vertices)))
+        kept = data.draw(st.sets(st.sampled_from(names))) if names else set()
+        labels = {rec.name: [rec.label_origin, rec.label_terminus] for rec in g.edges}
+        for v in inside:
+            for name, forward in g.darts_at(v):
+                end = 0 if forward else 1
+                if name not in kept and labels[name][end] % p == 0:
+                    labels[name][end] //= p
+        rebuilt = LabelledGraph(g.vertices, tuple(
+            rec._replace(label_origin=labels[rec.name][0], label_terminus=labels[rec.name][1])
+            for rec in g.edges))
+        found = _plateaux(g, p, labels)
+        assert found == plateaux_for_prime(rebuilt, p)
+        assert {(P.vertices, P.edges) for P in found} == plateau_oracle(rebuilt, p)
 
     @given(connected_graphs(), st.sampled_from([2, 3, 5, 7]))
     def test_disjointness_and_dichotomy(self, g, p):
@@ -122,6 +144,17 @@ class TestCheckPlateau:
     def test_conditions(self, vertices, edges, expected):
         plateau = Plateau(2, frozenset(vertices), frozenset(edges))
         assert check_plateau(f1(7), plateau) is expected
+
+    @pytest.mark.parametrize("prime", [0, 1, 6])
+    def test_prime_is_required(self, prime):
+        # ({u}, {l}) passes every other condition for 6: e leaves u with the label 6
+        g = LabelledGraph.build(["u", "w"], [("e", "u", "w", 6, 5), ("l", "u", "u", 2, 5)])
+        plateau = Plateau(prime, frozenset({"u"}), frozenset({"l"} if prime else ()))
+        assert not check_plateau(g, plateau)
+        with pytest.raises(InputError, match="^not a plateau of this graph$"):
+            branched_cover(g, plateau)
+        with pytest.raises(InputError, match="^not a plateau of the target graph$"):
+            totally_unfolded(identity_map(g), plateau)
 
 
 class TestPrimes:
