@@ -136,10 +136,10 @@ def cmd_commensurable(args) -> int:
         _write(f"{prefix}.target2.gbs", io.emit_graph(second.target))
         _emit_cover(first, f"{prefix}.cover1", f"{prefix}.target1.gbs")
         _emit_cover(second, f"{prefix}.cover2", f"{prefix}.target2.gbs")
-        for v, image in verdict.isomorphism.items():
-            print(f"iso-vertex {v} {image}")
-        for name, image in verdict.edge_isomorphism.items():
-            print(f"iso-edge {name} {image}")
+        for v in first.source.vertices:  # both covers share this source
+            print(f"iso-vertex {v} {v}")
+        for rec in first.source.edges:
+            print(f"iso-edge {rec.name} {rec.name}")
     if verdict.answer == "commensurable":
         return 0
     if verdict.answer == "not-commensurable":
@@ -264,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file1")
     p.add_argument("file2")
     p.add_argument("--witness", action="store_true")
-    p.add_argument("--max-degree", type=int, default=4)
+    p.add_argument("--max-degree", type=int, default=4,
+                   help="largest degree of the witness over either graph")
     p.add_argument("--out", default="witness")
 
     cover = sub.add_parser("cover").add_subparsers(dest="subcommand", required=True)

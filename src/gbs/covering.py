@@ -285,9 +285,16 @@ def _sheeted_cover(g: LabelledGraph, vertex_sheets: Callable[[str], _VertexSheet
     return AdmissibleMap(source, g, vmap, emap, vmult, emult)
 
 
-# the most source vertices of a `branched_cover`, a default `plateau_free_cover`
-# and any `gbs cover` output; each predicts the size first and refuses a larger cover
+# the most source vertices of a `branched_cover`, a `voltage_cover`, a default
+# `plateau_free_cover`, a commensurability witness and any `gbs cover` output;
+# each predicts the size first and refuses a larger cover
 COVER_VERTEX_LIMIT = 10_000
+
+
+def _check_cover_size(predicted: int) -> None:
+    if predicted > COVER_VERTEX_LIMIT:
+        raise InputError(f"cover would have {predicted} vertices, above the limit "
+                         f"{COVER_VERTEX_LIMIT}")
 
 
 def branched_cover(g: LabelledGraph, plateau: Plateau) -> AdmissibleMap:
@@ -303,9 +310,7 @@ def branched_cover(g: LabelledGraph, plateau: Plateau) -> AdmissibleMap:
         raise InputError("branched covers require a proper plateau")
     p = plateau.prime
     inside = plateau.vertices
-    predicted = len(inside) + p * (len(g.vertices) - len(inside))
-    if predicted > COVER_VERTEX_LIMIT:
-        raise InputError(f"cover would have {predicted} vertices, above the limit {COVER_VERTEX_LIMIT}")
+    _check_cover_size(len(inside) + p * (len(g.vertices) - len(inside)))
 
     def vertex_sheets(v: str) -> _VertexSheets:
         return (p, (0,)) if v in inside else (1, range(1, p + 1))
@@ -327,10 +332,13 @@ def voltage_cover(g: LabelledGraph, degree: int,
 
     Sheet i of an edge runs from (origin, i) to (terminus, sigma(i)); labels
     are copied and every multiplicity is 1.  The source may be disconnected;
-    use :func:`restrict_to_component` to pick out a connected piece.
+    use :func:`restrict_to_component` to pick out a connected piece.  More
+    than COVER_VERTEX_LIMIT sheets of vertices are refused before anything
+    is built.
     """
     if degree < 1:
         raise InputError("degree must be positive")
+    _check_cover_size(degree * len(g.vertices))
     perms: dict[str, tuple[int, ...]] = {}
     for rec in g.edges:
         if rec.name not in assignment:

@@ -12,18 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations, product
-from typing import Iterator
 
 from .coloring import stable_colorings
-from .covering import AdmissibleMap, orientation_double_cover, voltage_cover
+from .covering import (COVER_VERTEX_LIMIT, AdmissibleMap, assert_admissible,
+                       orientation_double_cover)
 from .errors import InputError, InternalError
-from .graph import LabelledGraph
+from .graph import EdgeRecord, LabelledGraph
 from .plateau import has_proper_plateau
-
-# (d1!)^|E1| + (d2!)^|E2| voltage assignments at one degree pair, the most
-# a witness search may enumerate before it is refused with exit 2
-WITNESS_SEARCH_LIMIT = 100_000
 
 
 def is_large(g: LabelledGraph) -> bool:
@@ -60,10 +55,8 @@ def is_large(g: LabelledGraph) -> bool:
 @dataclass(frozen=True)
 class CommensurabilityVerdict:
     answer: str  # commensurable | not-commensurable | out-of-scope
-    witness: tuple[AdmissibleMap, AdmissibleMap] | None
+    witness: tuple[AdmissibleMap, AdmissibleMap] | None  # two covers with one source
     certificate: str
-    isomorphism: dict[str, str] | None = None  # witness sources, vertex to vertex
-    edge_isomorphism: dict[str, str] | None = None  # witness sources, edge to edge
 
     def render(self) -> str:
         return f"answer={self.answer}\ncertificate={self.certificate}"
@@ -76,104 +69,65 @@ def _prepared(g: LabelledGraph) -> LabelledGraph:
     return graph.normalize_signs()
 
 
-def _canonical_key(stars: list[list[tuple[int, int, int]]]) -> tuple[tuple, list[int]] | None:
-    """Least breadth-first encoding of a graph over all roots, and the
-    breadth-first vertex order from the first root that attains it; None if
-    the graph is disconnected.  Row k of the star table lists the darts at
-    vertex k as (label, reverse label, far vertex).
+def _smallest_common_cover(h1: LabelledGraph, h2: LabelledGraph, colors1: dict[str, str],
+                           colors2: dict[str, str], max_degree: int
+                           ) -> tuple[AdmissibleMap, AdmissibleMap] | None:
+    """The smallest component of the fibre product of h1 and h2 as two
+    covers with one source, or None past max_degree over either graph.
 
-    Needs pairwise distinct labels at every vertex, so that a label names its
-    dart and a root fixes the numbering: two such graphs then have equal keys
-    exactly when they are isomorphic, and zipping their orders gives one.
+    Labels at a vertex are distinct, so a walk steps along each dart d1 of
+    h1 with the dart of h2 carrying d1's label.  One walk per same-colored
+    pair over h1's first vertex v0 meets every component, onto which any
+    common cover maps.  A walk stops past the best size, max_degree times
+    the smaller vertex count, COVER_VERTEX_LIMIT (InputError if nothing is
+    left) or on meeting a stopped walk; lcm(|V1|, |V2|) vertices is final.
     """
-    stars = [sorted(star) for star in stars]
-    for k, star in enumerate(stars):
-        if len({row[0] for row in star}) < len(star):
-            raise InternalError(f"two darts at vertex {k} share a label; no canonical key")
-
-    def encoding(root: int) -> tuple[tuple, list[int]]:
-        number, order = {root: 0}, [root]
-        for v in order:  # `order` grows in breadth-first order
-            for _, _, w in stars[v]:
-                if w not in number:
-                    number[w] = len(order)
-                    order.append(w)
-        return tuple(tuple((label, reverse, number[w]) for label, reverse, w in stars[v])
-                     for v in order), order
-
-    first = encoding(0)
-    if len(first[1]) < len(stars):
-        return None
-    return min((first, *map(encoding, range(1, len(stars)))), key=lambda pair: pair[0])
-
-
-def _connected_keys(g: LabelledGraph, degree: int
-                    ) -> Iterator[tuple[dict[str, tuple[int, ...]], tuple, list[int]]]:
-    """Assignment, key and order of each connected voltage cover of g of the
-    given degree, in assignment order, built as star tables only: sheet i of
-    the k-th vertex is row k*degree + i, its position in `voltage_cover`.
-    """
-    for choice in product(permutations(range(degree)), repeat=len(g.edges)):
-        stars: list[list[tuple[int, int, int]]] = [[] for _ in range(len(g.vertices) * degree)]
-        for rec, sigma in zip(g.edges, choice):
-            o, t = g.vertex_position[rec.origin] * degree, g.vertex_position[rec.terminus] * degree
-            for i, j in enumerate(sigma):
-                stars[o + i].append((rec.label_origin, rec.label_terminus, t + j))
-                stars[t + j].append((rec.label_terminus, rec.label_origin, o + i))
-        found = _canonical_key(stars)
-        if found is not None:
-            yield dict(zip((rec.name for rec in g.edges), choice)), *found
-
-
-def _key_bijection(g1: LabelledGraph, order1: list[int], g2: LabelledGraph,
-                   order2: list[int]) -> tuple[dict[str, str], dict[str, str]]:
-    """Vertex and edge maps that zip the orders of two equal canonical keys.
-
-    Labels at a vertex are distinct, so the dart at v labelled l goes to
-    the dart at the image of v labelled l; an image edge whose far end or
-    labels disagree means the keys were not equal.
-    """
-    vertex_map = {g1.vertices[k]: g2.vertices[m] for k, m in zip(order1, order2)}
-    dart_at = {(g2.origin(d), g2.label(d)): d for d in g2.darts()}
-    edge_map: dict[str, str] = {}
-    for rec in g1.edges:
-        dart = dart_at.get((vertex_map[rec.origin], rec.label_origin))
-        if dart is None or (g2.terminus(dart), g2.label(dart.reverse())) != \
-                (vertex_map[rec.terminus], rec.label_terminus):
-            raise InternalError(f"edge {rec.name!r} has no image under the key bijection")
-        edge_map[rec.name] = dart.edge
-    return {v: vertex_map[v] for v in g1.vertices}, edge_map
-
-
-def _witness_search(h1: LabelledGraph, h2: LabelledGraph, max_degree: int
-                    ) -> tuple[AdmissibleMap, AdmissibleMap,
-                               dict[str, str], dict[str, str]] | None:
-    """The first connected pair (c1, c2) in cover order with isomorphic sources,
-    and the vertex and edge bijections between those sources.
-
-    Degree pairs satisfy d1*|V1| = d2*|V2| and d1*|E1| = d2*|E2|, by
-    increasing total; the covers of h2 are keyed once, those of h1 are keyed
-    only until one matches, and only the matching pair is built.
-    """
+    dart_by_label = {v: {h2.label(d): d for d in h2.darts_at(v)} for v in h2.vertices}
+    if any(len(table) < h2.valence(v) for v, table in dart_by_label.items()):
+        raise InternalError("two darts at one vertex share a label")
     n1, n2 = len(h1.vertices), len(h2.vertices)
-    a, b = n2 // math.gcd(n1, n2), n1 // math.gcd(n1, n2)
-    if a * len(h1.edges) != b * len(h2.edges):
+    cap = min(max_degree * min(n1, n2), COVER_VERTEX_LIMIT)
+    v0, seen, best = h1.vertices[0], set(), None
+    for v2 in h2.vertices:
+        if colors2[v2] != colors1[v0] or (v0, v2) in seen:
+            continue
+        bound = cap if best is None else min(cap, len(best[0]) - 1)
+        index, pairs, edges = {(v0, v2): 0}, [(v0, v2)], []
+        for x1, x2 in pairs:  # `pairs` grows in breadth-first order
+            if len(pairs) > bound or (x1, x2) in seen:  # `seen` holds only stopped walks here
+                break
+            for d1 in h1.darts_at(x1):
+                d2 = dart_by_label[x2].get(h1.label(d1))
+                if d2 is None:
+                    raise InternalError(f"no dart at {x2!r} matches {d1.render()!r}")
+                far = (h1.terminus(d1), h2.terminus(d2))
+                if far not in index:
+                    index[far] = len(pairs)
+                    pairs.append(far)
+                if d1.forward:  # (edge of h1, dart of h2, origin, terminus)
+                    edges.append((d1.edge, d2, index[x1, x2], index[far]))
+        else:  # the component closed within `bound`
+            best = pairs, edges
+            if len(pairs) == math.lcm(n1, n2):
+                break
+        seen.update(pairs)
+    if best is None:  # every walk, if any, was stopped at `cap`
+        if seen and COVER_VERTEX_LIMIT < max_degree * min(n1, n2):
+            raise InputError(f"the smallest common cover has over {COVER_VERTEX_LIMIT} vertices")
         return None
-    for k in range(1, max_degree // max(a, b) + 1):
-        d1, d2 = k * a, k * b
-        size = math.factorial(d1) ** len(h1.edges) + math.factorial(d2) ** len(h2.edges)
-        if size > WITNESS_SEARCH_LIMIT:
-            raise InputError(f"witness search at degrees {d1} and {d2} would enumerate "
-                             f"{size} covers, over the limit {WITNESS_SEARCH_LIMIT}")
-        keyed: dict[tuple, tuple[dict[str, tuple[int, ...]], list[int]]] = {}
-        for assignment2, key, order2 in _connected_keys(h2, d2):
-            keyed.setdefault(key, (assignment2, order2))
-        for assignment1, key, order1 in _connected_keys(h1, d1):
-            if key in keyed:
-                assignment2, order2 = keyed[key]
-                c1, c2 = voltage_cover(h1, d1, assignment1), voltage_cover(h2, d2, assignment2)
-                return c1, c2, *_key_bijection(c1.source, order1, c2.source, order2)
-    return None
+
+    pairs, edges = best
+    names = [f"v{i}" for i in range(len(pairs))]
+    records, to_h1, to_h2 = [], {}, {}
+    for j, (e1, d2, o, t) in enumerate(edges):
+        rec, name = h1.edge(e1), f"e{j}"
+        records.append(EdgeRecord(name, names[o], names[t], rec.label_origin, rec.label_terminus))
+        to_h1[name], to_h2[name] = (e1, True), (d2.edge, d2.forward)
+    source = LabelledGraph(tuple(names), tuple(records))
+    return tuple(assert_admissible(AdmissibleMap(
+        source, h, {x: pair[side] for x, pair in zip(names, pairs)}, edge_map,
+        dict.fromkeys(names, 1), dict.fromkeys(edge_map, 1)), "the fibre-product walk")
+        for side, h, edge_map in ((0, h1, to_h1), (1, h2, to_h2)))
 
 
 def commensurable(g1: LabelledGraph, g2: LabelledGraph,
@@ -181,12 +135,13 @@ def commensurable(g1: LabelledGraph, g2: LabelledGraph,
     """Do the two presented groups share a finite-index subgroup?
 
     In scope only for graphs that reduce to strongly slide-free graphs
-    without proper plateaux.  When asked for a witness, topological covers
-    of each graph are enumerated up to the given total multiplicity; a
-    verified isomorphic pair may exist only at higher degree, in which case
-    the answer stands but no witness is attached.  A degree pair needing
-    over WITNESS_SEARCH_LIMIT voltage assignments raises InputError.
+    without proper plateaux.  The witness, if asked for, is the smallest
+    common topological cover, two maps with one source; past the given
+    total multiplicity the answer stands without it.  A witness_max_degree
+    below 1, or a smallest cover past COVER_VERTEX_LIMIT, raises InputError.
     """
+    if witness_max_degree is not None and witness_max_degree < 1:
+        raise InputError("witness_max_degree must be positive")
     r1, r2 = g1.reduce(), g2.reduce()
     violations = []
     for tag, r in (("first", r1), ("second", r2)):
@@ -207,17 +162,12 @@ def commensurable(g1: LabelledGraph, g2: LabelledGraph,
             f"vs {sorted(set(colors2.values()))}")
 
     certificate = f"shared stable colors: {shared}"
-    witness = isomorphism = edge_isomorphism = None
+    witness = None
     if witness_max_degree is not None:
-        if witness_max_degree < 1:
-            raise InputError("witness_max_degree must be positive")
-        found = _witness_search(h1, h2, witness_max_degree)
-        if found is None:
+        witness = _smallest_common_cover(h1, h2, colors1, colors2, witness_max_degree)
+        if witness is None:
             certificate += f"; no witness within total multiplicity {witness_max_degree}"
         else:
-            first, second, isomorphism, edge_isomorphism = found
-            witness = (first, second)
-            certificate += (f"; witness degrees {first.total_multiplicity()} "
-                            f"and {second.total_multiplicity()}")
-    return CommensurabilityVerdict("commensurable", witness, certificate, isomorphism,
-                                   edge_isomorphism)
+            certificate += (f"; witness degrees {witness[0].total_multiplicity()} "
+                            f"and {witness[1].total_multiplicity()}")
+    return CommensurabilityVerdict("commensurable", witness, certificate)

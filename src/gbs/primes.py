@@ -79,8 +79,11 @@ def smallest_prime_factor(n: int) -> int:
 
 def is_prime(n: int) -> bool:
     """Is n prime?  Only a probable prime at or past MILLER_RABIN_LIMIT is refused."""
-    if n > TRIAL_DIVISION_BOUND ** 2 and not _is_strong_probable_prime(n):
-        return False
+    if n > TRIAL_DIVISION_BOUND ** 2:
+        if not _is_strong_probable_prime(n):
+            return False
+        if n < MILLER_RABIN_LIMIT:  # the test is a proof here
+            return True
     return n >= 2 and smallest_prime_factor(n) == n
 
 

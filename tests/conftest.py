@@ -2,9 +2,9 @@ from collections import Counter
 
 import pytest
 
-from gbs import (AdmissibleMap, LabelledGraph, covering, run_suite, verify_admissible,
-                 voltage_cover)
-from gbs.decide import _canonical_key
+from gbs import (AdmissibleMap, LabelledGraph, covering, run_suite, stable_colorings,
+                 verify_admissible, voltage_cover)
+from gbs.decide import _smallest_common_cover
 
 
 def bs(m: int, n: int) -> LabelledGraph:
@@ -77,24 +77,21 @@ THREE_PRIMES = LabelledGraph.build(
 
 
 def distinct_labels(g: LabelledGraph) -> bool:
-    """Are the labels at every vertex pairwise distinct, as canonical keys need?"""
+    """Are the labels at every vertex pairwise distinct, as the fibre-product walk needs?"""
     return all(len({g.label(d) for d in g.darts_at(v)}) == g.valence(v) for v in g.vertices)
 
 
-def star_table(g: LabelledGraph) -> list[list[tuple[int, int, int]]]:
-    """Row k lists the darts at the k-th vertex of g as (label, reverse label,
-    position of the far vertex): the input of `decide._canonical_key`."""
-    stars: list[list[tuple[int, int, int]]] = [[] for _ in g.vertices]
-    for rec in g.edges:
-        o, t = g.vertex_position[rec.origin], g.vertex_position[rec.terminus]
-        stars[o].append((rec.label_origin, rec.label_terminus, t))
-        stars[t].append((rec.label_terminus, rec.label_origin, o))
-    return stars
-
-
-def graph_key(g: LabelledGraph):
-    """`_canonical_key` of the star table of g: (key, order) or None."""
-    return _canonical_key(star_table(g))
+def walk_isomorphism(g: LabelledGraph, h: LabelledGraph):
+    """Vertex and edge bijections from g onto h, read off a common cover of
+    degrees 1 and 1 from the fibre-product walk; None if g and h are not
+    isomorphic.  Both graphs must be connected, with distinct labels at
+    every vertex."""
+    found = _smallest_common_cover(g, h, *stable_colorings([g, h]), 1)
+    if found is None:
+        return None
+    first, second = found
+    return ({first.vertex_map[x]: second.vertex_map[x] for x in first.source.vertices},
+            {first.edge_map[r.name][0]: second.edge_map[r.name][0] for r in first.source.edges})
 
 
 def subdivided(g: LabelledGraph):
@@ -145,6 +142,7 @@ def is_label_preserving_isomorphism(g: LabelledGraph, h: LabelledGraph,
 
 def witness_cases() -> dict[str, tuple[LabelledGraph, LabelledGraph, int]]:
     """Commensurable pairs with the witness degree bound each is searched to."""
+    asymmetric = voltage_cover(R2, 3, {"a": (1, 0, 2), "b": (0, 2, 1)}).source
     return {
         "bs23-circle": (bs(2, 3), circle_graph([(2, 3), (2, 3)]), 2),
         "bs35-cover": (bs(3, 5), voltage_cover(bs(3, 5), 3, {"e": (1, 2, 0)}).source, 3),
@@ -155,6 +153,14 @@ def witness_cases() -> dict[str, tuple[LabelledGraph, LabelledGraph, int]]:
                           voltage_cover(R2, 2, {"a": (1, 0), "b": (1, 0)}).source, 2),
         "r2-deg2-deg3": (voltage_cover(R2, 2, {"a": (1, 0), "b": (0, 1)}).source,
                          voltage_cover(R2, 3, {"a": (1, 2, 0), "b": (0, 2, 1)}).source, 3),
+        # a cover without automorphisms against itself, its vertex order rotated:
+        # the first walk finds the 6 off-diagonal pairs, the smallest is the diagonal
+        "r2-asymmetric-rotated": (asymmetric, LabelledGraph(
+            asymmetric.vertices[1:] + asymmetric.vertices[:1], asymmetric.edges), 2),
+        # two components of the least size, 8, pass lcm(4, 4): the first one is kept
+        "r2-tied-components": (
+            voltage_cover(R2, 4, {"a": (2, 3, 0, 1), "b": (0, 1, 3, 2)}).source,
+            voltage_cover(R2, 4, {"a": (1, 2, 3, 0), "b": (0, 3, 2, 1)}).source, 2),
     }
 
 

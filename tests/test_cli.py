@@ -277,15 +277,42 @@ class TestOtherCommands:
         assert main(["cover", "verify", prefix + ".cover1.map"]) == 0
 
     def test_witness_search_over_the_limit_is_exit_two(self, tmp_path, capsys):
-        # degrees 1 and 5 would enumerate 1!^15 + 5!^3 = 1,728,001 covers
+        # cyclic covers of R2 with 101 and 103 sheets have one common cover,
+        # of 10,403 vertices; its walk is cut at the limit of 10,000
+        a, b = (write_graph(tmp_path, f"c{n}.gbs", voltage_cover(
+            R2, n, {"a": [(i + 1) % n for i in range(n)], "b": range(n)}).source)
+            for n in (101, 103))
+        assert main(["commensurable", a, b, "--witness", "--max-degree", "103",
+                     "--out", str(tmp_path / "wit")]) == 2
+        assert capsys.readouterr().err == \
+            "error: the smallest common cover has over 10000 vertices\n"
+        assert not list(tmp_path.glob("wit*"))
+
+    def test_r3_degree_five_witness(self, tmp_path, capsys):
         cover = voltage_cover(R3, 5, {e: (1, 2, 3, 4, 0) for e in "abc"}).source
         a = write_graph(tmp_path, "a.gbs", cover)
         b = write_graph(tmp_path, "b.gbs", R3)
+        prefix = str(tmp_path / "wit")
         start = time.perf_counter()
         assert main(["commensurable", a, b, "--witness", "--max-degree", "5",
-                     "--out", str(tmp_path / "wit")]) == 2
+                     "--out", prefix]) == 0
         assert time.perf_counter() - start < 1.0
-        assert "1728001 covers" in capsys.readouterr().err
+        out = capsys.readouterr().out
+        assert "; witness degrees 1 and 5\n" in out
+        assert out.count("iso-vertex") == 5 and out.count("iso-edge") == 15
+        for part in ("cover1", "cover2"):
+            assert main(["cover", "verify", f"{prefix}.{part}.map"]) == 0
+            assert "topological=true" in capsys.readouterr().out
+
+    def test_zero_max_degree_is_exit_two_on_every_pair(self, tmp_path, capsys):
+        a = write_graph(tmp_path, "a.gbs", bs(2, 3))
+        others = [write_graph(tmp_path, name, g) for name, g in (
+            ("b.gbs", circle_graph([(2, 3), (2, 3)])), ("c.gbs", bs(4, 9)), ("d.gbs", bs(2, 4)))]
+        for other in others:  # commensurable, not commensurable, out of scope
+            assert main(["commensurable", a, other, "--witness", "--max-degree", "0",
+                         "--out", str(tmp_path / "wit")]) == 2
+        assert capsys.readouterr().err == \
+            "error: witness_max_degree must be positive\n" * 3
         assert not list(tmp_path.glob("wit*"))
 
     def test_mapping_torus(self, tmp_path, capsys):

@@ -191,6 +191,17 @@ class TestVoltageCover:
         with pytest.raises(InputError):
             voltage_cover(bs(2, 3), 2, {"e": (0, 0)})
 
+    def test_oversized_cover_is_refused_before_it_is_built(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a graph was built")
+
+        monkeypatch.setattr(covering, "_sheeted_cover", unreachable)
+        with pytest.raises(InputError, match="cover would have 20000 vertices, above the "
+                                             "limit 10000"):
+            voltage_cover(bs(2, 3), 20_000, {"e": range(20_000)})
+        with pytest.raises(InputError, match="20002 vertices"):
+            voltage_cover(circle_graph([(2, 3), (2, 3)]), 10_001, {})
+
     def test_restrict_to_component_cuts_only_when_disconnected(self):
         connected = voltage_cover(bs(2, 3), 2, {"e": (1, 0)})
         assert restrict_to_component(connected) is connected

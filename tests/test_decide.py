@@ -1,14 +1,16 @@
 import math
+import random
+import time
 from itertools import permutations, product
 
 import pytest
 
 from conftest import (R2, R3, bs, circle_graph, f1, f2, f3, is_label_preserving_isomorphism,
-                      graph_key, nx_isomorphic, star_table, witness_cases)
-from gbs import (InputError, InternalError, LabelledGraph, commensurable, decide, emit_graph,
-                 emit_map, is_large, is_topological_covering, stable_colorings,
-                 verify_admissible, voltage_cover)
-from gbs.decide import _canonical_key, _connected_keys, _prepared, _witness_search
+                      nx_isomorphic, walk_isomorphism, witness_cases)
+from gbs import (InputError, InternalError, LabelledGraph, commensurable, decide,
+                 is_large, is_topological_covering, stable_colorings, verify_admissible,
+                 voltage_cover)
+from gbs.decide import _prepared, _smallest_common_cover
 
 
 class TestIsLarge:
@@ -88,13 +90,16 @@ class TestCommensurable:
                 second.total_multiplicity()} == {1, 2}
 
     def test_witness_carries_the_isomorphism_of_its_sources(self):
+        # both parts share one source, so the identity is the isomorphism
         verdict = commensurable(bs(2, 3), circle_graph([(2, 3), (2, 3)]),
                                 witness_max_degree=2)
         first, second = verdict.witness
-        assert is_label_preserving_isomorphism(first.source, second.source,
-                                               verdict.isomorphism, verdict.edge_isomorphism)
-        unasked = commensurable(bs(2, 3), circle_graph([(2, 3), (2, 3)]))
-        assert unasked.isomorphism is None and unasked.edge_isomorphism is None
+        assert first.source is second.source
+        source = first.source
+        assert is_label_preserving_isomorphism(source, second.source,
+                                               {v: v for v in source.vertices},
+                                               {r.name: r.name for r in source.edges})
+        assert commensurable(bs(2, 3), circle_graph([(2, 3), (2, 3)])).witness is None
 
     def test_distinct_moduli(self):
         verdict = commensurable(bs(2, 3), bs(4, 9))
@@ -129,7 +134,13 @@ class TestCommensurable:
     def test_witness_search_needs_equal_edge_vertex_ratios(self):
         # a common cover has |E|/|V| of both graphs; `commensurable` never
         # gets here, as graphs sharing a stable color have equal ratios
-        assert _witness_search(bs(2, 3), R3, 4) is None
+        assert _smallest_common_cover(bs(2, 3), R3, *stable_colorings([bs(2, 3), R3]), 4) is None
+
+    def test_zero_max_degree_is_refused_on_every_pair(self):
+        for g1, g2 in ((bs(2, 3), circle_graph([(2, 3), (2, 3)])), (bs(2, 3), bs(4, 9)),
+                       (bs(2, 4), bs(2, 3))):
+            with pytest.raises(InputError, match="witness_max_degree must be positive"):
+                commensurable(g1, g2, witness_max_degree=0)
 
     def test_negative_modulus_goes_through_double_cover(self):
         verdict = commensurable(bs(2, -3), bs(2, 3))
@@ -149,7 +160,8 @@ def connected_covers(g, degree):
 
 
 def pairwise_witness(h1, h2, max_degree):
-    """The search by pairwise isomorphism tests that canonical keys replace."""
+    """The reference search: connected covers of both graphs by increasing
+    degrees, compared pairwise by networkx isomorphism."""
     for total in range(2, 2 * max_degree + 1):
         for d1 in range(1, max_degree + 1):
             d2 = total - d1
@@ -164,82 +176,112 @@ def pairwise_witness(h1, h2, max_degree):
     return None
 
 
-def emitted(witness) -> str:
-    return "".join(emit_graph(m.source) + emit_map(m, "src.gbs", "tgt.gbs")
-                   for m in witness)
+def degrees(witness):
+    return None if witness is None else tuple(m.total_multiplicity() for m in witness)
+
+
+def random_cover(rng, base, degree):
+    """A random connected voltage cover of the given degree."""
+    while True:
+        cover = voltage_cover(base, degree, {r.name: rng.sample(range(degree), degree)
+                                             for r in base.edges}).source
+        if cover.is_connected():
+            return cover
+
+
+# the labels of R2 at its vertex, paired differently along the loops
+R2_TWISTED = LabelledGraph.build(["v"], [("a", "v", "v", 2, 7), ("b", "v", "v", 5, 3)])
 
 
 class TestWitnessSearch:
-    # the degree-3 case takes seconds pairwise; its witness is pinned in test_golden
-    @pytest.mark.parametrize("name", [name for name in witness_cases()
-                                      if name != "r2-deg2-deg3"])
+    # these two take seconds pairwise; their witnesses are pinned in test_golden
+    @pytest.mark.parametrize("name", [name for name in witness_cases() if name not in
+                                      ("r2-deg2-deg3", "r2-tied-components")])
     def test_same_witness_as_pairwise_search(self, name):
         g1, g2, degree = witness_cases()[name]
-        found = commensurable(g1, g2, witness_max_degree=degree).witness
+        first, second = commensurable(g1, g2, witness_max_degree=degree).witness
         expected = pairwise_witness(_prepared(g1.reduce()), _prepared(g2.reduce()), degree)
-        assert emitted(found) == emitted(expected)
+        assert degrees((first, second)) == degrees(expected)
+        assert nx_isomorphic(first.source, expected[0].source)
+
+    def test_same_degrees_as_pairwise_search_on_random_pairs(self):
+        rng = random.Random(16)
+        for _ in range(30):
+            g1, g2 = (random_cover(rng, R2, rng.choice((1, 2))) for _ in range(2))
+            verdict = commensurable(g1, g2, witness_max_degree=2)
+            assert verdict.answer == "commensurable"
+            assert degrees(verdict.witness) == degrees(pairwise_witness(g1, g2, 2))
+
+    def test_disjoint_colorings_have_no_common_cover(self):
+        rng = random.Random(17)
+        for _ in range(8):
+            g1, g2 = random_cover(rng, R2, rng.choice((1, 2))), \
+                random_cover(rng, R2_TWISTED, rng.choice((1, 2)))
+            if rng.random() < 0.5:
+                g1, g2 = g2, g1
+            colors1, colors2 = stable_colorings([g1, g2])
+            assert not set(colors1.values()) & set(colors2.values())
+            assert commensurable(g1, g2, witness_max_degree=2).answer == "not-commensurable"
+            assert pairwise_witness(g1, g2, 2) is None
 
     def test_key_rejects_equal_labels_at_a_vertex(self):
+        # the walk finds a dart by its label, the key of the dart table
         g = LabelledGraph.build(["v"], [("a", "v", "v", 2, 3), ("b", "v", "v", 2, 5)])
         with pytest.raises(InternalError, match="share a label"):
-            graph_key(g)
-
-    def test_key_rejects_disconnected_graph(self):
-        assert graph_key(voltage_cover(bs(2, 3), 2, {"e": (0, 1)}).source) is None
-
-    @pytest.mark.parametrize("base, degree", [(R2, 2), (R2, 3), (R3, 3)],
-                             ids=["R2-2", "R2-3", "R3-3"])
-    def test_keys_from_permutations_match_the_built_covers(self, base, degree):
-        names = [rec.name for rec in base.edges]
-        keyed = [(tuple(a[n] for n in names), k, order)
-                 for a, k, order in _connected_keys(base, degree)]
-        expected = []
-        for choice in product(permutations(range(degree)), repeat=len(names)):
-            source = voltage_cover(base, degree, dict(zip(names, choice))).source
-            found = _canonical_key(star_table(source))
-            assert (found is None) == (not source.is_connected())
-            if found is not None:
-                expected.append((choice, *found))
-        assert keyed == expected
-        assert 0 < len(expected) < math.factorial(degree) ** len(names)
-
-    def test_only_the_witness_pair_is_built(self, monkeypatch):
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return voltage_cover(*args)
-
-        monkeypatch.setattr(decide, "voltage_cover", counting)
-        for name, (g1, g2, degree) in witness_cases().items():
-            h1, h2 = _prepared(g1.reduce()), _prepared(g2.reduce())
-            for max_degree in range(1, degree + 1):
-                calls.clear()
-                found = _witness_search(h1, h2, max_degree)
-                assert len(calls) == (0 if found is None else 2), (name, max_degree)
-            assert found is not None, name
+            walk_isomorphism(g, g)
 
     def test_key_ignores_names_order_and_orientation(self):
         g = circle_graph([(2, 3), (5, 7), (2, 3)])
         h = LabelledGraph.build(["x", "y", "z"], [("p", "y", "x", 3, 2),
                                                   ("q", "z", "y", 7, 5),
                                                   ("r", "z", "x", 2, 3)])
-        assert graph_key(g)[0] == graph_key(h)[0]
-        assert graph_key(g)[0] == graph_key(circle_graph([(5, 7), (2, 3), (2, 3)]))[0]
-        assert graph_key(g)[0] != graph_key(circle_graph([(2, 3), (7, 5), (2, 3)]))[0]
+        assert walk_isomorphism(g, h) is not None
+        assert walk_isomorphism(g, circle_graph([(5, 7), (2, 3), (2, 3)])) is not None
+        assert walk_isomorphism(g, circle_graph([(2, 3), (7, 5), (2, 3)])) is None
 
-    def test_key_tells_reverse_labels_apart(self):
+    def test_only_the_witness_pair_is_built(self, monkeypatch):
+        # the two witness maps share the one graph the search builds
+        built = []
+
+        def counting(*args):
+            built.append(LabelledGraph(*args))
+            return built[-1]
+
+        monkeypatch.setattr(decide, "LabelledGraph", counting)
+        for name, (g1, g2, degree) in witness_cases().items():
+            h1, h2 = _prepared(g1.reduce()), _prepared(g2.reduce())
+            colors = stable_colorings([h1, h2])
+            for max_degree in range(1, degree + 1):
+                built.clear()
+                found = _smallest_common_cover(h1, h2, *colors, max_degree)
+                assert len(built) == (found is not None), (name, max_degree)
+            assert found[0].source is found[1].source is built[0], name
+
+    def test_walk_tells_reverse_labels_apart(self):
         # same labels and termini at both ends, paired differently
         a = LabelledGraph.build(["x", "y"], [("e", "x", "y", 2, 3), ("f", "x", "y", 5, 7)])
         b = LabelledGraph.build(["x", "y"], [("e", "x", "y", 2, 7), ("f", "x", "y", 5, 3)])
         assert not nx_isomorphic(a, b)
-        assert graph_key(a)[0] != graph_key(b)[0]
+        assert walk_isomorphism(a, b) is None
 
     def test_over_the_limit_is_refused(self):
-        cover = voltage_cover(R3, 5, {e: (1, 2, 3, 4, 0) for e in "abc"}).source
-        with pytest.raises(InputError, match="1728001 covers"):
-            commensurable(cover, R3, witness_max_degree=5)
+        # cyclic covers of R2 with 101 and 103 sheets: their one common
+        # cover has 10,403 vertices, and the walk stops after 10,000
+        first, second = (voltage_cover(R2, n, {"a": [(i + 1) % n for i in range(n)],
+                                               "b": range(n)}).source for n in (101, 103))
+        with pytest.raises(InputError, match="over 10000 vertices"):
+            commensurable(first, second, witness_max_degree=103)
+        assert commensurable(first, second, witness_max_degree=99).certificate.endswith(
+            "no witness within total multiplicity 99")
 
     def test_earlier_degree_pairs_answer_below_the_limit(self):
         verdict = commensurable(R3, R3, witness_max_degree=5)
         assert verdict.certificate.endswith("witness degrees 1 and 1")
+
+    def test_r3_degree_five_pair_is_answered(self):
+        cover = voltage_cover(R3, 5, {e: (1, 2, 3, 4, 0) for e in "abc"}).source
+        start = time.perf_counter()
+        verdict = commensurable(cover, R3, witness_max_degree=5)
+        assert time.perf_counter() - start < 1.0
+        assert verdict.certificate.endswith("witness degrees 1 and 5")
+        assert all(is_topological_covering(m) for m in verdict.witness)

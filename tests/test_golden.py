@@ -3,9 +3,9 @@
 The cover constructions name and wire their sheets deterministically, and
 the suite reports are deterministic for a fixed count and seed; these
 values were recorded before the constructions shared one sheet builder,
-the witness digests before the witness search keyed covers canonically,
-the digests of the printed witness bijections before those were read off
-the canonical keys,
+the witness digests and those of the printed witness bijections when the
+witness became the smallest fibre-product component (after both parts
+passed the covering and networkx checks),
 the graph-move digest before `LabelledGraph` shared its sign changes and
 tree walks, and they must never change silently.
 """
@@ -124,12 +124,14 @@ def test_suite_report_digest(capsys, name):
 
 
 WITNESS_DIGESTS = {  # witness case: sha256 of both witness parts, first then second
-    "bs23-circle": "5ff5468c339ae17e9700d6297b1ba04864e576d1d6fccd9a7cf00627c47c82b7",
-    "bs35-cover": "19673cc70628db8bbea0a86b4239bdae3bcfb5a8af4b9f5e4cd37efebf0439f4",
-    "bs2m3-bs23": "4fb84e961e0114b3f627aeeb06161dbb38999a26e6c97b461f9d9a771e1b37ee",
-    "r2-loops-swap": "a56f9658431f09f635d9c43f0b81f3d5a6950955221610a6b579e560f59ba686",
-    "r2-swap-loops": "d602061519929405428923778554c241d71a0b922e601291ab0ac4f0131278ea",
-    "r2-deg2-deg3": "3131ad6e95562d73296bc9e66ccf180daeaf67c449b0aadb6fc3d2c98d859650",
+    "bs23-circle": "06335438f257ed0cdba33e54244d66cdf366a5dbf42ad4605ead6b556231bf55",
+    "bs35-cover": "6a1d70a83597a209d437e68e1b0148601a306e7184b8cda5f42255065414acb2",
+    "bs2m3-bs23": "d867a7695f546c63ce4a35e6757b792a8a25898a5c31154beda63c666994dea5",
+    "r2-loops-swap": "8a98337fb8d28ab6af21e672314fc6a6feaf1156d6a82a4d04db7fe84893164c",
+    "r2-swap-loops": "a717db8d90b7fd407d176306f234c6080cc0f589affb6f4714f7757509ab04c9",
+    "r2-deg2-deg3": "9e47e90fe5d38f8fa32293b50d68e43410d8df701140ea67c3a9c11620c6c89c",
+    "r2-asymmetric-rotated": "44dc43026df4e7981769be87ce7f894adf4c8c00d3988ae277f57ac284f209b1",
+    "r2-tied-components": "c03264d786eefd1af92f0a6935b8f1fc77b3ee9250612b113b1fea082c42bd38",
 }
 
 
@@ -142,12 +144,14 @@ def test_witness_digest(name):
 
 
 ISO_LINE_DIGESTS = {  # witness case: sha256 of the iso-vertex and iso-edge lines
-    "bs23-circle": "f43cd331eb2d9035a73a1950e493b0194096842701c74fc97264cfd7d8be7c0f",
-    "bs35-cover": "ab55942fe7e96beda750c2fc27b9480edf2435f7ac3c6dc6a1c1237e0a6c9904",
-    "bs2m3-bs23": "48e15e16999d15f67cb5e7e6d147c83648a552174093692a256083cdec4c1f41",
-    "r2-loops-swap": "d0b6373e4e9877231a317dd063c8417900d921aa2dbd445ebc5dffa1e8092eef",
-    "r2-swap-loops": "dbb0147828a23ffba73d571f2b8700e4880089554740b0ebcf0bc6cde400d917",
-    "r2-deg2-deg3": "96b48ed5b43cb75ef5ebef66e5a5885fe6731a374915cba2dbf337a7b55463e4",
+    "bs23-circle": "cc04cf9a00e9fb38653521a5426079903716cd28b69925640c253d27c454e937",
+    "bs35-cover": "ff3c5eef6564e8a30c8ce59cc2dfdfa1e911e4dc9a4dc91f44f955c8af3d5373",
+    "bs2m3-bs23": "cc04cf9a00e9fb38653521a5426079903716cd28b69925640c253d27c454e937",
+    "r2-loops-swap": "6617060d66437f81d3dc4bdf4166ca71d475d2c0130b9b090714579ef8103e06",
+    "r2-swap-loops": "6617060d66437f81d3dc4bdf4166ca71d475d2c0130b9b090714579ef8103e06",
+    "r2-deg2-deg3": "4e6972095c501a95b3f2007231aef4c17778eb2c10b932172b02d4b4188b352d",
+    "r2-asymmetric-rotated": "528ed49a1d12852db1fbb46d690fa993a6232e8009aaf2c6fc0d142fd43d48b5",
+    "r2-tied-components": "d9e188132261de267ff19faf3cbaf194b9820a1390a968b7b2e1509711d05359",
 }
 
 

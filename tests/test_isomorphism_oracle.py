@@ -1,4 +1,4 @@
-"""Canonical keys and their bijections against networkx, an independent oracle.
+"""The fibre-product walk and its bijections against networkx, an independent oracle.
 
 `nx_isomorphic` subdivides each edge by a node joined to its two ends by
 the labels at those ends, so label-preserving, orientation-free isomorphism
@@ -10,10 +10,9 @@ import random
 
 from hypothesis import assume, given, settings
 
-from conftest import (R2, R3, distinct_labels, graph_key,
-                      is_label_preserving_isomorphism, nx_isomorphic)
+from conftest import (R2, R3, distinct_labels, is_label_preserving_isomorphism,
+                      nx_isomorphic, walk_isomorphism)
 from gbs import LabelledGraph, voltage_cover
-from gbs.decide import _key_bijection
 from strategies import connected_graphs
 
 
@@ -48,7 +47,7 @@ def conjugated(rng: random.Random, degree: int, assignment: dict) -> dict:
             for e, sigma in assignment.items()}
 
 
-def test_canonical_key_agrees_with_networkx():
+def test_fibre_walk_agrees_with_networkx():
     rng = random.Random(6)
     outcomes = {True: 0, False: 0}
     for _ in range(120):
@@ -63,13 +62,13 @@ def test_canonical_key_agrees_with_networkx():
                      else connected_assignment(rng, base, degree))
             b = voltage_cover(base, degree, other).source
         same = nx_isomorphic(a, b)
-        assert (graph_key(a)[0] == graph_key(b)[0]) == same
+        assert (walk_isomorphism(a, b) is not None) == same
         outcomes[same] += 1
     assert min(outcomes.values()) >= 20
 
 
-def test_key_bijection_is_a_label_preserving_isomorphism():
-    # every equal-key pair of connected covers of R2 and R3, with names, order
+def test_walk_bijection_is_a_label_preserving_isomorphism():
+    # every isomorphic pair of connected covers of R2 and R3, with names, order
     # and orientations shuffled on one side, and the networkx verdict on it
     rng = random.Random(7)
     pairs = 0
@@ -78,18 +77,17 @@ def test_key_bijection_is_a_label_preserving_isomorphism():
                   for _ in range(12)]
         for a in covers:
             for b in (relabelled(rng, cover) for cover in covers):
-                (key_a, order_a), (key_b, order_b) = graph_key(a), graph_key(b)
-                if key_a != key_b:
+                found = walk_isomorphism(a, b)
+                if found is None:
                     continue
                 assert nx_isomorphic(a, b)
-                assert is_label_preserving_isomorphism(
-                    a, b, *_key_bijection(a, order_a, b, order_b))
+                assert is_label_preserving_isomorphism(a, b, *found)
                 pairs += 1
     assert pairs >= 60
 
 
 @given(connected_graphs(max_vertices=3), connected_graphs(max_vertices=3))
 @settings(deadline=None, max_examples=60)
-def test_canonical_key_agrees_on_unrelated_graphs(g, h):
+def test_fibre_walk_agrees_on_unrelated_graphs(g, h):
     assume(distinct_labels(g) and distinct_labels(h))
-    assert (graph_key(g)[0] == graph_key(h)[0]) == nx_isomorphic(g, h)
+    assert (walk_isomorphism(g, h) is not None) == nx_isomorphic(g, h)

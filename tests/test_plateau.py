@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 
 import pytest
@@ -199,6 +200,18 @@ class TestPrimes:
                 is_prime(n)
         else:  # some base witnesses n composite, which is a proof
             assert is_prime(n) is False
+
+    def test_is_prime_agrees_with_factoring_past_trial_division_squared(self):
+        # three primes lie in this range, and 999983 * 1000039 has its least
+        # factor just below the trial division bound
+        for n in (*range(10 ** 12 + 1, 10 ** 12 + 64), 999983 * 1000039):
+            assert is_prime(n) == (smallest_prime_factor(n) == n), n
+
+    def test_is_prime_needs_no_trial_division_below_the_limit(self):
+        # trial division up to 10**6 alone would take tens of milliseconds
+        start = time.perf_counter()
+        assert is_prime(2 ** 61 - 1)
+        assert time.perf_counter() - start < 0.01
 
     def test_miller_rabin_bases(self):
         assert not _is_strong_probable_prime(399165290221 * 798330580441)
