@@ -14,7 +14,7 @@ import sys
 
 from . import io
 from .analysis import check_inequalities, classify
-from .covering import (COVER_VERTEX_LIMIT, branched_cover, compose, extract_proper_plateau,
+from .covering import (branched_cover, check_cover_size, compose, extract_proper_plateau,
                        is_topological_covering, plateau_free_cover,
                        verify_admissible, voltage_cover, restrict_to_component)
 from .decide import commensurable, is_large
@@ -25,12 +25,6 @@ from .plateau import (all_plateaux, generates, minimum_generating_vertices, mu,
                       plateaux_for_prime, rank)
 from .suites import run_suite
 from .torus import _mapping_torus_graph, _subdivide_inverted_edges, verify_automorphism
-
-
-def _check_cover_size(predicted: int) -> None:
-    if predicted > COVER_VERTEX_LIMIT:
-        raise InputError(f"cover would have {predicted} vertices, above the limit "
-                         f"{COVER_VERTEX_LIMIT}")
 
 
 def _plateau_line(g: LabelledGraph, plateau) -> str:
@@ -170,7 +164,7 @@ def cmd_cover_branch(args) -> int:
 
 def cmd_cover_voltage(args) -> int:
     g = io.load_graph(args.file)
-    _check_cover_size(args.degree * len(g.vertices))
+    check_cover_size(args.degree * len(g.vertices))
     assignment = random_voltage_assignment(random.Random(_seed(args)), g, args.degree)
     cover = voltage_cover(g, args.degree, assignment)
     if args.component:

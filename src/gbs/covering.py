@@ -291,7 +291,8 @@ def _sheeted_cover(g: LabelledGraph, vertex_sheets: Callable[[str], _VertexSheet
 COVER_VERTEX_LIMIT = 10_000
 
 
-def _check_cover_size(predicted: int) -> None:
+def check_cover_size(predicted: int) -> None:
+    """Refuse a cover predicted to have more than COVER_VERTEX_LIMIT vertices."""
     if predicted > COVER_VERTEX_LIMIT:
         raise InputError(f"cover would have {predicted} vertices, above the limit "
                          f"{COVER_VERTEX_LIMIT}")
@@ -310,7 +311,7 @@ def branched_cover(g: LabelledGraph, plateau: Plateau) -> AdmissibleMap:
         raise InputError("branched covers require a proper plateau")
     p = plateau.prime
     inside = plateau.vertices
-    _check_cover_size(len(inside) + p * (len(g.vertices) - len(inside)))
+    check_cover_size(len(inside) + p * (len(g.vertices) - len(inside)))
 
     def vertex_sheets(v: str) -> _VertexSheets:
         return (p, (0,)) if v in inside else (1, range(1, p + 1))
@@ -338,7 +339,7 @@ def voltage_cover(g: LabelledGraph, degree: int,
     """
     if degree < 1:
         raise InputError("degree must be positive")
-    _check_cover_size(degree * len(g.vertices))
+    check_cover_size(degree * len(g.vertices))
     perms: dict[str, tuple[int, ...]] = {}
     for rec in g.edges:
         if rec.name not in assignment:

@@ -75,40 +75,48 @@ def _smallest_common_cover(h1: LabelledGraph, h2: LabelledGraph, colors1: dict[s
     """The smallest component of the fibre product of h1 and h2 as two
     covers with one source, or None past max_degree over either graph.
 
-    Labels at a vertex are distinct, so a walk steps along each dart d1 of
-    h1 with the dart of h2 carrying d1's label.  One walk per same-colored
-    pair over h1's first vertex v0 meets every component, onto which any
-    common cover maps.  A walk stops past the best size, max_degree times
-    the smaller vertex count, COVER_VERTEX_LIMIT (InputError if nothing is
-    left) or on meeting a stopped walk; lcm(|V1|, |V2|) vertices is final.
+    Every component has a multiple of lcm(|V1|, |V2|) vertices, so nothing
+    is walked when that is past either bound.  Labels at a vertex are
+    distinct, so a walk steps along each dart d1 of h1 with the dart of h2
+    carrying d1's label.  One walk per same-colored pair over h1's first
+    vertex v0 meets every component, onto which any common cover maps.  A
+    walk stops past the best size, max_degree times the smaller vertex
+    count, COVER_VERTEX_LIMIT (InputError if nothing is left) or on meeting
+    a stopped walk; lcm(|V1|, |V2|) vertices is final.
     """
-    dart_by_label = {v: {h2.label(d): d for d in h2.darts_at(v)} for v in h2.vertices}
-    if any(len(table) < h2.valence(v) for v, table in dart_by_label.items()):
-        raise InternalError("two darts at one vertex share a label")
     n1, n2 = len(h1.vertices), len(h2.vertices)
+    smallest = math.lcm(n1, n2)  # every component covers both graphs
+    if smallest > max_degree * min(n1, n2):
+        return None
+    if smallest > COVER_VERTEX_LIMIT:
+        raise InputError(f"the smallest common cover has over {COVER_VERTEX_LIMIT} vertices")
     cap = min(max_degree * min(n1, n2), COVER_VERTEX_LIMIT)
+    steps1 = {v: [(h1.label(d), h1.terminus(d), d) for d in h1.darts_at(v)] for v in h1.vertices}
+    steps2 = {v: {h2.label(d): (h2.terminus(d), d) for d in h2.darts_at(v)} for v in h2.vertices}
+    if any(len(table) < h2.valence(v) for v, table in steps2.items()):
+        raise InternalError("two darts at one vertex share a label")
     v0, seen, best = h1.vertices[0], set(), None
     for v2 in h2.vertices:
         if colors2[v2] != colors1[v0] or (v0, v2) in seen:
             continue
         bound = cap if best is None else min(cap, len(best[0]) - 1)
         index, pairs, edges = {(v0, v2): 0}, [(v0, v2)], []
-        for x1, x2 in pairs:  # `pairs` grows in breadth-first order
+        for i, (x1, x2) in enumerate(pairs):  # `pairs` grows in breadth-first order
             if len(pairs) > bound or (x1, x2) in seen:  # `seen` holds only stopped walks here
                 break
-            for d1 in h1.darts_at(x1):
-                d2 = dart_by_label[x2].get(h1.label(d1))
-                if d2 is None:
+            table = steps2[x2]
+            for label, t1, d1 in steps1[x1]:
+                if label not in table:
                     raise InternalError(f"no dart at {x2!r} matches {d1.render()!r}")
-                far = (h1.terminus(d1), h2.terminus(d2))
-                if far not in index:
-                    index[far] = len(pairs)
-                    pairs.append(far)
+                t2, d2 = table[label]
+                j = index.setdefault((t1, t2), len(pairs))
+                if j == len(pairs):
+                    pairs.append((t1, t2))
                 if d1.forward:  # (edge of h1, dart of h2, origin, terminus)
-                    edges.append((d1.edge, d2, index[x1, x2], index[far]))
+                    edges.append((d1.edge, d2, i, j))
         else:  # the component closed within `bound`
             best = pairs, edges
-            if len(pairs) == math.lcm(n1, n2):
+            if len(pairs) == smallest:
                 break
         seen.update(pairs)
     if best is None:  # every walk, if any, was stopped at `cap`

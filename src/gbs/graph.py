@@ -264,31 +264,32 @@ class LabelledGraph:
                     order.append(w)
         return order, parent_dart
 
-    def _tree_path(self, a: str, b: str, parent_dart) -> list[Dart]:
-        """Darts of the spanning-tree path from a to b."""
-        def to_root(v: str) -> list[Dart]:
-            darts = []
-            while v in parent_dart:
-                darts.append(parent_dart[v].reverse())
-                v = self.origin(parent_dart[v])
-            return darts
-
-        up_a, up_b = to_root(a), to_root(b)
-        while up_a and up_b and up_a[-1] == up_b[-1]:
-            up_a.pop()
-            up_b.pop()
+    def _tree_path(self, a: str, b: str, parent_dart, depth) -> list[Dart]:
+        """Darts of the spanning-tree path from a to b, climbing only to where they meet."""
+        up_a: list[Dart] = []
+        up_b: list[Dart] = []
+        while a != b:
+            if depth[a] >= depth[b]:
+                up_a.append(parent_dart[a].reverse())
+                a = self.origin(parent_dart[a])
+            else:
+                up_b.append(parent_dart[b].reverse())
+                b = self.origin(parent_dart[b])
         return up_a + [d.reverse() for d in reversed(up_b)]
 
     def modulus(self) -> CycleBasisModulus:
         """Label-ratio products over the fundamental cycles of the chosen tree."""
         tree = self.maximal_subtree()
-        _, parent_dart = self._tree_structure(tree)
+        order, parent_dart = self._tree_structure(tree)
+        depth = {order[0]: 0}
+        for v in order[1:]:
+            depth[v] = depth[self.origin(parent_dart[v])] + 1
         entries: list[ModulusEntry] = []
         for rec in self.edges:
             if rec.name in tree:
                 continue
             d0 = Dart(rec.name, True)
-            loop = [d0] + self._tree_path(rec.terminus, rec.origin, parent_dart)
+            loop = [d0] + self._tree_path(rec.terminus, rec.origin, parent_dart, depth)
             value = Fraction(1)
             for dart in loop:
                 value *= Fraction(self.label(dart), self.label(dart.reverse()))

@@ -70,6 +70,14 @@ def figures():
 R2 = LabelledGraph.build(["v"], [("a", "v", "v", 2, 3), ("b", "v", "v", 5, 7)])
 R3 = LabelledGraph.build(["v"], [("a", "v", "v", 2, 3), ("b", "v", "v", 5, 7),
                                  ("c", "v", "v", 11, 13)])
+
+
+def cyclic_cover(n: int, turned: str = "a") -> LabelledGraph:
+    """The n-sheeted cyclic cover of R2 whose loop `turned` moves sheet i to i + 1."""
+    turn = [(i + 1) % n for i in range(n)]
+    return voltage_cover(R2, n, {e: turn if e == turned else range(n) for e in ("a", "b")}).source
+
+
 # the golden plateau-free cover target: labels over the primes 2, 3, 5 and 7
 THREE_PRIMES = LabelledGraph.build(
     ["a", "b", "c"],

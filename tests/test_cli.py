@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import R2, R3, bs, circle_graph, f1, f3, f4_map
+from conftest import R2, R3, bs, circle_graph, cyclic_cover, f1, f3, f4_map
 from gbs import emit_graph, emit_map, load_map, verify_admissible, voltage_cover
 from gbs import cli, covering, plateau, torus
 from gbs.cli import main
@@ -238,12 +238,11 @@ class TestInputBounds:
                      "--out", str(tmp_path / "out")]) == 2
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
-        assert f" {predicted} vertices" in err and f"limit {cli.COVER_VERTEX_LIMIT}" in err
+        assert f" {predicted} vertices" in err and f"limit {covering.COVER_VERTEX_LIMIT}" in err
         assert not list(tmp_path.glob("out*"))
 
     def test_cover_limit_is_inclusive(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "COVER_VERTEX_LIMIT", 6)  # voltage
-        monkeypatch.setattr(covering, "COVER_VERTEX_LIMIT", 6)  # branch
+        monkeypatch.setattr(covering, "COVER_VERTEX_LIMIT", 6)
         path = write_graph(tmp_path, "bs23.gbs", bs(2, 3))
         assert main(["cover", "voltage", path, "--degree", "6",
                      "--out", str(tmp_path / "six")]) == 0
@@ -277,15 +276,34 @@ class TestOtherCommands:
         assert main(["cover", "verify", prefix + ".cover1.map"]) == 0
 
     def test_witness_search_over_the_limit_is_exit_two(self, tmp_path, capsys):
-        # cyclic covers of R2 with 101 and 103 sheets have one common cover,
-        # of 10,403 vertices; its walk is cut at the limit of 10,000
-        a, b = (write_graph(tmp_path, f"c{n}.gbs", voltage_cover(
-            R2, n, {"a": [(i + 1) % n for i in range(n)], "b": range(n)}).source)
-            for n in (101, 103))
+        # cyclic covers of R2 with 101 and 103 sheets: every common cover has
+        # a multiple of 10,403 vertices, so nothing is walked
+        a, b = (write_graph(tmp_path, f"c{n}.gbs", cyclic_cover(n)) for n in (101, 103))
         assert main(["commensurable", a, b, "--witness", "--max-degree", "103",
                      "--out", str(tmp_path / "wit")]) == 2
         assert capsys.readouterr().err == \
             "error: the smallest common cover has over 10000 vertices\n"
+        assert not list(tmp_path.glob("wit*"))
+
+    def test_walk_cut_at_the_limit_is_exit_two(self, tmp_path, capsys):
+        # 101-sheeted cyclic covers of R2 turning different loops: the walk
+        # of their one common cover, of 10,201 vertices, is cut at 10,000
+        a = write_graph(tmp_path, "a.gbs", cyclic_cover(101))
+        b = write_graph(tmp_path, "b.gbs", cyclic_cover(101, "b"))
+        assert main(["commensurable", a, b, "--witness", "--max-degree", "100",
+                     "--out", str(tmp_path / "wit")]) == 2
+        assert capsys.readouterr().err == \
+            "error: the smallest common cover has over 10000 vertices\n"
+        assert not list(tmp_path.glob("wit*"))
+
+    def test_nothing_is_walked_past_the_smallest_size(self, tmp_path, capsys):
+        # every common cover of cyclic covers of R2 with 1000 and 999 sheets
+        # has a multiple of 999,000 vertices, past the default degree 4
+        a, b = (write_graph(tmp_path, f"c{n}.gbs", cyclic_cover(n)) for n in (1000, 999))
+        start = time.perf_counter()
+        assert main(["commensurable", a, b, "--witness", "--out", str(tmp_path / "wit")]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().out.endswith("; no witness within total multiplicity 4\n")
         assert not list(tmp_path.glob("wit*"))
 
     def test_r3_degree_five_witness(self, tmp_path, capsys):

@@ -5,8 +5,8 @@ from itertools import permutations, product
 
 import pytest
 
-from conftest import (R2, R3, bs, circle_graph, f1, f2, f3, is_label_preserving_isomorphism,
-                      nx_isomorphic, walk_isomorphism, witness_cases)
+from conftest import (R2, R3, bs, circle_graph, cyclic_cover, f1, f2, f3, nx_isomorphic,
+                      walk_isomorphism, witness_cases)
 from gbs import (InputError, InternalError, LabelledGraph, commensurable, decide,
                  is_large, is_topological_covering, stable_colorings, verify_admissible,
                  voltage_cover)
@@ -95,10 +95,6 @@ class TestCommensurable:
                                 witness_max_degree=2)
         first, second = verdict.witness
         assert first.source is second.source
-        source = first.source
-        assert is_label_preserving_isomorphism(source, second.source,
-                                               {v: v for v in source.vertices},
-                                               {r.name: r.name for r in source.edges})
         assert commensurable(bs(2, 3), circle_graph([(2, 3), (2, 3)])).witness is None
 
     def test_distinct_moduli(self):
@@ -265,14 +261,34 @@ class TestWitnessSearch:
         assert walk_isomorphism(a, b) is None
 
     def test_over_the_limit_is_refused(self):
-        # cyclic covers of R2 with 101 and 103 sheets: their one common
-        # cover has 10,403 vertices, and the walk stops after 10,000
-        first, second = (voltage_cover(R2, n, {"a": [(i + 1) % n for i in range(n)],
-                                               "b": range(n)}).source for n in (101, 103))
+        # cyclic covers of R2 with 101 and 103 sheets: every common cover
+        # has a multiple of 10,403 vertices, so nothing is walked
+        first, second = cyclic_cover(101), cyclic_cover(103)
         with pytest.raises(InputError, match="over 10000 vertices"):
             commensurable(first, second, witness_max_degree=103)
         assert commensurable(first, second, witness_max_degree=99).certificate.endswith(
             "no witness within total multiplicity 99")
+
+    def test_walk_cut_at_the_limit_is_refused(self):
+        # 101-sheeted cyclic covers of R2 turning different loops: their one
+        # common cover has 101^2 = 10,201 vertices, and the walk stops after
+        # 10,000; at degree 99 it stops at 9,999 instead, below the limit
+        first, second = cyclic_cover(101), cyclic_cover(101, "b")
+        with pytest.raises(InputError, match="over 10000 vertices"):
+            commensurable(first, second, witness_max_degree=100)
+        assert commensurable(first, second, witness_max_degree=99).certificate.endswith(
+            "no witness within total multiplicity 99")
+
+    def test_nothing_is_walked_past_the_smallest_size(self):
+        # every common cover of the cyclic covers of R2 with 1000 and 999
+        # sheets has a multiple of 999,000 vertices
+        first, second = cyclic_cover(1000), cyclic_cover(999)
+        start = time.perf_counter()
+        verdict = commensurable(first, second, witness_max_degree=4)
+        with pytest.raises(InputError, match="over 10000 vertices"):
+            commensurable(first, second, witness_max_degree=1000)
+        assert time.perf_counter() - start < 1.0
+        assert verdict.certificate.endswith("no witness within total multiplicity 4")
 
     def test_earlier_degree_pairs_answer_below_the_limit(self):
         verdict = commensurable(R3, R3, witness_max_degree=5)
