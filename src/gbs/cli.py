@@ -237,24 +237,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Invariants and finite-index covers of labelled graphs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def command(subparsers, name, handler):
+        p = subparsers.add_parser(name)
         p.set_defaults(func=handler)
         return p
 
-    command("rank", cmd_rank).add_argument("file")
-    command("mu", cmd_mu).add_argument("file")
-    p = command("plateaux", cmd_plateaux)
+    command(sub, "rank", cmd_rank).add_argument("file")
+    command(sub, "mu", cmd_mu).add_argument("file")
+    p = command(sub, "plateaux", cmd_plateaux)
     p.add_argument("file")
     p.add_argument("--prime", type=int, default=None)
-    p = command("generates", cmd_generates)
+    p = command(sub, "generates", cmd_generates)
     p.add_argument("file")
     p.add_argument("--keep", required=True, help="comma-separated vertex ids")
-    command("reduce", cmd_reduce).add_argument("file")
-    command("normalize", cmd_normalize).add_argument("file")
-    command("modulus", cmd_modulus).add_argument("file")
-    command("large", cmd_large).add_argument("file")
-    p = command("commensurable", cmd_commensurable)
+    command(sub, "reduce", cmd_reduce).add_argument("file")
+    command(sub, "normalize", cmd_normalize).add_argument("file")
+    command(sub, "modulus", cmd_modulus).add_argument("file")
+    command(sub, "large", cmd_large).add_argument("file")
+    p = command(sub, "commensurable", cmd_commensurable)
     p.add_argument("file1")
     p.add_argument("file2")
     p.add_argument("--witness", action="store_true")
@@ -263,40 +263,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="witness")
 
     cover = sub.add_parser("cover").add_subparsers(dest="subcommand", required=True)
-
-    def cover_command(name, handler):
-        p = cover.add_parser(name)
-        p.set_defaults(func=handler)
-        return p
-
-    cover_command("verify", cmd_cover_verify).add_argument("map")
-    p = cover_command("branch", cmd_cover_branch)
+    command(cover, "verify", cmd_cover_verify).add_argument("map")
+    p = command(cover, "branch", cmd_cover_branch)
     p.add_argument("file")
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--plateau-vertex", required=True)
     p.add_argument("--out", default="branch")
-    p = cover_command("voltage", cmd_cover_voltage)
+    p = command(cover, "voltage", cmd_cover_voltage)
     p.add_argument("file")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--component", action="store_true",
                    help="restrict to the first connected component")
     p.add_argument("--out", default="voltage")
-    p = cover_command("plateau-free", cmd_cover_plateau_free)
+    p = command(cover, "plateau-free", cmd_cover_plateau_free)
     p.add_argument("file")
     p.add_argument("--out", default="plateaufree")
-    p = cover_command("compose", cmd_cover_compose)
+    p = command(cover, "compose", cmd_cover_compose)
     p.add_argument("map1", help="outer map (its source is map2's target)")
     p.add_argument("map2", help="inner map")
     p.add_argument("--out", default="composite")
-    cover_command("extract-plateau", cmd_cover_extract).add_argument("map")
-    cover_command("classify", cmd_cover_classify).add_argument("map")
-    cover_command("audit", cmd_cover_audit).add_argument("map")
+    command(cover, "extract-plateau", cmd_cover_extract).add_argument("map")
+    command(cover, "classify", cmd_cover_classify).add_argument("map")
+    command(cover, "audit", cmd_cover_audit).add_argument("map")
 
-    p = command("mapping-torus", cmd_mapping_torus)
+    p = command(sub, "mapping-torus", cmd_mapping_torus)
     p.add_argument("file")
     p.add_argument("--graph-only", action="store_true")
-    p = command("suite", cmd_suite)
+    p = command(sub, "suite", cmd_suite)
     p.add_argument("name")
     p.add_argument("--count", type=int, default=1000)
     p.add_argument("--seed", type=int, default=1)

@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from itertools import product
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, InternalError
 from .graph import Dart, EdgeRecord, LabelledGraph
@@ -247,10 +248,10 @@ def is_topological_covering(m: AdmissibleMap) -> bool:
 
 
 # (multiplicity, sheet numbers) of a vertex
-_VertexSheets = tuple[int, Iterable[int]]
+_VertexSheets = tuple[int, Iterable[int | str]]
 # (label at origin, label at terminus, multiplicity, sheets) of an edge, where
 # sheet j is the triple (j, origin sheet, terminus sheet)
-_EdgeSheets = tuple[int, int, int, Iterable[tuple[int, int, int]]]
+_EdgeSheets = tuple[int, int, int, Iterable[tuple[int | str, int | str, int | str]]]
 
 
 def _sheeted_cover(g: LabelledGraph, vertex_sheets: Callable[[str], _VertexSheets],
@@ -448,19 +449,24 @@ def extract_proper_plateau(m: AdmissibleMap) -> Plateau:
 
 # -- plateau-free covers -------------------------------------------------------
 
-def _single_prime_cover(g: LabelledGraph, p: int,
-                        size_limit: int) -> AdmissibleMap | None:
-    """Cover of g with p-power multiplicities and no proper p-plateau upstairs.
+def _prime_power_cover(g: LabelledGraph, primes: Iterable[int],
+                       size_limit: int) -> AdmissibleMap | None:
+    """Cover of g with no proper p-plateau upstairs for any p in `primes`, unchecked.
 
-    Each round finds the proper p-plateaux of g read with the round's
-    labels: g's own in round 1, and in each later round the previous
-    round's with every label that left its plateau union divided by p.
-    After R rounds a vertex or edge that lay in the union k times gets
-    p**(R - k) sheets of multiplicity p**k, edge sheet j joining vertex
-    sheets j modulo their counts, and the edges carry the last round's
-    labels.  Returns None when g has no proper p-plateau.
+    Each prime's rounds run on g, from the labels the previous prime left:
+    a round divides by p every label leaving the union of the proper
+    p-plateaux.  After R rounds a vertex or edge that lay in the union k
+    times gets p**(R - k) sheets of multiplicity p**k, edge sheet j joining
+    vertex sheets j modulo their counts; a sheet is the tuple of its
+    numbers, first prime first.  Returns None if no prime has a round, and
+    refuses more than `size_limit` vertices before building anything.
 
-    If g is connected, so is the cover:
+    Running the rounds on g is enough: dividing labels by powers of p
+    changes no label's divisibility by another prime q, and every dart still
+    lifts, so the q-plateaux of the cover for p are the components of the
+    preimages of g's; the cover is a pullback (Stallings 1983).
+
+    If g is connected, so is each single-prime cover:
     1. An edge kept in a round (both labels prime to p) is never divided,
        so it stays kept in every later round.
     2. A proper plateau P of round r+1 meets the round-r union U_r: else P
@@ -474,44 +480,54 @@ def _single_prime_cover(g: LabelledGraph, p: int,
        divide n_e.  Every vertex sheet lies in such a copy, and every copy
        contains that one-sheet vertex.
     """
-    vertex_count = {v: 0 for v in g.vertices}
-    edge_count = {r.name: 0 for r in g.edges}
     labels = {rec.name: [rec.label_origin, rec.label_terminus] for rec in g.edges}
-    rounds = 0
-    while plateaux := _plateaux(g, p, labels):
-        rounds += 1
-        union_vertices = set().union(*(plat.vertices for plat in plateaux))
-        union_edges = set().union(*(plat.edges for plat in plateaux))
-        for name in union_edges:
-            edge_count[name] += 1
-        for v in union_vertices:
-            vertex_count[v] += 1
-            for name, forward in g.darts_at(v):  # divide the labels leaving the union
-                if name not in union_edges:
-                    pair, end = labels[name], 0 if forward else 1
-                    if pair[end] % p != 0:
-                        raise InternalError("label leaving a plateau union must be divisible")
-                    pair[end] //= p
-    if rounds == 0:
+    vertex_mult, edge_mult = dict.fromkeys(g.vertices, 1), dict.fromkeys(labels, 1)
+    # the sheet counts of each vertex and edge, one for each prime with a round
+    vertex_counts, edge_counts = {v: [] for v in g.vertices}, {name: [] for name in labels}
+    for p in primes:
+        vertex_count, edge_count = dict.fromkeys(g.vertices, 0), dict.fromkeys(labels, 0)
+        rounds = 0
+        while plateaux := _plateaux(g, p, labels):
+            rounds += 1
+            union_vertices = set().union(*(plat.vertices for plat in plateaux))
+            union_edges = set().union(*(plat.edges for plat in plateaux))
+            for name in union_edges:
+                edge_count[name] += 1
+            for v in union_vertices:
+                vertex_count[v] += 1
+                for name, forward in g.darts_at(v):  # divide the labels leaving the union
+                    if name not in union_edges:
+                        pair, end = labels[name], 0 if forward else 1
+                        if pair[end] % p != 0:
+                            raise InternalError("label leaving a plateau union must be divisible")
+                        pair[end] //= p
+        if not rounds:
+            continue
+        for mult, counts, occupancy in ((vertex_mult, vertex_counts, vertex_count),
+                                        (edge_mult, edge_counts, edge_count)):
+            for x, k in occupancy.items():
+                mult[x] *= p ** k
+                counts[x].append(p ** (rounds - k))
+        predicted = sum(math.prod(vertex_counts[v]) for v in g.vertices)
+        if predicted > size_limit:
+            raise InputError(f"plateau-free cover would need {predicted} vertices "
+                             f"for prime {p}, above the limit {size_limit}")
+    if not vertex_counts[g.vertices[0]]:  # no prime had a round
         return None
 
-    def sheet_count(occupancy: int) -> int:
-        return p ** (rounds - occupancy)
-
-    predicted = sum(sheet_count(vertex_count[v]) for v in g.vertices)
-    if predicted > size_limit:
-        raise InputError(f"plateau-free cover would need {predicted} vertices "
-                         f"for prime {p}, above the limit {size_limit}")
+    def sheets(counts: list[int], modulo: list[int]) -> Iterator[str]:
+        """Sheets j of `counts`, named by their numbers j mod `modulo` from 1."""
+        return map(".".join, product(*([str(j % n + 1) for j in range(c)]
+                                       for c, n in zip(counts, modulo))))
 
     def vertex_sheets(v: str) -> _VertexSheets:
-        return p ** vertex_count[v], range(1, sheet_count(vertex_count[v]) + 1)
+        return vertex_mult[v], sheets(vertex_counts[v], vertex_counts[v])
 
     def edge_sheets(rec: EdgeRecord) -> _EdgeSheets:
-        n_origin = sheet_count(vertex_count[rec.origin])
-        n_terminus = sheet_count(vertex_count[rec.terminus])
-        return (*labels[rec.name], p ** edge_count[rec.name],
-                ((j + 1, j % n_origin + 1, j % n_terminus + 1)
-                 for j in range(sheet_count(edge_count[rec.name]))))
+        counts = edge_counts[rec.name]
+        return (*labels[rec.name], edge_mult[rec.name],
+                zip(sheets(counts, counts), sheets(counts, vertex_counts[rec.origin]),
+                    sheets(counts, vertex_counts[rec.terminus])))
 
     return _sheeted_cover(g, vertex_sheets, edge_sheets)
 
@@ -520,27 +536,17 @@ def plateau_free_cover(g: LabelledGraph,
                        size_limit: int = COVER_VERTEX_LIMIT) -> AdmissibleMap:
     """Admissible map onto g with connected, plateau-free source.
 
-    Handles one prime at a time: the labels of oriented edges leaving the
-    union of that prime's proper plateaux are divided until no proper
-    plateau remains, and the iteration record prescribes preimage counts
-    and multiplicities (all powers of the prime).  Successive primes are
-    handled by composing covers; removing powers of one prime never creates
-    plateaux for another.
-
-    The total multiplicity is the product of a prime power per prime with
-    proper plateaux, so graphs whose labels involve many primes can demand
-    covers too large to materialize: a step past `size_limit` source
-    vertices is refused with InputError before it is built.  The steps
-    and their composites are trusted; only the final map is checked.
+    For each prime, labels leaving the union of its proper plateaux are
+    divided until none remains, and the sheets of all primes multiply into
+    one cover.  Its total multiplicity is a product of one prime power per
+    prime, so labels with many primes can demand covers too large to
+    materialize: one past `size_limit` source vertices is refused with
+    InputError before anything is built.  Only the final map is checked.
     """
     g._require_connected()
-    current = identity_map(g)
-    for p in label_primes(g):
-        step = _single_prime_cover(current.source, p, size_limit)
-        if step is not None:
-            current = _compose(current, step)
-    if not current.source.is_connected():
+    cover = _prime_power_cover(g, label_primes(g), size_limit) or identity_map(g)
+    if not cover.source.is_connected():
         raise InternalError("plateau_free_cover left a disconnected source")
-    if has_proper_plateau(current.source):
+    if has_proper_plateau(cover.source):
         raise InternalError("plateau_free_cover left a proper plateau")
-    return assert_admissible(current, "plateau_free_cover")
+    return assert_admissible(cover, "plateau_free_cover")

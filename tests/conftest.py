@@ -188,11 +188,11 @@ def checked(fn, seen: Counter, connected: bool = False):
 @pytest.fixture(scope="session")
 def plateau_free_suite():
     """The `plateau-free-cover` suite at count 100 and seed 1, run once with
-    every private step verified: (report, verified steps by function name)."""
+    every cover of the private builder verified and checked connected:
+    (report, verified covers by function name)."""
     seen = Counter()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(covering, "_single_prime_cover",
-                      checked(covering._single_prime_cover, seen, connected=True))
-        patch.setattr(covering, "_compose", checked(covering._compose, seen))
+        patch.setattr(covering, "_prime_power_cover",
+                      checked(covering._prime_power_cover, seen, connected=True))
         report = run_suite("plateau-free-cover", count=100, base_seed=1)
     return report, seen

@@ -241,6 +241,16 @@ class TestInputBounds:
         assert f" {predicted} vertices" in err and f"limit {covering.COVER_VERTEX_LIMIT}" in err
         assert not list(tmp_path.glob("out*"))
 
+    def test_plateau_free_refused_at_a_later_prime(self, tmp_path, capsys):
+        # the 2-sheets alone give 3 vertices, the 10007-sheets on top of them 10,009
+        path = tmp_path / "two-primes.gbs"
+        path.write_text("vertex a\nvertex b\nedge e a b 2 10007\n")
+        assert main(["cover", "plateau-free", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: plateau-free cover would need 10009 vertices for prime 10007, "
+            f"above the limit {covering.COVER_VERTEX_LIMIT}\n")
+        assert not list(tmp_path.glob("out*"))
+
     def test_cover_limit_is_inclusive(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(covering, "COVER_VERTEX_LIMIT", 6)
         path = write_graph(tmp_path, "bs23.gbs", bs(2, 3))

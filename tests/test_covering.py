@@ -6,19 +6,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (THREE_PRIMES, bs, checked, circle_graph, f1, f3, f4_map, f4_target,
+from conftest import (THREE_PRIMES, bs, checked, circle_graph, f1, f2, f3, f4_map, f4_target,
                       nx_isomorphic)
-from gbs import (GeneratorConfig, InputError, InternalError, LabelledGraph, Plateau,
-                 all_plateaux, branched_cover, compose,
-                 covering_characterizations, extract_proper_plateau,
+from gbs import (AdmissibleMap, GeneratorConfig, InputError, InternalError, LabelledGraph,
+                 Plateau, all_plateaux, branched_cover, compose,
+                 covering_characterizations, emit_graph, emit_map, extract_proper_plateau,
                  generate_admissible_map, generate_graph, has_proper_plateau,
                  identity_map, is_topological_covering, label_primes,
                  orientation_double_cover, plateau_free_cover,
                  plateaux_for_prime, rank, restrict_to_component,
                  verify_admissible, voltage_cover)
 from gbs import covering, generate, suites
-from gbs.covering import COVER_VERTEX_LIMIT, _compose, _single_prime_cover
+from gbs.covering import COVER_VERTEX_LIMIT, _compose, _prime_power_cover
 from strategies import connected_graphs
+
+
+PATH_2_3 = LabelledGraph.build(["a", "b"], [("e", "a", "b", 2, 3)])
+
+
+@pytest.fixture
+def graph_builds(monkeypatch):
+    """Every `LabelledGraph` built from here on, in build order."""
+    built = []
+    real = LabelledGraph.__post_init__
+
+    def counting(graph):
+        built.append(graph)
+        real(graph)
+
+    monkeypatch.setattr(LabelledGraph, "__post_init__", counting)
+    return built
 
 
 def plateau_of(g, p, vertex):
@@ -311,26 +328,78 @@ class TestPlateauFreeCover:
             plateau_free_cover(g)
         assert time.perf_counter() - start < 1.0
 
-    @pytest.mark.parametrize("g", [THREE_PRIMES, f3()], ids=["three-primes", "f3"])
-    def test_one_graph_per_prime_step(self, monkeypatch, g):
-        """The rounds of a step run on a label table; the step builds only its source."""
-        built, steps = [], []
-        real_init, real_step = LabelledGraph.__post_init__, covering._single_prime_cover
+    @pytest.mark.parametrize("g", [THREE_PRIMES, f3(), bs(2, 3)],
+                             ids=["three-primes", "f3", "plateau-free"])
+    def test_one_graph_per_cover(self, graph_builds, g):
+        """Every prime's rounds run on g; a non-identity cover builds only its source."""
+        cover = plateau_free_cover(g)
+        assert [id(graph) for graph in graph_builds] == \
+            ([] if cover.source is g else [id(cover.source)])
 
-        def counting_init(graph):
-            built.append(graph)
-            real_init(graph)
+    def test_refused_before_anything_is_built(self, graph_builds):
+        # the 2-sheets alone give 3 vertices, the 3-sheets on top of them 5
+        with pytest.raises(InputError) as refusal:
+            plateau_free_cover(PATH_2_3, size_limit=4)
+        assert str(refusal.value) == \
+            "plateau-free cover would need 5 vertices for prime 3, above the limit 4"
+        assert graph_builds == []
 
-        def counting_step(*args):
-            step = real_step(*args)
-            if step is not None:
-                steps.append(step)
-            return step
 
-        monkeypatch.setattr(LabelledGraph, "__post_init__", counting_init)
-        monkeypatch.setattr(covering, "_single_prime_cover", counting_step)
-        plateau_free_cover(g)
-        assert steps and [id(graph) for graph in built] == [id(step.source) for step in steps]
+def emitted(m: AdmissibleMap) -> str:
+    return emit_graph(m.source) + emit_map(m, "s", "t")
+
+
+def chained_plateau_free_cover(g: LabelledGraph, size_limit: int) -> AdmissibleMap | None:
+    """One single-prime cover per label prime, each with its rounds run on the
+    previous source, composed as built; None if no prime has a proper plateau."""
+    current = None
+    for p in label_primes(g):
+        step = _prime_power_cover(g if current is None else current.source, [p], size_limit)
+        if step is not None:
+            current = step if current is None else _compose(current, step)
+    return current
+
+
+def built_or_refused(build, *args):
+    """What `emit_graph` and `emit_map` print of the map `build(*args)`, in
+    their order; None for no map, the message for a refusal."""
+    try:
+        m = build(*args)
+    except InputError as exc:
+        return str(exc)
+    if m is None:
+        return None
+    return m.source, m.vertex_map, m.edge_map, m.vertex_multiplicity, m.edge_multiplicity
+
+
+class TestPullback:
+    """Every prime's rounds run on g give the cover of the single-prime chain,
+    sheet names and order included: the q-plateaux of a cover with p-power
+    multiplicities are the components of the preimages of g's."""
+
+    @pytest.mark.parametrize(("bound", "covers", "refusals"), [(12, 171, 22), (60, 126, 88)])
+    def test_generated_graphs(self, bound, covers, refusals):
+        # `plateau_free_cover` checks and returns the builder's map; the
+        # checks would cost as much as the chain, so they are left out here
+        outcomes = Counter()
+        for seed in range(1, 301):
+            g = generate_graph(GeneratorConfig(seed=seed, max_vertices=6, max_edges=8,
+                                               max_label_magnitude=bound))
+            chained = built_or_refused(chained_plateau_free_cover, g, 500)
+            assert built_or_refused(_prime_power_cover, g, label_primes(g), 500) == chained, seed
+            outcomes["identity" if chained is None
+                     else "refused" if isinstance(chained, str) else "cover"] += 1
+        assert outcomes == {"cover": covers, "refused": refusals,
+                            "identity": 300 - covers - refusals}
+
+    @pytest.mark.parametrize("g", [THREE_PRIMES, f3(), PATH_2_3, bs(2, 4), f1(7), f2(),
+                                   f4_target()],
+                             ids=["three-primes", "f3", "path-2-3", "bs24", "f1-7", "f2",
+                                  "f4-target"])
+    def test_fixtures(self, g):
+        chained = chained_plateau_free_cover(g, COVER_VERTEX_LIMIT)
+        assert chained is not None
+        assert emitted(plateau_free_cover(g)) == emitted(chained)
 
 
 class TestCharacterizations:
@@ -345,8 +414,6 @@ class TestCharacterizations:
 
 # -- the checks the constructions trust ----------------------------------------
 
-PATH_2_3 = LabelledGraph.build(["a", "b"], [("e", "a", "b", 2, 3)])
-
 
 class TestTrustedSteps:
     """The private steps run unchecked; here every one of them is verified."""
@@ -355,18 +422,18 @@ class TestTrustedSteps:
         """Every step of the criterion-10 suite run, verified as it was built."""
         report, seen = plateau_free_suite
         assert report.instances == 100
-        assert seen["_single_prime_cover"] == seen["_compose"] == 245
+        assert seen["_prime_power_cover"] == 71  # instances with a proper plateau
 
     @pytest.mark.parametrize(("bound", "covers"), [(12, 464), (60, 708)])
     def test_single_prime_covers_of_connected_graphs_are_connected(self, bound, covers):
-        """The steps are composed as built, with no restriction to a component."""
+        """A single-prime cover is connected as built, with no restriction to a component."""
         built = 0
         for seed in range(1, 301):
             g = generate_graph(GeneratorConfig(seed=seed, max_vertices=6, max_edges=8,
                                                max_label_magnitude=bound))
             for p in label_primes(g):
                 try:
-                    step = _single_prime_cover(g, p, 500)
+                    step = _prime_power_cover(g, [p], 500)
                 except InputError:
                     continue
                 if step is not None:
@@ -388,7 +455,7 @@ class TestTrustedSteps:
         monkeypatch.setattr(covering, "_plateaux", lambda g, p, labels:
                             [Plateau(p, frozenset({"v_a"}), frozenset())])
         with pytest.raises(InternalError, match="must be divisible"):
-            _single_prime_cover(f1(7), 2, COVER_VERTEX_LIMIT)
+            _prime_power_cover(f1(7), [2], COVER_VERTEX_LIMIT)
 
 
 @pytest.fixture
@@ -427,6 +494,6 @@ class TestCheckCount:
         assert verify_calls == [outer, inner, composite]
 
     def test_private_steps(self, verify_calls):
-        step = _single_prime_cover(PATH_2_3, 2, COVER_VERTEX_LIMIT)
+        step = _prime_power_cover(PATH_2_3, label_primes(PATH_2_3), COVER_VERTEX_LIMIT)
         _compose(identity_map(PATH_2_3), restrict_to_component(step))
         assert verify_calls == []

@@ -16,9 +16,10 @@ ALLOWED = {
     # composites of verified steps are admissible by construction; `compose`
     # would verify both inputs and the result
     ("generate", "covering", "_compose"),
-    # the rounds of a plateau-free step pass a label table, which the public
-    # `plateaux_for_prime` does not take, and a prime from `label_primes`, on
-    # which it would run `is_prime`, trial division up to its square root
+    # the rounds of a plateau-free cover run on g itself and pass a label
+    # table that carries over from prime to prime, which the public
+    # `plateaux_for_prime` does not take, and a prime from `label_primes`,
+    # on which it would run `is_prime`, trial division up to its square root
     ("covering", "plateau", "_plateaux"),
     # `gbs mapping-torus` verifies the automorphism once, to print its order,
     # and then builds the quotient without verifying it again
