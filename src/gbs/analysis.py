@@ -8,6 +8,7 @@ check indicates a bug, not bad input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -15,6 +16,7 @@ from .errors import InputError, InternalError
 from .covering import AdmissibleMap, verify_admissible
 from .graph import LabelledGraph
 from .plateau import Plateau, all_plateaux, check_plateau, minimum_hitting_set
+from .primes import valuation
 
 
 def doubled_deltas(m: AdmissibleMap) -> dict[str, int]:
@@ -46,24 +48,27 @@ def bad_vertices(m: AdmissibleMap) -> frozenset[str]:
 
 
 def totally_unfolded(m: AdmissibleMap, plateau: Plateau) -> bool:
-    """Does p divide the number of lifts of every oriented edge leaving the plateau?"""
+    """Does p divide the number of lifts of every oriented edge leaving the plateau?
+    The count is read off the gcd condition, so the map must be admissible."""
+    _require_admissible(m, "totally_unfolded")
     if not check_plateau(m.target, plateau):
         raise InputError("not a plateau of the target graph")
-    p = plateau.prime
-    for v in plateau.vertices:
-        for dart in m.target.darts_at(v):
-            if dart.edge in plateau.edges:
-                continue
-            for x in m.vertex_preimages[v]:
-                if len(m.lifts_at(x, dart)) % p != 0:
-                    return False
-    return True
+    return _totally_unfolded(m, plateau)
 
 
-def _is_interior(g: LabelledGraph, plateau: Plateau) -> bool:
-    if len(plateau.vertices) == len(g.vertices) and len(plateau.edges) == len(g.edges):
-        return False
-    return all(g.valence(v) != 1 for v in plateau.vertices)
+def _totally_unfolded(m: AdmissibleMap, plateau: Plateau) -> bool:
+    """A dart leaving the plateau has p | label, so its gcd(m_x, |label|) lifts at
+    x are a multiple of p exactly when p | m_x."""
+    p, tgt = plateau.prime, m.target
+    return all(m.vertex_multiplicity[x] % p == 0
+               for v in plateau.vertices
+               if any(d.edge not in plateau.edges for d in tgt.darts_at(v))
+               for x in m.vertex_preimages[v])
+
+
+def _require_admissible(m: AdmissibleMap, caller: str) -> None:
+    if not verify_admissible(m):
+        raise InputError(f"{caller} requires an admissible map")
 
 
 def _strictly_contains(big: Plateau, small: Plateau) -> bool:
@@ -72,14 +77,16 @@ def _strictly_contains(big: Plateau, small: Plateau) -> bool:
 
 
 def _minimal_plateaux(m: AdmissibleMap, inventory: tuple[Plateau, ...]) -> list[Plateau]:
-    candidates = [P for P in inventory
-                  if _is_interior(m.target, P) and totally_unfolded(m, P)]
+    candidates = [P for P in inventory  # interior: no terminal vertex inside
+                  if all(m.target.valence(v) != 1 for v in P.vertices)
+                  and _totally_unfolded(m, P)]
     return [P for P in candidates
             if not any(_strictly_contains(P, Q) for Q in candidates if Q is not P)]
 
 
 def minimal_plateaux(m: AdmissibleMap) -> list[Plateau]:
     """Interior, totally unfolded plateaux of the target, minimal by inclusion."""
+    _require_admissible(m, "minimal_plateaux")
     return _minimal_plateaux(m, all_plateaux(m.target).proper_plateaux)
 
 
@@ -108,8 +115,7 @@ def _bad_plateaux(m: AdmissibleMap, minimal: list[Plateau]) -> list[Plateau]:
         if len(boundary) != 1:
             continue
         dart = boundary[0]
-        lifts = sum(len(m.lifts_at(x, dart))
-                    for x in m.vertex_preimages[m.target.origin(dart)])
+        lifts = sum(m.local_gcd(x, dart) for x in m.vertex_preimages[m.target.origin(dart)])
         if lifts == 2:
             out.append(plateau)
     return out
@@ -189,11 +195,10 @@ def classify(m: AdmissibleMap) -> MapClassification:
     branched search tries subsets of the minimal 2-plateaux as branching
     loci, smallest subsets first.
     """
-    if not verify_admissible(m):
-        raise InputError("classify requires an admissible map")
+    _require_admissible(m, "classify")
     if not m.source.is_connected():
         raise InputError("classify requires a connected source")
-    return _classify(m, minimal_plateaux(m))
+    return _classify(m, _minimal_plateaux(m, all_plateaux(m.target).proper_plateaux))
 
 
 def _classify(m: AdmissibleMap, minimal: list[Plateau]) -> MapClassification:
@@ -253,8 +258,7 @@ class AuditReport:
 
 def check_inequalities(m: AdmissibleMap) -> AuditReport:
     """Evaluate the Betti/terminal/plateau inequalities on one admissible map."""
-    if not verify_admissible(m):
-        raise InputError("audit requires an admissible map")
+    _require_admissible(m, "audit")
     if not m.source.is_connected():
         raise InputError("audit requires a connected source")
     if not m.target.is_reduced():
@@ -329,7 +333,7 @@ def check_inequalities(m: AdmissibleMap) -> AuditReport:
         return any(value % 2 != 0 for value in mults)
 
     odd = next((P for P in two_plateaux
-                if totally_unfolded(m, P) and odd_multiplicity(P)), None)
+                if _totally_unfolded(m, P) and odd_multiplicity(P)), None)
     entries.append(AuditEntry(
         "unfolded-even-multiplicity", odd is None,
         "2-unfolded plateaux carry even multiplicities" if odd is None
@@ -337,7 +341,7 @@ def check_inequalities(m: AdmissibleMap) -> AuditReport:
 
     folded = next((P for P in inventory
                    if not _has_plateau_preimage_component(m, P)
-                   and not totally_unfolded(m, P)), None)
+                   and not _totally_unfolded(m, P)), None)
     entries.append(AuditEntry(
         "unfolded-preimage", folded is None,
         "plateaux without plateau preimages are unfolded" if folded is None
@@ -348,8 +352,20 @@ def check_inequalities(m: AdmissibleMap) -> AuditReport:
 
 
 def _has_plateau_preimage_component(m: AdmissibleMap, plateau: Plateau) -> bool:
-    """Is some component of the preimage subgraph itself a plateau of the source?"""
-    pre_vertices = [x for v in plateau.vertices for x in m.vertex_preimages[v]]
+    """Is some component of the preimage subgraph itself a plateau of the source?
+
+    Lifts of the plateau's edges keep labels prime to p, and a component holds
+    every such lift at its points.  A lift at x of a dart d leaving the plateau
+    keeps a label divisible by p exactly when v_p(m_x) < v_p(d's label), so a
+    component is a plateau exactly when that holds at each of its points.
+    """
+    p, tgt = plateau.prime, m.target
+    leaving = {v: min((valuation(tgt.label(d), p) for d in tgt.darts_at(v)
+                       if d.edge not in plateau.edges), default=math.inf)
+               for v in plateau.vertices}
+    pre_vertices = [x for v in tgt.vertices if v in plateau.vertices
+                    for x in m.vertex_preimages[v]]
     pre_edges = {name for ename in plateau.edges for name in m.edge_preimages[ename]}
-    return any(check_plateau(m.source, Plateau(plateau.prime, frozenset(vertices), edges))
-               for vertices, edges in m.source.subgraph_components(pre_edges, pre_vertices))
+    return any(all(valuation(m.vertex_multiplicity[x], p) < leaving[m.vertex_map[x]]
+                   for x in vertices)
+               for vertices, _ in m.source.subgraph_components(pre_edges, pre_vertices))

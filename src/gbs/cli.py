@@ -76,7 +76,7 @@ def cmd_mu(args) -> int:
 
 def cmd_plateaux(args) -> int:
     g = io.load_graph(args.file)
-    plateaux = plateaux_for_prime(g, args.prime) if args.prime \
+    plateaux = plateaux_for_prime(g, args.prime) if args.prime is not None \
         else all_plateaux(g).proper_plateaux
     for plateau in plateaux:
         print(_plateau_line(g, plateau))

@@ -51,11 +51,6 @@ class AdmissibleMap:
             table[self.edge_map[rec.name][0]].append(rec.name)
         return {name: tuple(es) for name, es in table.items()}
 
-    def lifts_at(self, x: str, target_dart: Dart) -> tuple[Dart, ...]:
-        """Source darts with origin x mapping onto the given target dart."""
-        return tuple(d for d in self.source.darts_at(x)
-                     if self.map_dart(d) == target_dart)
-
     def local_gcd(self, x: str, target_dart: Dart) -> int:
         return math.gcd(self.vertex_multiplicity[x],
                         abs(self.target.label(target_dart)))
@@ -440,10 +435,8 @@ def extract_proper_plateau(m: AdmissibleMap) -> Plateau:
     first = min(marked, key=tgt.vertex_position.get)
     vertices, edges = next(tgt.subgraph_components(kept_edges, (first,)))
     plateau = Plateau(prime, frozenset(vertices), edges)
-    if not check_plateau(tgt, plateau):
-        raise InternalError("extracted component is not a plateau")
-    if len(plateau.vertices) == len(tgt.vertices) and len(plateau.edges) == len(tgt.edges):
-        raise InternalError("extracted plateau is not proper")
+    if plateau not in _plateaux(tgt, prime):
+        raise InternalError("extracted component is not a proper plateau")
     return plateau
 
 

@@ -99,9 +99,19 @@ def emit_graph(g: LabelledGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_text(path: str) -> str:
+    """The contents of a UTF-8 text file; other bytes are a ParseError."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(data.count(b"\n", 0, exc.start) + 1,
+                         f"{path} is not UTF-8 text") from None
+
+
 def load_graph(path: str) -> LabelledGraph:
-    with open(path, encoding="utf-8") as handle:
-        return parse_graph(handle.read())
+    return parse_graph(_read_text(path))
 
 
 def _parse_oriented(token: str) -> tuple[str, bool]:
@@ -189,13 +199,7 @@ def emit_map(m: AdmissibleMap, source_ref: str, target_ref: str) -> str:
 
 def load_map(path: str) -> AdmissibleMap:
     base = os.path.dirname(os.path.abspath(path))
-
-    def resolve(ref: str) -> str:
-        with open(os.path.join(base, ref), encoding="utf-8") as handle:
-            return handle.read()
-
-    with open(path, encoding="utf-8") as handle:
-        return parse_map(handle.read(), resolve)
+    return parse_map(_read_text(path), lambda ref: _read_text(os.path.join(base, ref)))
 
 
 def parse_automorphism(text: str) -> GraphAutomorphism:
@@ -254,5 +258,4 @@ def emit_automorphism(a: GraphAutomorphism) -> str:
 
 
 def load_automorphism(path: str) -> GraphAutomorphism:
-    with open(path, encoding="utf-8") as handle:
-        return parse_automorphism(handle.read())
+    return parse_automorphism(_read_text(path))

@@ -54,8 +54,9 @@ def plateaux_for_prime(g: LabelledGraph, p: int) -> list[Plateau]:
 
 def _plateaux(g: LabelledGraph, p: int,
               labels: dict[str, list[int]] | None = None) -> list[Plateau]:
-    """:func:`plateaux_for_prime` for a prime p and a connected g, read with `labels`
-    (each edge's [origin, terminus] labels by name; g's own by default)."""
+    """:func:`plateaux_for_prime` for a prime p, read with `labels` (each edge's
+    [origin, terminus] labels by name; g's own by default).  The only test of the
+    divisibility dichotomy; g may be disconnected."""
     if labels is None:
         labels = {rec.name: [rec.label_origin, rec.label_terminus] for rec in g.edges}
     keep = {name for name, (lo, lt) in labels.items() if lo % p != 0 and lt % p != 0}
@@ -72,30 +73,13 @@ def _plateaux(g: LabelledGraph, p: int,
 
 
 def check_plateau(g: LabelledGraph, plateau: Plateau) -> bool:
-    """Validate the plateau conditions of `plateau` against g directly."""
-    if not is_prime(plateau.prime):
-        return False
-    if not plateau.vertices or not plateau.vertices <= set(g.vertices):
-        return False
-    for name in plateau.edges:
-        if not g.has_edge(name):
-            return False
-        rec = g.edge(name)
-        if rec.origin not in plateau.vertices or rec.terminus not in plateau.vertices:
-            return False
-    # connectivity of the subgraph
-    start = next(iter(plateau.vertices))
-    vertices, _ = next(g.subgraph_components(plateau.edges, (start,)))
-    if len(vertices) != len(plateau.vertices):
-        return False
-    # divisibility dichotomy at every origin inside the plateau
+    """Is `plateau` a plateau of g?  A proper one is listed by :func:`_plateaux`;
+    the whole graph is one when connected with no label divisible by the prime."""
     p = plateau.prime
-    for v in plateau.vertices:
-        for dart in g.darts_at(v):
-            divisible = g.label(dart) % p == 0
-            if divisible == (dart.edge in plateau.edges):
-                return False
-    return True
+    return is_prime(p) and (plateau in _plateaux(g, p) or (
+        plateau.vertices == set(g.vertices) and plateau.edges == {r.name for r in g.edges}
+        and g.is_connected() and all(r.label_origin % p and r.label_terminus % p
+                                     for r in g.edges)))
 
 
 def all_plateaux(g: LabelledGraph) -> PlateauCollection:

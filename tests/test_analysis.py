@@ -1,10 +1,19 @@
+import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from conftest import bs, f1, f4_map
-from gbs import (InputError, bad_vertices, check_inequalities, classify,
-                 doubled_deltas, identity_map, minimal_plateaux,
+from gbs import (InputError, LabelledGraph, Plateau, all_plateaux, bad_vertices,
+                 check_inequalities, classify, doubled_deltas, identity_map, minimal_plateaux,
                  plateaux_for_prime, totally_unfolded, voltage_cover)
-from gbs.analysis import _bad_plateaux, _hitting_number
+from gbs.analysis import (_bad_plateaux, _has_plateau_preimage_component, _hitting_number,
+                          _totally_unfolded)
 from gbs.generate import generate_admissible_map
 from gbs.suites import (_map_config, accordion_fixture,
                         exceptional_fixture_maps, star_branched_fixture,
@@ -54,6 +63,14 @@ class TestTotallyUnfolded:
         g = f1(6)
         for plateau in plateaux_for_prime(g, 2):
             assert not totally_unfolded(identity_map(g), plateau)
+
+    def test_whole_graph_has_no_edge_to_unfold(self):
+        # 2 divides no label of bs(3, 5), so the whole graph is a 2-plateau.  Only
+        # here does the leaving-dart filter matter: over a proper plateau p | m_x
+        # at one point means p | m_x at every point
+        g = bs(3, 5)
+        whole = Plateau(2, frozenset(g.vertices), frozenset({"e"}))
+        assert totally_unfolded(identity_map(g), whole)
 
     def test_foreign_plateau_rejected(self):
         m = f4_map()
@@ -147,3 +164,95 @@ class TestAudit:
     def test_two_plateau_fixture_matches_f4(self):
         report = check_inequalities(two_plateau_branched_fixture())
         assert report.ok and report.classification.kind == "generalized-branched"
+
+    @pytest.mark.parametrize("check, message", [
+        (check_inequalities, "audit"), (classify, "classify"),
+        (minimal_plateaux, "minimal_plateaux"),
+        (lambda m: totally_unfolded(m, loop_plateau(f4_map())), "totally_unfolded")],
+        ids=["audit", "classify", "minimal_plateaux", "totally_unfolded"])
+    def test_input_rejections(self, check, message):
+        with pytest.raises(InputError, match=f"^{message} requires an admissible map$"):
+            check(replace(f4_map(), edge_multiplicity={"a": 2, "b": 1, "m": 2}))
+        if check in (check_inequalities, classify):
+            with pytest.raises(InputError, match=f"^{message} requires a connected source$"):
+                check(voltage_cover(bs(2, 3), 2, {"e": (0, 1)}))
+        if check is check_inequalities:
+            unreduced = LabelledGraph.build(["a", "b"], [("e", "a", "b", 1, 2)])
+            with pytest.raises(InputError, match="^audit requires a reduced target$"):
+                check(identity_map(unreduced))
+
+
+def _lifts(m, x, target_dart):
+    return [d for d in m.source.darts_at(x) if m.map_dart(d) == target_dart]
+
+
+def test_plateau_facts_match_their_definitions():
+    """The audit reads three plateau facts off the gcd condition; here each is
+    taken from its definition instead, by counting lifts dart by dart and by
+    testing preimage components against the divisibility dichotomy."""
+    outcomes = Counter()
+    for seed in range(1, 301):
+        m = generate_admissible_map(_map_config(seed))
+        src, tgt = m.source, m.target
+        inventory = all_plateaux(tgt).proper_plateaux
+        bad = []
+        for P in inventory:
+            p = P.prime
+            leaving = [(v, d) for v in P.vertices for d in tgt.darts_at(v)
+                       if d.edge not in P.edges]
+            unfolded = all(len(_lifts(m, x, d)) % p == 0
+                           for v, d in leaving for x in m.vertex_preimages[v])
+            pre_vertices = [x for v in P.vertices for x in m.vertex_preimages[v]]
+            pre_edges = {e for name in P.edges for e in m.edge_preimages[name]}
+            preimage_plateau = any(
+                all((src.label(d) % p == 0) == (d.edge not in edges)
+                    for x in vertices for d in src.darts_at(x))
+                for vertices, edges in src.subgraph_components(pre_edges, pre_vertices))
+            boundary = [(v, d) for v, d in leaving if tgt.terminus(d) not in P.vertices]
+            if p == 2 and len(boundary) == 1:
+                v, d = boundary[0]
+                if sum(len(_lifts(m, x, d)) for x in m.vertex_preimages[v]) == 2:
+                    bad.append(P)
+            assert _totally_unfolded(m, P) == unfolded, (seed, P)
+            assert _has_plateau_preimage_component(m, P) == preimage_plateau, (seed, P)
+            outcomes["plateaux"] += 1
+            outcomes["unfolded"] += unfolded
+            outcomes["preimage-plateau"] += preimage_plateau
+        assert _bad_plateaux(m, list(inventory)) == bad, seed
+        outcomes["bad"] += len(bad)
+    assert outcomes == {"plateaux": 662, "unfolded": 128, "preimage-plateau": 546, "bad": 28}
+
+
+# Counts calls of `is_prime` and `_plateaux` wherever a gbs module holds them,
+# over the audits of map seeds 1-40, and prints them as JSON.
+_COUNTING_AUDIT = """
+import json, sys
+from collections import Counter
+from gbs import generate, plateau, primes, suites
+from gbs.analysis import check_inequalities
+counts = Counter()
+def counting(name, real):
+    def spy(*args, **kwargs):
+        counts[name] += 1
+        return real(*args, **kwargs)
+    return spy
+for name, real in (("is_prime", primes.is_prime), ("_plateaux", plateau._plateaux)):
+    spy = counting(name, real)
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("gbs") and getattr(module, name, None) is real:
+            setattr(module, name, spy)
+for seed in range(1, 41):
+    check_inequalities(generate.generate_admissible_map(suites._map_config(seed)))
+print(json.dumps(counts, sort_keys=True))
+"""
+
+
+def test_audit_work_does_not_depend_on_the_hash_seed():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = [subprocess.Popen([sys.executable, "-c", _COUNTING_AUDIT], stdout=subprocess.PIPE,
+                             text=True, env={**os.environ, "PYTHONPATH": src,
+                                             "PYTHONHASHSEED": seed})
+            for seed in ("0", "1")]
+    counts = [json.loads(run.communicate()[0]) for run in runs]
+    assert all(run.returncode == 0 for run in runs)
+    assert counts[0] == counts[1]

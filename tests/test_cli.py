@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from conftest import R2, R3, bs, circle_graph, cyclic_cover, f1, f3, f4_map
-from gbs import emit_graph, emit_map, load_map, verify_admissible, voltage_cover
+from gbs import InternalError, emit_graph, emit_map, load_map, verify_admissible, voltage_cover
 from gbs import cli, covering, plateau, torus
 from gbs.cli import main
 
@@ -99,6 +99,31 @@ class TestBasicCommands:
     def test_missing_file_is_exit_two(self, capsys):
         assert main(["rank", "definitely-not-here.gbs"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["rank", "bad.gbs"], ["mapping-torus", "bad.aut"], ["cover", "verify", "bad.map"],
+        ["cover", "verify", "refers.map"], ["cover", "plateau-free", "bad.gbs", "--out", "out"]],
+        ids=["graph", "automorphism", "map", "referenced-graph", "plateau-free"])
+    def test_non_utf8_input_is_exit_two(self, tmp_path, capsys, monkeypatch, argv):
+        (tmp_path / "bad.gbs").write_bytes(b"vertex a\xff\n")
+        (tmp_path / "bad.aut").write_bytes(b"vertex a\nfv a a\n# \xff\n")
+        (tmp_path / "bad.map").write_bytes(b"map from bad.gbs to bad.gbs\xff\n")
+        (tmp_path / "refers.map").write_text("map from bad.gbs to bad.gbs\nvmap a a 1\n")
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line ") and "is not UTF-8 text" in captured.err
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_internal_error_is_exit_three(self, tmp_path, capsys, monkeypatch):
+        def broken(g):
+            raise InternalError("planted")
+
+        monkeypatch.setattr(cli, "mu", broken)
+        assert main(["rank", write_graph(tmp_path, "f3.gbs", f3())]) == 3
+        assert capsys.readouterr().err == "internal error: planted\n"
+
 
 class TestCoverCommands:
     def test_verify(self, f4_files, capsys):
@@ -151,6 +176,11 @@ class TestCoverCommands:
         assert main(["cover", "verify", prefix + ".map"]) == 0
         assert main(["cover", "classify", prefix + ".map"]) == 0
         assert "kind=" in capsys.readouterr().out
+        # seed 0 draws the identity, two sheets apart; --component keeps the first
+        assert main(["cover", "voltage", path, "--degree", "2", "--seed", "0",
+                     "--component", "--out", prefix]) == 0
+        part = load_map(prefix + ".map")
+        assert part.source.vertices == ("v.1",) and verify_admissible(part)
 
     def test_plateau_free(self, tmp_path, capsys):
         path = write_graph(tmp_path, "bs24.gbs", bs(2, 4))
@@ -165,6 +195,10 @@ class TestCoverCommands:
         assert main(["cover", "audit", f4_files]) == 0
         out = capsys.readouterr().out
         assert "audit=pass" in out and "kind=generalized-branched" in out
+        assert main(["cover", "classify", f4_files]) == 0
+        assert capsys.readouterr().out == (
+            "kind=generalized-branched exceptional=true size=- branching-plateaux=1\n"
+            "p=2 vertices=w edges=l\n")
 
     def test_extract_on_topological_cover(self, tmp_path, capsys):
         path = write_graph(tmp_path, "bs23.gbs", bs(2, 3))
@@ -218,6 +252,16 @@ class TestInputBounds:
         path.write_text(f"vertex a\nvertex b\nedge e a b {1000003 ** 2} 2\n")
         assert main(["rank", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot factor {1000003 ** 2}: ")
+
+    @pytest.mark.parametrize("prime", ["0", "1", "4", "-3"])
+    def test_non_prime_is_exit_two(self, tmp_path, capsys, prime):
+        path = write_graph(tmp_path, "f3.gbs", f3())
+        assert main(["plateaux", path, "--prime", prime]) == 2
+        assert main(["cover", "branch", path, "--prime", prime, "--plateau-vertex", "v_a",
+                     "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {prime} is not prime\n" * 2)
+        assert not list(tmp_path.glob("out*"))
 
     def test_composite_past_trial_division_is_not_prime(self, tmp_path, capsys):
         path = write_graph(tmp_path, "f3.gbs", f3())

@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 from conftest import (THREE_PRIMES, bs, checked, circle_graph, f1, f2, f3, f4_map, f4_target,
                       nx_isomorphic)
 from gbs import (AdmissibleMap, GeneratorConfig, InputError, InternalError, LabelledGraph,
-                 Plateau, all_plateaux, branched_cover, compose,
+                 Plateau, all_plateaux, branched_cover, check_inequalities, classify, compose,
                  covering_characterizations, emit_graph, emit_map, extract_proper_plateau,
                  generate_admissible_map, generate_graph, has_proper_plateau,
-                 identity_map, is_topological_covering, label_primes,
+                 identity_map, is_topological_covering, label_primes, minimal_plateaux,
                  orientation_double_cover, plateau_free_cover,
-                 plateaux_for_prime, rank, restrict_to_component,
+                 plateaux_for_prime, rank, restrict_to_component, totally_unfolded,
                  verify_admissible, voltage_cover)
-from gbs import covering, generate, suites
+from gbs import analysis, covering, generate, suites
 from gbs.covering import COVER_VERTEX_LIMIT, _compose, _prime_power_cover
 from strategies import connected_graphs
 
@@ -207,6 +207,10 @@ class TestVoltageCover:
     def test_non_permutation_rejected(self):
         with pytest.raises(InputError):
             voltage_cover(bs(2, 3), 2, {"e": (0, 0)})
+        with pytest.raises(InputError, match="^degree must be positive$"):
+            voltage_cover(bs(2, 3), 0, {"e": ()})
+        with pytest.raises(InputError, match="^no permutation assigned to edge 'e'$"):
+            voltage_cover(bs(2, 3), 2, {})
 
     def test_oversized_cover_is_refused_before_it_is_built(self, monkeypatch):
         def unreachable(*args):
@@ -460,7 +464,7 @@ class TestTrustedSteps:
 
 @pytest.fixture
 def verify_calls(monkeypatch):
-    """Maps passed to `covering.verify_admissible`, in call order."""
+    """Maps passed to `verify_admissible`, in call order."""
     calls = []
     real = covering.verify_admissible
 
@@ -469,11 +473,13 @@ def verify_calls(monkeypatch):
         return real(m)
 
     monkeypatch.setattr(covering, "verify_admissible", counting)
+    monkeypatch.setattr(analysis, "verify_admissible", counting)
     return calls
 
 
 class TestCheckCount:
-    """Public constructions check their output once; private steps never do."""
+    """Public constructions check their output once and public analyses their
+    input once; private steps never do."""
 
     @pytest.mark.parametrize("g", [PATH_2_3, bs(2, 4), bs(2, 3), f4_target()],
                              ids=["two-primes", "one-prime", "plateau-free", "two-vertex"])
@@ -492,6 +498,15 @@ class TestCheckCount:
         inner = identity_map(outer.source)
         composite = compose(outer, inner)
         assert verify_calls == [outer, inner, composite]
+
+    @pytest.mark.parametrize("check", [
+        check_inequalities, classify, minimal_plateaux,
+        lambda m: totally_unfolded(m, plateau_of(m.target, 2, "w"))],
+        ids=["audit", "classify", "minimal_plateaux", "totally_unfolded"])
+    def test_analysis_checks_its_map_once(self, verify_calls, check):
+        m = f4_map()
+        check(m)
+        assert verify_calls == [m]
 
     def test_private_steps(self, verify_calls):
         step = _prime_power_cover(PATH_2_3, label_primes(PATH_2_3), COVER_VERTEX_LIMIT)

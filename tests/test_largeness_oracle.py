@@ -1,16 +1,18 @@
-"""Largeness against two facts that `is_large` does not use.
+"""Largeness and commensurability against facts that their deciders do not use.
 
 A group is large exactly when a finite-index subgroup is, so both ends of
 an admissible map are large or neither is, unless one of them presents a
-cyclic group.  And a graph whose fundamental group surjects onto F2, that
+cyclic group; and the two ends are always commensurable.  And a graph whose fundamental group surjects onto F2, that
 is one with Betti number at least 2, presents a large group; a branched
 cover over a proper plateau is such a finite-index certificate.
 """
 
 from collections import Counter
 
+import pytest
+
 from gbs import (GeneratorConfig, InputError, Plateau, all_plateaux, branched_cover,
-                 generate_admissible_map, generate_graph, is_large, suites)
+                 commensurable, generate_admissible_map, generate_graph, is_large, suites)
 from gbs.primes import smallest_prime_factor
 
 
@@ -22,10 +24,14 @@ def largeness(g) -> bool | None:
         return None
 
 
-def test_admissible_maps_keep_largeness():
+@pytest.fixture(scope="module")
+def generated_maps():
+    return [generate_admissible_map(suites._map_config(seed)) for seed in range(1, 601)]
+
+
+def test_admissible_maps_keep_largeness(generated_maps):
     outcomes = Counter()
-    for seed in range(1, 601):
-        m = generate_admissible_map(suites._map_config(seed))
+    for seed, m in enumerate(generated_maps, start=1):
         source, target = largeness(m.source), largeness(m.target)
         if source is None or target is None:
             outcomes["cyclic"] += 1
@@ -33,6 +39,11 @@ def test_admissible_maps_keep_largeness():
         assert source == target, seed
         outcomes[target] += 1
     assert outcomes == {True: 576, False: 10, "cyclic": 14}
+
+
+def test_admissible_maps_are_never_not_commensurable(generated_maps):
+    answers = Counter(commensurable(m.source, m.target).answer for m in generated_maps)
+    assert answers == {"commensurable": 26, "out-of-scope": 574}
 
 
 def test_betti_number_one_with_a_proper_plateau_is_large():

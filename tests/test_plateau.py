@@ -1,4 +1,6 @@
+import random
 import time
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -156,6 +158,45 @@ class TestCheckPlateau:
             branched_cover(g, plateau)
         with pytest.raises(InputError, match="^not a plateau of the target graph$"):
             totally_unfolded(identity_map(g), plateau)
+
+
+    def test_matches_the_dichotomy_oracle(self):
+        """Generated graphs, two thirds made disconnected, for three primes and
+        one composite: every oracle plateau, the whole graph, and random vertex
+        sets with their coprime edges or with random edges."""
+        rng = random.Random(5)
+        outcomes = Counter()
+        for seed in range(1, 151):
+            g = generate_graph(GeneratorConfig(seed, max_vertices=4, max_edges=5,
+                                               max_label_magnitude=12))
+            if seed % 3:  # an isolated vertex, or one carrying a loop
+                loops = [("lz", "z", "z", 2, 9)] if seed % 3 == 2 else []
+                g = LabelledGraph.build([*g.vertices, "z"],
+                                        [tuple(rec) for rec in g.edges] + loops)
+            names = [rec.name for rec in g.edges]
+            whole = (frozenset(g.vertices), frozenset(names))
+            for p in (2, 3, 5, 4):
+                coprime = [rec for rec in g.edges
+                           if rec.label_origin % p and rec.label_terminus % p]
+                oracle = plateau_oracle(g, p)
+                candidates = [*oracle, whole]
+                pool = [*g.vertices, "zz"]  # zz is no vertex of g
+                for _ in range(8):
+                    vertices = frozenset(rng.sample(pool, rng.randint(1, min(3, len(pool)))))
+                    if rng.random() < 0.5:  # the coprime edges meeting the vertices
+                        edges = {rec.name for rec in coprime
+                                 if {rec.origin, rec.terminus} & vertices}
+                    else:
+                        edges = set(rng.sample(names, rng.randint(0, len(names))))
+                    candidates.append((vertices, frozenset(edges)))
+                for vertices, edges in candidates:
+                    expected = p != 4 and ((vertices, edges) in oracle or (
+                        (vertices, edges) == whole and g.is_connected()
+                        and len(coprime) == len(names)))
+                    got = check_plateau(g, Plateau(p, vertices, edges))
+                    assert got == expected, (seed, p, vertices, edges)
+                    outcomes[got] += 1
+        assert outcomes == {True: 738, False: 5341}
 
 
 class TestPrimes:

@@ -72,8 +72,17 @@ def deck_transformations(count: int) -> list[tuple[LabelledGraph, int, GraphAuto
     return out
 
 
+def flip_with_loops():
+    """The edge flip with a loop at each end: one inverted edge, two swapped loops."""
+    g = LabelledGraph.build(["u", "w"], [("lu", "u", "u", 1, 1), ("e", "u", "w", 1, 1),
+                                         ("lw", "w", "w", 1, 1)])
+    return GraphAutomorphism(g, {"u": "w", "w": "u"},
+                             {"lu": ("lw", True), "e": ("e", False), "lw": ("lu", True)})
+
+
 FIXTURES = {"theta": theta_symmetry, "two-cycle": two_cycle_rotation, "edge-flip": edge_flip,
-            "identity-rose": lambda: identity_automorphism(rose(2))}
+            "identity-rose": lambda: identity_automorphism(rose(2)),
+            "flip-with-loops": flip_with_loops}
 DECKS = deck_transformations(30)
 
 
@@ -126,8 +135,8 @@ def reverses_some_dart(a) -> bool:
 class TestSubdivision:
     @pytest.mark.parametrize(("make", "inverted"), [
         (theta_symmetry, True), (two_cycle_rotation, False), (edge_flip, True),
-        (lambda: identity_automorphism(rose(2)), False)],
-        ids=["theta", "two-cycle", "edge-flip", "identity-rose"])
+        (lambda: identity_automorphism(rose(2)), False), (flip_with_loops, True)],
+        ids=["theta", "two-cycle", "edge-flip", "identity-rose", "flip-with-loops"])
     def test_inverted_edges_matches_reference(self, make, inverted):
         aut = make()
         assert reverses_some_dart(aut) == inverted
