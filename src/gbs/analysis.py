@@ -76,9 +76,9 @@ def _strictly_contains(big: Plateau, small: Plateau) -> bool:
             and (small.vertices, small.edges) != (big.vertices, big.edges))
 
 
-def _minimal_plateaux(m: AdmissibleMap, inventory: tuple[Plateau, ...]) -> list[Plateau]:
-    candidates = [P for P in inventory  # interior: no terminal vertex inside
-                  if all(m.target.valence(v) != 1 for v in P.vertices)
+def _minimal_plateaux(m: AdmissibleMap) -> list[Plateau]:
+    candidates = [P for P in all_plateaux(m.target).proper_plateaux
+                  if all(m.target.valence(v) != 1 for v in P.vertices)  # interior
                   and _totally_unfolded(m, P)]
     return [P for P in candidates
             if not any(_strictly_contains(P, Q) for Q in candidates if Q is not P)]
@@ -87,7 +87,7 @@ def _minimal_plateaux(m: AdmissibleMap, inventory: tuple[Plateau, ...]) -> list[
 def minimal_plateaux(m: AdmissibleMap) -> list[Plateau]:
     """Interior, totally unfolded plateaux of the target, minimal by inclusion."""
     _require_admissible(m, "minimal_plateaux")
-    return _minimal_plateaux(m, all_plateaux(m.target).proper_plateaux)
+    return _minimal_plateaux(m)
 
 
 def _hitting_number(g: LabelledGraph, minimal: list[Plateau]) -> int:
@@ -198,7 +198,7 @@ def classify(m: AdmissibleMap) -> MapClassification:
     _require_admissible(m, "classify")
     if not m.source.is_connected():
         raise InputError("classify requires a connected source")
-    return _classify(m, _minimal_plateaux(m, all_plateaux(m.target).proper_plateaux))
+    return _classify(m, _minimal_plateaux(m))
 
 
 def _classify(m: AdmissibleMap, minimal: list[Plateau]) -> MapClassification:
@@ -270,7 +270,7 @@ def check_inequalities(m: AdmissibleMap) -> AuditReport:
     beta_bar, t_bar = src.betti(), len(src.terminal_vertices())
     bad = bad_vertices(m)
     t_good = t - len(bad)
-    minimal = _minimal_plateaux(m, inventory)
+    minimal = _minimal_plateaux(m)
     # one subgraph may qualify for several primes; count subgraphs once
     subgraphs = {(P.vertices, P.edges) for P in minimal}
     c = _hitting_number(tgt, minimal)

@@ -11,6 +11,7 @@ presented group.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable, Sequence
 
 from .errors import InputError
 from .graph import LabelledGraph
@@ -31,11 +32,21 @@ class PlateauCollection:
     proper_plateaux: tuple[Plateau, ...]
 
 
+def _memo(g: LabelledGraph, key: str, compute: Callable[[LabelledGraph], Any]) -> Any:
+    """compute(g), once per graph: kept in g.__dict__, where cached_property keeps
+    `_components`.  g is frozen, so the memo is exact; == and hash never read it."""
+    if key not in g.__dict__:
+        g.__dict__[key] = compute(g)
+    return g.__dict__[key]
+
+
 def label_primes(g: LabelledGraph) -> list[int]:
     """Distinct primes dividing at least one label magnitude."""
-    magnitudes = {abs(label) for rec in g.edges
-                  for label in (rec.label_origin, rec.label_terminus)}
-    return sorted({p for n in magnitudes for p in prime_factors(n)})
+    def compute(g: LabelledGraph) -> list[int]:
+        magnitudes = {abs(label) for rec in g.edges
+                      for label in (rec.label_origin, rec.label_terminus)}
+        return sorted({p for n in magnitudes for p in prime_factors(n)})
+    return list(_memo(g, "_label_primes", compute))
 
 
 def plateaux_for_prime(g: LabelledGraph, p: int) -> list[Plateau]:
@@ -53,12 +64,13 @@ def plateaux_for_prime(g: LabelledGraph, p: int) -> list[Plateau]:
 
 
 def _plateaux(g: LabelledGraph, p: int,
-              labels: dict[str, list[int]] | None = None) -> list[Plateau]:
+              labels: dict[str, Sequence[int]] | None = None) -> list[Plateau]:
     """:func:`plateaux_for_prime` for a prime p, read with `labels` (each edge's
     [origin, terminus] labels by name; g's own by default).  The only test of the
     divisibility dichotomy; g may be disconnected."""
     if labels is None:
-        labels = {rec.name: [rec.label_origin, rec.label_terminus] for rec in g.edges}
+        labels = _memo(g, "_label_table", lambda g: {
+            rec.name: (rec.label_origin, rec.label_terminus) for rec in g.edges})
     keep = {name for name, (lo, lt) in labels.items() if lo % p != 0 and lt % p != 0}
     out: list[Plateau] = []
     n_vertices, n_edges = len(g.vertices), len(g.edges)
@@ -85,13 +97,13 @@ def check_plateau(g: LabelledGraph, plateau: Plateau) -> bool:
 def all_plateaux(g: LabelledGraph) -> PlateauCollection:
     """Every proper plateau of g, over all primes dividing some label."""
     g._require_connected()
-    return PlateauCollection(tuple(P for p in label_primes(g) for P in _plateaux(g, p)))
+    return _memo(g, "_all_plateaux", lambda g: PlateauCollection(
+        tuple(P for p in label_primes(g) for P in _plateaux(g, p))))
 
 
 def has_proper_plateau(g: LabelledGraph) -> bool:
     """Does the connected graph g have a proper plateau for some prime?"""
-    g._require_connected()
-    return any(_plateaux(g, p) for p in label_primes(g))
+    return bool(all_plateaux(g).proper_plateaux)
 
 
 # -- exact minimum hitting set ------------------------------------------------

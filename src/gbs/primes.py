@@ -1,9 +1,9 @@
 """Small exact-arithmetic helpers.
 
-Factoring is trial division up to TRIAL_DIVISION_BOUND, so every number up
-to its square (10**12) factors by division alone.  A cofactor with no
-divisor up to that bound must be a prime that the Miller-Rabin test below
-proves; anything else is refused with InputError.
+Factoring trial-divides up to 1000, keeps a cofactor that the Miller-Rabin
+test below proves prime, and trial-divides any other on up to
+TRIAL_DIVISION_BOUND, so every number up to its square (10**12) factors.
+A cofactor with no divisor up to that bound is refused with InputError.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from math import isqrt
 from .errors import InputError
 
 TRIAL_DIVISION_BOUND = 10**6
+_PROOF_START = 1000  # trial division up to here first, then the Miller-Rabin proof
 # bases 2..41, the first 13 primes, make Miller-Rabin exact below this bound
 # (Sorenson and Webster, Math. Comp. 86, 2017)
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -40,17 +41,21 @@ def _is_strong_probable_prime(n: int) -> bool:
 def _least_divisor(n: int, d: int = 2, label: int | None = None) -> int:
     """Smallest divisor of n in [d, sqrt(n)], or n itself when there is none.
 
-    Callers pass n with no divisor in [2, d), so the result is prime.  An n
-    with no divisor up to TRIAL_DIVISION_BOUND is returned only if
-    Miller-Rabin proves it prime; otherwise InputError names `label` (the
-    number being factored, n by default).
+    Callers pass n with no divisor in [2, d), so the result is prime.  Once
+    trial division passes _PROOF_START, an n that Miller-Rabin proves prime
+    is returned; one with no divisor up to TRIAL_DIVISION_BOUND raises
+    InputError naming `label` (the number being factored, n by default).
     """
     root = isqrt(n)
-    for q in range(d, min(root, TRIAL_DIVISION_BOUND) + 1):
+    for q in range(d, min(root, _PROOF_START) + 1):
         if n % q == 0:
             return q
-    if root > TRIAL_DIVISION_BOUND and not (n < MILLER_RABIN_LIMIT
-                                            and _is_strong_probable_prime(n)):
+    if root > _PROOF_START and n < MILLER_RABIN_LIMIT and _is_strong_probable_prime(n):
+        return n
+    for q in range(max(d, _PROOF_START + 1), min(root, TRIAL_DIVISION_BOUND) + 1):
+        if n % q == 0:
+            return q
+    if root > TRIAL_DIVISION_BOUND:  # Miller-Rabin has not proved n prime
         raise InputError(f"cannot factor {n if label is None else label}: a factor has no "
                          f"divisor up to {TRIAL_DIVISION_BOUND} and is not a prime below "
                          f"{MILLER_RABIN_LIMIT}")
@@ -79,11 +84,8 @@ def smallest_prime_factor(n: int) -> int:
 
 def is_prime(n: int) -> bool:
     """Is n prime?  Only a probable prime at or past MILLER_RABIN_LIMIT is refused."""
-    if n > TRIAL_DIVISION_BOUND ** 2:
-        if not _is_strong_probable_prime(n):
-            return False
-        if n < MILLER_RABIN_LIMIT:  # the test is a proof here
-            return True
+    if n > TRIAL_DIVISION_BOUND ** 2 and not _is_strong_probable_prime(n):
+        return False  # a base witnesses n composite: no factor needed
     return n >= 2 and smallest_prime_factor(n) == n
 
 

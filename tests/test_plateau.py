@@ -1,7 +1,9 @@
 import random
 import time
+from array import array
 from collections import Counter
 from itertools import combinations
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +11,10 @@ from hypothesis import strategies as st
 
 from conftest import bs, f1, f2, f3, f4_source
 from gbs import (GeneratorConfig, InputError, LabelledGraph, Plateau, all_plateaux,
-                 branched_cover, check_plateau, generate_graph, generates, has_proper_plateau,
-                 identity_map, label_primes, minimum_generating_vertices, minimum_hitting_set,
-                 mu, plateau_free_cover, plateaux_for_prime, rank, totally_unfolded,
-                 voltage_cover)
+                 branched_cover, check_plateau, covering, emit_graph, generate_graph, generates,
+                 has_proper_plateau, identity_map, label_primes, minimum_generating_vertices,
+                 minimum_hitting_set, mu, parse_graph, plateau, plateau_free_cover,
+                 plateaux_for_prime, rank, run_suite, totally_unfolded, voltage_cover)
 from gbs.plateau import _plateaux
 from gbs.primes import (MILLER_RABIN_LIMIT, TRIAL_DIVISION_BOUND, _is_strong_probable_prime,
                         is_prime, prime_factors, smallest_prime_factor)
@@ -221,6 +223,37 @@ class TestPrimes:
         assert prime_factors(2 * 999983 * 1000003) == [2, 999983, 1000003]
         assert is_prime(999999000001) and bound ** 2 > 999999000001
 
+    def test_factors_agree_with_a_sieve_across_the_proof_step(self):
+        # trial division stops at 1000 for a cofactor that Miller-Rabin proves
+        # prime, from 1001**2 on; a smallest-prime-factor sieve checks every n
+        # from just below 1000**2 to just above 1001**2, and at the sieve's top
+        limit = 2 * 10 ** 6
+        spf = array("I", range(limit + 1))
+        for d in range(isqrt(limit), 1, -1):  # the least divisor writes last
+            spf[d * d::d] = array("I", [d]) * len(range(d * d, limit + 1, d))
+
+        def sieved(n):
+            out = []
+            while n > 1:
+                out.append(spf[n])
+                while n % out[-1] == 0:
+                    n //= out[-1]
+            return out
+
+        windows = (range(1000 ** 2 - 1500, 1001 ** 2 + 1500), range(limit - 1000, limit + 1))
+        for n in (n for window in windows for n in window):
+            assert prime_factors(n) == sieved(n), n
+            assert is_prime(n) == (spf[n] == n), n
+        for n in (997 * 1009, 1009 ** 2, 1009 * 1013):  # primes either side of 1000
+            assert prime_factors(n) == sieved(n), n
+        for factors in ([1009, 1013, 1019], [999983, 1000003]):
+            assert prime_factors(prod(factors)) == factors
+            assert all(spf[p] == p for p in factors)
+        # psi_9 is a strong pseudoprime to the bases 2..23; a later base catches it
+        psi_9 = 3825123056546413051
+        assert prime_factors(psi_9) == [149491, 747451, 34233211] and not is_prime(psi_9)
+        assert spf[149491] == 149491 and spf[747451] == 747451 and is_prime(34233211)
+
     def test_prime_cofactor_past_the_bound_is_proved(self):
         p = 2 ** 61 - 1
         assert prime_factors(-6 * p) == [2, 3, p]
@@ -283,6 +316,65 @@ class TestLabelPrimes:
         for m in covers:
             for g in (m.source, m.target):
                 assert label_primes(g) == self.per_dart(g)
+
+
+def spy(monkeypatch, module, name):
+    """Replace `module.name` by a wrapper that logs the arguments of each call."""
+    calls, real = [], getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestPlateauFactsOncePerGraph:
+    def test_rank_query_factors_each_magnitude_once(self, monkeypatch):
+        factored = spy(monkeypatch, plateau, "prime_factors")
+        detected = spy(monkeypatch, plateau, "_plateaux")
+        for seed in range(1, 11):
+            cfg = GeneratorConfig(seed=seed, max_vertices=12, max_edges=20,
+                                  max_label_magnitude=10 ** 9)
+            g = parse_graph(emit_graph(generate_graph(cfg)))
+            rank(g)
+            all_plateaux(g)
+            generates(g, g.vertices[:1])
+            magnitudes = {abs(g.label(d)) for d in g.darts()}
+            assert sorted(n for n, in factored) == sorted(magnitudes), seed
+            assert detected == [(g, p) for p in label_primes(g)], seed
+            factored.clear()
+            detected.clear()
+
+    def test_plateau_free_suite_builds_each_label_table_once(self, monkeypatch):
+        built, real = [], plateau._memo
+
+        def counting(g, key, compute):
+            def build(g):
+                built.append((key, g))
+                return compute(g)
+            return real(g, key, build)
+        monkeypatch.setattr(plateau, "_memo", counting)
+        spies = [spy(monkeypatch, module, "_plateaux") for module in (plateau, covering)]
+        assert run_suite("plateau-free-cover", count=15, base_seed=1).ok
+        detections = spies[0] + spies[1]
+        reads = [id(g) for g, _, *labels in detections if not labels]  # g's own labels
+        tables = Counter(id(g) for key, g in built if key == "_label_table")
+        # the graphs stay referenced in `built` and `detections`, so ids are not reused
+        assert len(reads) > len(tables) > 15 and set(tables) == set(reads)
+        assert max(Counter((key, id(g)) for key, g in built).values()) == 1
+
+    def test_memo_does_not_leak(self, monkeypatch):
+        g, twin = f3(), f3()
+        primes = label_primes(g)
+        primes.append(7)
+        assert label_primes(g) == [2, 3, 5]
+        inventory = all_plateaux(g)
+        assert all_plateaux(g) is inventory
+        factored = spy(monkeypatch, plateau, "prime_factors")
+        assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
+        assert all_plateaux(twin) == inventory and all_plateaux(twin) is not inventory
+        assert sorted(n for n, in factored) == [2, 3, 5]  # the twin factors its own labels
 
 
 class TestInventories:
