@@ -2,9 +2,8 @@
 labelled graphs: rank via plateaux, largeness, commensurability, admissible
 maps and covers, and mapping tori of finite-order graph automorphisms."""
 
-from .analysis import (AuditReport, MapClassification, bad_vertices,
-                       check_inequalities, classify, doubled_deltas,
-                       minimal_plateaux, totally_unfolded)
+from .analysis import (AuditReport, MapClassification, check_inequalities,
+                       classify, minimal_plateaux, totally_unfolded)
 from .coloring import stable_colorings
 from .covering import (AdmissibleMap, Verification, branched_cover, compose,
                        covering_characterizations, extract_proper_plateau,

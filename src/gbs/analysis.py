@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import InputError, InternalError
 from .covering import AdmissibleMap, verify_admissible
@@ -19,7 +18,7 @@ from .plateau import Plateau, all_plateaux, check_plateau, minimum_hitting_set
 from .primes import valuation
 
 
-def doubled_deltas(m: AdmissibleMap) -> dict[str, int]:
+def _doubled_deltas(m: AdmissibleMap) -> dict[str, int]:
     """Per target vertex v: 2 * (sum over preimages x of |d_x/2 - 1|  -  |d_v/2 - 1|).
 
     Doubling keeps the arithmetic exact; the values sum to
@@ -32,7 +31,7 @@ def doubled_deltas(m: AdmissibleMap) -> dict[str, int]:
     return out
 
 
-def bad_vertices(m: AdmissibleMap) -> frozenset[str]:
+def _bad_vertices(m: AdmissibleMap) -> frozenset[str]:
     """Terminal target vertices all of whose preimages have valence 2."""
     out = set()
     for v in m.target.vertices:
@@ -191,9 +190,9 @@ def classify(m: AdmissibleMap) -> MapClassification:
     """Accordion, (generalized) branched 2-cover of a tree, or ordinary.
 
     An accordion wraps a circle onto an interval in 2n monotone strands; a
-    size-1 accordion is reported as a branched 2-cover.  The generalized
-    branched search tries subsets of the minimal 2-plateaux as branching
-    loci, smallest subsets first.
+    size-1 accordion is reported as a branched 2-cover.  The one branching
+    locus that can pass is read off the map and checked once: the minimal
+    2-plateaux with a vertex that has other than two preimages.
     """
     _require_admissible(m, "classify")
     if not m.source.is_connected():
@@ -214,15 +213,15 @@ def _classify(m: AdmissibleMap, minimal: list[Plateau]) -> MapClassification:
             return MapClassification("branched-2-cover-of-tree")
         return MapClassification("accordion", size=size)
 
-    candidates = [P for P in minimal if P.prime == 2]
-    for r in range(len(candidates) + 1):
-        for chosen in combinations(candidates, r):
-            if _is_generalized_branched(m, chosen):
-                if chosen:
-                    return MapClassification("generalized-branched",
-                                             branching_plateaux=chosen)
-                return MapClassification("branched-2-cover-of-tree")
-    return MapClassification("ordinary")
+    # outside the locus a non-terminal vertex needs 2 preimages; inside, a
+    # plateau needs a frontier point with 1 or it leaves a quotient loop
+    chosen = tuple(P for P in minimal if P.prime == 2
+                   and any(len(m.vertex_preimages[v]) != 2 for v in P.vertices))
+    if not _is_generalized_branched(m, chosen):
+        return MapClassification("ordinary")
+    if chosen:
+        return MapClassification("generalized-branched", branching_plateaux=chosen)
+    return MapClassification("branched-2-cover-of-tree")
 
 
 # -- the audit -----------------------------------------------------------------
@@ -268,7 +267,7 @@ def check_inequalities(m: AdmissibleMap) -> AuditReport:
 
     beta, t = tgt.betti(), len(tgt.terminal_vertices())
     beta_bar, t_bar = src.betti(), len(src.terminal_vertices())
-    bad = bad_vertices(m)
+    bad = _bad_vertices(m)
     t_good = t - len(bad)
     minimal = _minimal_plateaux(m)
     # one subgraph may qualify for several primes; count subgraphs once
@@ -286,7 +285,7 @@ def check_inequalities(m: AdmissibleMap) -> AuditReport:
     }
     entries: list[AuditEntry] = []
 
-    delta_sum = sum(doubled_deltas(m).values())
+    delta_sum = sum(_doubled_deltas(m).values())
     expected = 2 * ((beta_bar + t_bar) - (beta + t))
     entries.append(AuditEntry("delta-sum", delta_sum == expected,
                               f"sum(2*delta)={delta_sum} expected={expected}"))

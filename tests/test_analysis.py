@@ -9,10 +9,11 @@ from pathlib import Path
 import pytest
 
 from conftest import bs, f1, f4_map
-from gbs import (InputError, LabelledGraph, Plateau, all_plateaux, bad_vertices,
-                 check_inequalities, classify, doubled_deltas, identity_map, minimal_plateaux,
-                 plateaux_for_prime, totally_unfolded, voltage_cover)
-from gbs.analysis import (_bad_plateaux, _has_plateau_preimage_component, _hitting_number,
+from gbs import (InputError, LabelledGraph, Plateau, all_plateaux, check_inequalities,
+                 classify, identity_map, minimal_plateaux, plateaux_for_prime,
+                 totally_unfolded, voltage_cover)
+from gbs.analysis import (_bad_plateaux, _bad_vertices, _doubled_deltas,
+                          _has_plateau_preimage_component, _hitting_number,
                           _totally_unfolded)
 from gbs.generate import generate_admissible_map
 from gbs.suites import (_map_config, accordion_fixture,
@@ -30,28 +31,28 @@ def loop_plateau(m):
 class TestDeltas:
     def test_sum_identity_on_fixture(self):
         m = f4_map()
-        total = sum(doubled_deltas(m).values())
+        total = sum(_doubled_deltas(m).values())
         src, tgt = m.source, m.target
         expected = 2 * ((src.betti() + len(src.terminal_vertices()))
                         - (tgt.betti() + len(tgt.terminal_vertices())))
         assert total == expected
 
     def test_bad_vertex_value(self):
-        deltas = doubled_deltas(f4_map())
+        deltas = _doubled_deltas(f4_map())
         assert deltas["u"] == -1  # 2*delta = -1 at a bad vertex
 
 
 class TestBadVertices:
     def test_fixture(self):
-        assert bad_vertices(f4_map()) == frozenset({"u"})
+        assert _bad_vertices(f4_map()) == frozenset({"u"})
 
     def test_identity_has_none(self):
-        assert bad_vertices(identity_map(f1(5))) == frozenset()
+        assert _bad_vertices(identity_map(f1(5))) == frozenset()
 
     def test_voltage_covers_have_none(self):
         g = f1(6)
         cover = voltage_cover(g, 2, {r.name: (1, 0) for r in g.edges})
-        assert bad_vertices(cover) == frozenset()
+        assert _bad_vertices(cover) == frozenset()
 
 
 class TestTotallyUnfolded:

@@ -7,12 +7,16 @@ is one with Betti number at least 2, presents a large group; a branched
 cover over a proper plateau is such a finite-index certificate.
 """
 
+import math
+import random
 from collections import Counter
 
 import pytest
 
-from gbs import (GeneratorConfig, InputError, Plateau, all_plateaux, branched_cover,
-                 commensurable, generate_admissible_map, generate_graph, is_large, suites)
+from conftest import circle_graph
+from gbs import (GeneratorConfig, InputError, LabelledGraph, Plateau, all_plateaux,
+                 branched_cover, commensurable, generate_admissible_map, generate_graph,
+                 is_large, suites, voltage_cover)
 from gbs.primes import smallest_prime_factor
 
 
@@ -71,3 +75,47 @@ def test_betti_number_one_with_a_proper_plateau_is_large():
             assert is_large(r), seed
         outcomes[kind, len(plateaux)] += 1
     assert outcomes == {("non-circle", 1): 654, ("circle", 1): 120, ("circle", 0): 68}
+
+
+def turned_cover(circle, degree):
+    """The connected voltage cover of a circle of this degree: its first edge
+    turns the sheets once round, and the other edges keep them."""
+    first = circle.edges[0].name
+    return voltage_cover(circle, degree, {r.name: [(i + (r.name == first)) % degree
+                                                   for i in range(degree)]
+                                          for r in circle.edges})
+
+
+def test_betti_number_at_most_one_keeps_largeness():
+    """Circles and the Klein segment, most of them not large.
+
+    Each circle is compared with its connected voltage covers of degree 2
+    and 3, and each target with a branched cover over a proper plateau
+    when it has one.  Half the circles
+    draw their second labels prime to the product of their first ones, which
+    makes them not large.
+    """
+    rng = random.Random(1)
+    magnitudes = (1, 2, 3, 4, 5, 6, 9)
+
+    def circle(coprime: bool) -> LabelledGraph:
+        k = rng.randint(1, 4)
+        first = [rng.choice(magnitudes) * rng.choice((1, -1)) for _ in range(k)]
+        pool = [x for x in magnitudes if not coprime or math.gcd(x, math.prod(first)) == 1]
+        return circle_graph([(x, rng.choice(pool) * rng.choice((1, -1))) for x in first])
+
+    targets = [LabelledGraph.build(["u", "w"], [("s", "u", "w", 2, 2)])]
+    targets += [circle(draw % 2 == 0) for draw in range(360)]
+    outcomes = Counter()
+    for g in targets:
+        expected = largeness(g)
+        covers = [turned_cover(g, degree) for degree in (2, 3) if g.is_circle()]
+        plateaux = all_plateaux(g).proper_plateaux
+        if plateaux:
+            covers.append(branched_cover(g, rng.choice(plateaux)))
+        for cover in covers:
+            assert cover.source.is_connected()
+            assert largeness(cover.source) == expected, g
+        outcomes[expected, len(covers)] += 1
+    # 216 targets are not large, and none of them has a proper plateau
+    assert outcomes == {(False, 1): 1, (False, 2): 215, (True, 3): 145}
