@@ -24,8 +24,7 @@ from .plateau import (Plateau, PlateauCollection, all_plateaux, check_plateau,
                       minimum_generating_vertices, minimum_hitting_set, mu,
                       plateaux_for_prime, rank)
 from .suites import SuiteReport, run_suite
-from .torus import (GraphAutomorphism, inverted_edges, mapping_torus_graph,
-                    mapping_torus_rank, subdivide_inverted_edges,
-                    verify_automorphism)
+from .torus import (GraphAutomorphism, mapping_torus_graph, mapping_torus_rank,
+                    subdivide_inverted_edges, verify_automorphism)
 
 __version__ = "0.1.0"

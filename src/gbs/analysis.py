@@ -75,18 +75,14 @@ def _strictly_contains(big: Plateau, small: Plateau) -> bool:
             and (small.vertices, small.edges) != (big.vertices, big.edges))
 
 
-def _minimal_plateaux(m: AdmissibleMap) -> list[Plateau]:
+def minimal_plateaux(m: AdmissibleMap) -> list[Plateau]:
+    """Interior, totally unfolded plateaux of the target, minimal by inclusion."""
+    _require_admissible(m, "minimal_plateaux")
     candidates = [P for P in all_plateaux(m.target).proper_plateaux
                   if all(m.target.valence(v) != 1 for v in P.vertices)  # interior
                   and _totally_unfolded(m, P)]
     return [P for P in candidates
             if not any(_strictly_contains(P, Q) for Q in candidates if Q is not P)]
-
-
-def minimal_plateaux(m: AdmissibleMap) -> list[Plateau]:
-    """Interior, totally unfolded plateaux of the target, minimal by inclusion."""
-    _require_admissible(m, "minimal_plateaux")
-    return _minimal_plateaux(m)
 
 
 def _hitting_number(g: LabelledGraph, minimal: list[Plateau]) -> int:
@@ -197,7 +193,7 @@ def classify(m: AdmissibleMap) -> MapClassification:
     _require_admissible(m, "classify")
     if not m.source.is_connected():
         raise InputError("classify requires a connected source")
-    return _classify(m, _minimal_plateaux(m))
+    return _classify(m, minimal_plateaux(m))
 
 
 def _classify(m: AdmissibleMap, minimal: list[Plateau]) -> MapClassification:
@@ -269,7 +265,7 @@ def check_inequalities(m: AdmissibleMap) -> AuditReport:
     beta_bar, t_bar = src.betti(), len(src.terminal_vertices())
     bad = _bad_vertices(m)
     t_good = t - len(bad)
-    minimal = _minimal_plateaux(m)
+    minimal = minimal_plateaux(m)
     # one subgraph may qualify for several primes; count subgraphs once
     subgraphs = {(P.vertices, P.edges) for P in minimal}
     c = _hitting_number(tgt, minimal)

@@ -11,6 +11,7 @@ coverings.
 from __future__ import annotations
 
 import math
+import types
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -32,6 +33,10 @@ class AdmissibleMap:
     edge_map: Mapping[str, tuple[str, bool]]  # edge -> (image edge, same orientation)
     vertex_multiplicity: Mapping[str, int]
     edge_multiplicity: Mapping[str, int]
+
+    def __post_init__(self):  # read-only copies: no caller can make a kept verdict stale
+        for name in ("vertex_map", "edge_map", "vertex_multiplicity", "edge_multiplicity"):
+            object.__setattr__(self, name, types.MappingProxyType(dict(getattr(self, name))))
 
     def map_dart(self, dart: Dart) -> Dart:
         image, same = self.edge_map[dart.edge]
@@ -85,7 +90,14 @@ def verify_admissible(m: AdmissibleMap) -> Verification:
 
     The first violated site, in declaration order, is reported; morphism
     incidence problems are reported distinctly from multiplicity problems.
+    The verdict is kept on m, so each map is checked once; == never reads it.
     """
+    if "_verdict" not in m.__dict__:
+        m.__dict__["_verdict"] = _check_admissible(m)
+    return m.__dict__["_verdict"]
+
+
+def _check_admissible(m: AdmissibleMap) -> Verification:
     src, tgt = m.source, m.target
     vm, em = m.vertex_map, m.edge_map
 
@@ -160,8 +172,15 @@ def identity_map(g: LabelledGraph) -> AdmissibleMap:
                          {v: 1 for v in g.vertices}, {r.name: 1 for r in g.edges})
 
 
-def _compose(outer: AdmissibleMap, inner: AdmissibleMap) -> AdmissibleMap:
-    """Composite of inner: K -> H with outer: H -> G, unchecked: admissible maps compose."""
+def compose(outer: AdmissibleMap, inner: AdmissibleMap) -> AdmissibleMap:
+    """Composite of inner: K -> H with outer: H -> G; the inputs and the
+    composite are checked, and a map already checked is not checked again."""
+    if inner.target != outer.source:
+        raise InputError("compose requires inner.target == outer.source")
+    for role, m in (("outer", outer), ("inner", inner)):
+        result = verify_admissible(m)
+        if not result:
+            raise InputError(f"compose: the {role} map is not admissible: {result.render()}")
     vm = {x: outer.vertex_map[inner.vertex_map[x]] for x in inner.source.vertices}
     em = {}
     for rec in inner.source.edges:
@@ -174,18 +193,8 @@ def _compose(outer: AdmissibleMap, inner: AdmissibleMap) -> AdmissibleMap:
     emult = {rec.name: inner.edge_multiplicity[rec.name]
              * outer.edge_multiplicity[inner.edge_map[rec.name][0]]
              for rec in inner.source.edges}
-    return AdmissibleMap(inner.source, outer.target, vm, em, vmult, emult)
-
-
-def compose(outer: AdmissibleMap, inner: AdmissibleMap) -> AdmissibleMap:
-    """Composite of two admissible maps; the inputs and the composite are checked."""
-    if inner.target != outer.source:
-        raise InputError("compose requires inner.target == outer.source")
-    for role, m in (("outer", outer), ("inner", inner)):
-        result = verify_admissible(m)
-        if not result:
-            raise InputError(f"compose: the {role} map is not admissible: {result.render()}")
-    return assert_admissible(_compose(outer, inner), "compose")
+    return assert_admissible(AdmissibleMap(inner.source, outer.target, vm, em, vmult, emult),
+                             "compose")
 
 
 # -- covering characterizations ------------------------------------------------

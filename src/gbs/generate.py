@@ -4,15 +4,16 @@ The generator is a Mersenne Twister (`random.Random`) seeded explicitly,
 so identical configurations reproduce identical graphs and maps bit for
 bit on every platform.  Maps are assembled only from the constructions in
 :mod:`gbs.covering`: each recipe step is checked by the construction that
-builds it, and their composites are admissible by construction.
+builds it, and their composites are checked by `compose`.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 
-from .covering import (AdmissibleMap, _compose, branched_cover, identity_map,
+from .covering import (AdmissibleMap, branched_cover, compose, identity_map,
                        restrict_to_component, voltage_cover)
 from .errors import InputError
 from .graph import EdgeRecord, LabelledGraph
@@ -73,19 +74,16 @@ def random_voltage_assignment(rng: random.Random, g: LabelledGraph,
     return assignment
 
 
-def _voltage_step(rng: random.Random, current: AdmissibleMap,
-                  degree: int) -> AdmissibleMap:
-    src = current.source
+def _voltage_step(rng: random.Random, src: LabelledGraph, degree: int) -> AdmissibleMap:
     assignment = random_voltage_assignment(rng, src, degree)
     return restrict_to_component(voltage_cover(src, degree, assignment))
 
 
-def _branched_step(rng: random.Random, current: AdmissibleMap) -> AdmissibleMap:
-    src = current.source
+def _branched_step(rng: random.Random, src: LabelledGraph) -> AdmissibleMap:
     plateaux = all_plateaux(src).proper_plateaux
     if not plateaux:
         # plateau-free source: fall back to a degree-2 voltage cover
-        return _voltage_step(rng, current, 2)
+        return _voltage_step(rng, src, 2)
     return branched_cover(src, plateaux[rng.randrange(len(plateaux))])
 
 
@@ -98,13 +96,13 @@ def generate_admissible_map(cfg: GeneratorConfig) -> AdmissibleMap:
     """
     rng = random.Random(cfg.seed)
     g = _random_graph(rng, cfg)
-    current = identity_map(g)
+    steps: list[AdmissibleMap] = []
     for step in cfg.map_recipe:
+        src = steps[-1].source if steps else g
         if step == "branched":
-            inner = _branched_step(rng, current)
+            steps.append(_branched_step(rng, src))
         elif step.startswith("voltage:"):
-            inner = _voltage_step(rng, current, int(step.split(":", 1)[1]))
+            steps.append(_voltage_step(rng, src, int(step.split(":", 1)[1])))
         else:
             raise InputError(f"unknown recipe step {step!r}")
-        current = _compose(current, inner)
-    return current
+    return reduce(compose, steps) if steps else identity_map(g)

@@ -55,12 +55,8 @@ def verify_automorphism(a: GraphAutomorphism) -> int:
     if problems:
         raise InputError("; ".join(problems))
 
-    order = 1
-    for v in g.vertices:
-        order = math.lcm(order, len(_orbit(v, a.vertex_map.__getitem__)))
-    for dart in g.darts():
-        order = math.lcm(order, len(_orbit(dart, a.dart_image)))
-    return order
+    return math.lcm(*map(len, _orbits(g.vertices, a.vertex_map.__getitem__)),
+                    *map(len, _orbits(g.darts(), a.dart_image)))
 
 
 def _orbit(start, step) -> list:
@@ -73,12 +69,11 @@ def _orbit(start, step) -> list:
     return orbit
 
 
-def inverted_edges(a: GraphAutomorphism) -> frozenset[str]:
-    """Edges whose dart orbit contains the reversed dart of some member."""
+def _inverted_edges(a: GraphAutomorphism) -> frozenset[str]:
+    """Edges whose dart orbit contains the reversed dart of some member; `a` is verified."""
     out = set()
-    for rec in a.graph.edges:
-        orbit = _orbit(Dart(rec.name, True), a.dart_image)
-        if any(d.reverse() in orbit for d in orbit):
+    for orbit in _orbits((Dart(rec.name, True) for rec in a.graph.edges), a.dart_image):
+        if not set(orbit).isdisjoint(d.reverse() for d in orbit):
             out.update(d.edge for d in orbit)
     return frozenset(out)
 
@@ -97,7 +92,7 @@ def _subdivide_inverted_edges(a: GraphAutomorphism) -> GraphAutomorphism:
     """:func:`subdivide_inverted_edges` for a verified automorphism; the
     result is trusted to be an automorphism without inverted edges."""
     g = a.graph
-    split = inverted_edges(a)
+    split = _inverted_edges(a)
     if not split:
         return a
 
@@ -148,7 +143,7 @@ def mapping_torus_graph(a: GraphAutomorphism) -> LabelledGraph:
     labels are positive.
     """
     verify_automorphism(a)
-    if inverted_edges(a):
+    if _inverted_edges(a):
         raise InputError("some power reverses an edge; apply "
                          "subdivide_inverted_edges first")
     return _mapping_torus_graph(a)

@@ -16,10 +16,10 @@ from itertools import combinations
 import pytest
 
 from gbs import (LabelledGraph, all_plateaux, analysis, branched_cover, check_inequalities,
-                 classify, voltage_cover)
-from gbs.analysis import MapClassification, _is_generalized_branched, _minimal_plateaux
+                 classify, compose, minimal_plateaux, voltage_cover)
+from gbs.analysis import MapClassification, _is_generalized_branched
 from gbs.cli import main
-from gbs.covering import _compose, _sheeted_cover, assert_admissible
+from gbs.covering import _sheeted_cover, assert_admissible
 from gbs.generate import generate_admissible_map
 from gbs.suites import _map_config, exceptional_fixture_maps
 
@@ -27,7 +27,7 @@ from gbs.suites import _map_config, exceptional_fixture_maps
 def subset_search(m) -> MapClassification:
     """The classification of a map that is not an accordion, by trying every
     subset of the candidates."""
-    candidates = [P for P in _minimal_plateaux(m) if P.prime == 2]
+    candidates = [P for P in minimal_plateaux(m) if P.prime == 2]
     for r in range(len(candidates) + 1):
         for chosen in combinations(candidates, r):
             if _is_generalized_branched(m, chosen):
@@ -94,13 +94,13 @@ def hub_map(seed: int):
     perturbation = rng.random()
     if perturbation < 0.2:
         loops = [r.name for r in m.source.edges if r.origin == r.terminus]
-        m = _compose(m, voltage_cover(m.source, 2, {
+        m = compose(m, voltage_cover(m.source, 2, {
             r.name: (1, 0) if r.name == loops[0] else rng.choice(((0, 1), (1, 0)))
             for r in m.source.edges}))
     elif perturbation < 0.35:
         odd_plateaux = [P for P in all_plateaux(m.source).proper_plateaux if P.prime != 2]
         if odd_plateaux:
-            m = _compose(m, branched_cover(m.source, rng.choice(odd_plateaux)))
+            m = compose(m, branched_cover(m.source, rng.choice(odd_plateaux)))
     return assert_admissible(m, "test map")
 
 
@@ -117,7 +117,7 @@ def test_classify_matches_the_subset_search(corpus):
     for i, m in enumerate(corpus):
         expected = subset_search(m)
         assert classify(m) == expected, i
-        if sum(P.prime == 2 for P in _minimal_plateaux(m)) >= 4:
+        if sum(P.prime == 2 for P in minimal_plateaux(m)) >= 4:
             outcomes["many"] += 1
             outcomes["many", expected.kind] += 1
     assert outcomes["many"] >= 50

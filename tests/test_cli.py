@@ -15,6 +15,15 @@ THETA_AUT = ("vertex P\nvertex Q\n"
              "fv P Q\nfv Q P\nfe a ~b\nfe b ~c\nfe c ~a\n")
 
 
+def rotated_cycle(n: int) -> str:
+    """The rotation by one of an n-cycle, as an automorphism file."""
+    lines = [f"vertex v{i}" for i in range(n)]
+    lines += [f"edge e{i} v{i} v{(i + 1) % n}" for i in range(n)]
+    lines += [f"fv v{i} v{(i + 1) % n}" for i in range(n)]
+    lines += [f"fe e{i} e{(i + 1) % n}" for i in range(n)]
+    return "\n".join(lines) + "\n"
+
+
 def write_graph(tmp_path, name, graph):
     path = tmp_path / name
     path.write_text(emit_graph(graph))
@@ -294,6 +303,29 @@ class TestInputBounds:
             "error: plateau-free cover would need 10009 vertices for prime 10007, "
             f"above the limit {covering.COVER_VERTEX_LIMIT}\n")
         assert not list(tmp_path.glob("out*"))
+
+    def test_mapping_torus_of_a_long_cycle(self, tmp_path, capsys):
+        path = tmp_path / "cycle.aut"
+        path.write_text(rotated_cycle(3200))
+        start = time.perf_counter()
+        assert main(["mapping-torus", str(path)]) == 0
+        assert time.perf_counter() - start < 1.0
+        out = capsys.readouterr().out
+        assert out.startswith("order=3200\n") and out.endswith("\nrank=2\n")
+
+    def test_mapping_torus_steps_each_dart_a_few_times(self, tmp_path, capsys, monkeypatch):
+        steps = []
+        real = torus.GraphAutomorphism.dart_image
+
+        def counting(a, dart):
+            steps.append(dart)
+            return real(a, dart)
+
+        monkeypatch.setattr(torus.GraphAutomorphism, "dart_image", counting)
+        path = tmp_path / "cycle.aut"
+        path.write_text(rotated_cycle(200))
+        assert main(["mapping-torus", str(path)]) == 0
+        assert len(steps) <= 4 * 400  # 400 darts; quadratic walks made 120,600 steps
 
     def test_cover_limit_is_inclusive(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(covering, "COVER_VERTEX_LIMIT", 6)

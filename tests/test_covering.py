@@ -14,10 +14,10 @@ from gbs import (AdmissibleMap, GeneratorConfig, InputError, InternalError, Labe
                  generate_admissible_map, generate_graph, has_proper_plateau,
                  identity_map, is_topological_covering, label_primes, minimal_plateaux,
                  orientation_double_cover, plateau_free_cover,
-                 plateaux_for_prime, rank, restrict_to_component, totally_unfolded,
-                 verify_admissible, voltage_cover)
-from gbs import analysis, covering, generate, suites
-from gbs.covering import COVER_VERTEX_LIMIT, _compose, _prime_power_cover
+                 plateaux_for_prime, rank, restrict_to_component, run_suite,
+                 totally_unfolded, verify_admissible, voltage_cover)
+from gbs import covering, generate, suites
+from gbs.covering import COVER_VERTEX_LIMIT, _prime_power_cover
 from strategies import connected_graphs
 
 
@@ -355,12 +355,13 @@ def emitted(m: AdmissibleMap) -> str:
 
 def chained_plateau_free_cover(g: LabelledGraph, size_limit: int) -> AdmissibleMap | None:
     """One single-prime cover per label prime, each with its rounds run on the
-    previous source, composed as built; None if no prime has a proper plateau."""
+    previous source, composed and checked as built; None if no prime has a
+    proper plateau."""
     current = None
     for p in label_primes(g):
         step = _prime_power_cover(g if current is None else current.source, [p], size_limit)
         if step is not None:
-            current = step if current is None else _compose(current, step)
+            current = step if current is None else compose(current, step)
     return current
 
 
@@ -383,8 +384,8 @@ class TestPullback:
 
     @pytest.mark.parametrize(("bound", "covers", "refusals"), [(12, 171, 22), (60, 126, 88)])
     def test_generated_graphs(self, bound, covers, refusals):
-        # `plateau_free_cover` checks and returns the builder's map; the
-        # checks would cost as much as the chain, so they are left out here
+        # `compose` checks every step and composite of the chain, so the
+        # builder's map, equal to the last composite, is admissible too
         outcomes = Counter()
         for seed in range(1, 301):
             g = generate_graph(GeneratorConfig(seed=seed, max_vertices=6, max_edges=8,
@@ -447,12 +448,13 @@ class TestTrustedSteps:
 
     def test_generated_composites_are_admissible(self, monkeypatch):
         seen = Counter()
-        for name in ("restrict_to_component", "_compose"):
+        for name in ("restrict_to_component", "compose"):
             monkeypatch.setattr(generate, name, checked(getattr(generate, name), seen))
         for recipe in suites.RECIPES:
             for seed in range(1, 201):
                 generate_admissible_map(GeneratorConfig(seed=seed, map_recipe=recipe))
-        assert seen["_compose"] == 200 * sum(len(recipe) for recipe in suites.RECIPES)
+        # the first step of a recipe is composed with nothing
+        assert seen["compose"] == 200 * sum(len(recipe) - 1 for recipe in suites.RECIPES)
 
     def test_undivisible_leaving_label_is_internal_error(self, monkeypatch):
         # {v_a} is no 2-plateau of f1(7): e_1 leaves it with the odd label 3
@@ -464,22 +466,22 @@ class TestTrustedSteps:
 
 @pytest.fixture
 def verify_calls(monkeypatch):
-    """Maps passed to `verify_admissible`, in call order."""
+    """Maps really checked, in check order: a verdict kept on a map is not counted."""
     calls = []
-    real = covering.verify_admissible
+    real = covering._check_admissible
 
     def counting(m):
         calls.append(m)
         return real(m)
 
-    monkeypatch.setattr(covering, "verify_admissible", counting)
-    monkeypatch.setattr(analysis, "verify_admissible", counting)
+    monkeypatch.setattr(covering, "_check_admissible", counting)
     return calls
 
 
 class TestCheckCount:
-    """Public constructions check their output once and public analyses their
-    input once; private steps never do."""
+    """Public constructions check their output and public analyses their
+    input, and a map is checked at most once however often it is asked;
+    private steps never check."""
 
     @pytest.mark.parametrize("g", [PATH_2_3, bs(2, 4), bs(2, 3), f4_target()],
                              ids=["two-primes", "one-prime", "plateau-free", "two-vertex"])
@@ -510,5 +512,45 @@ class TestCheckCount:
 
     def test_private_steps(self, verify_calls):
         step = _prime_power_cover(PATH_2_3, label_primes(PATH_2_3), COVER_VERTEX_LIMIT)
-        _compose(identity_map(PATH_2_3), restrict_to_component(step))
+        restrict_to_component(step)
         assert verify_calls == []
+
+
+class TestVerdict:
+    """A map owns its tables, so its verdict is a fact of the map, kept on it."""
+
+    def test_caller_dicts_do_not_leak_into_the_map(self, verify_calls):
+        f4 = f4_map()
+        tables = f4.vertex_map, f4.edge_map, f4.vertex_multiplicity, f4.edge_multiplicity
+        vertex_map, edge_map, vertex_mult, edge_mult = (dict(table) for table in tables)
+        m = AdmissibleMap(f4.source, f4.target, vertex_map, edge_map, vertex_mult, edge_mult)
+        edge_mult["a"] = 2  # before the first check
+        assert verify_admissible(m)
+        vertex_map["x"], edge_map["a"], vertex_mult["y"] = "w", ("l", True), 3
+        assert verify_admissible(m)
+        assert (m.vertex_map, m.edge_map, m.vertex_multiplicity, m.edge_multiplicity) == tables
+        with pytest.raises(TypeError):
+            m.edge_multiplicity["a"] = 2
+        assert verify_calls == [m]
+
+    def test_a_map_is_checked_once(self, verify_calls):
+        good = f4_map()
+        bad = replace(good, edge_multiplicity={"a": 2, "b": 1, "m": 2})
+        verdicts = [verify_admissible(m) for m in (good, bad, good, bad)]
+        assert [bool(v) for v in verdicts] == [True, False, True, False]
+        assert verdicts[1] is verdicts[3]
+        assert verify_calls == [good, bad]
+
+    def test_replace_and_equal_rebuilds_start_cold(self, verify_calls):
+        m = f4_map()
+        verify_admissible(m)
+        copy = replace(m)
+        rebuilt = f4_map()
+        assert verify_admissible(copy) and verify_admissible(rebuilt)
+        assert verify_calls == [m, copy, rebuilt]
+
+    @pytest.mark.parametrize(("name", "count", "checks"),
+                             [("plateau-free-cover", 20, 20), ("rank-monotonicity", 60, 131)])
+    def test_suite_checks_each_map_once(self, verify_calls, name, count, checks):
+        assert run_suite(name, count, 1).ok
+        assert len(verify_calls) == len(set(map(id, verify_calls))) == checks

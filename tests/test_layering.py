@@ -13,9 +13,6 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gbs"
 
 # (importing module, imported module, name)
 ALLOWED = {
-    # composites of verified steps are admissible by construction; `compose`
-    # would verify both inputs and the result
-    ("generate", "covering", "_compose"),
     # the rounds of a plateau-free cover run on g itself and pass a label
     # table that carries over from prime to prime, which the public
     # `plateaux_for_prime` does not take, and a prime from `label_primes`,

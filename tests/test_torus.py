@@ -1,13 +1,15 @@
+import inspect
 import math
 import random
 
 import pytest
 
 from gbs import (AdmissibleMap, Dart, GeneratorConfig, GraphAutomorphism, InputError,
-                 LabelledGraph, generate_graph, inverted_edges, mapping_torus_graph,
-                 mapping_torus_rank, subdivide_inverted_edges, verify_admissible,
-                 verify_automorphism, voltage_cover)
-from gbs.torus import _subdivide_inverted_edges
+                 LabelledGraph, generate_graph, mapping_torus_graph, mapping_torus_rank,
+                 subdivide_inverted_edges, verify_admissible, verify_automorphism,
+                 voltage_cover)
+from gbs import torus
+from gbs.torus import _inverted_edges, _subdivide_inverted_edges
 
 
 def theta_symmetry():
@@ -119,6 +121,17 @@ class TestVerifyAutomorphism:
         with pytest.raises(InputError, match=f"^{message}$"):
             verify_automorphism(bad)
 
+    @pytest.mark.parametrize("public", [
+        f for name, f in vars(torus).items()
+        if inspect.isfunction(f) and f.__module__ == torus.__name__ and name[0] != "_"],
+        ids=lambda f: f.__name__)
+    def test_every_public_function_refuses_a_non_bijection(self, public):
+        # the orbit of e never comes back to e, so an unverified orbit walk never ends
+        g = LabelledGraph.build(["u", "v"], [("e", "u", "v", 1, 1), ("f", "u", "v", 1, 1)])
+        bad = GraphAutomorphism(g, {"u": "u", "v": "v"}, {"e": ("f", True), "f": ("f", True)})
+        with pytest.raises(InputError, match="^edge map must be a bijection$"):
+            public(bad)
+
 
 def reverses_some_dart(a) -> bool:
     """Reference predicate: some power of `a` maps some dart to its reverse."""
@@ -141,13 +154,13 @@ class TestSubdivision:
         aut = make()
         assert reverses_some_dart(aut) == inverted
         for a in (aut, subdivide_inverted_edges(aut)):
-            assert bool(inverted_edges(a)) == reverses_some_dart(a)
+            assert bool(_inverted_edges(a)) == reverses_some_dart(a)
 
     def test_theta_orbit_structure(self):
         subdivided = subdivide_inverted_edges(theta_symmetry())
         g = subdivided.graph
         assert len(g.vertices) == 5 and len(g.edges) == 6
-        assert not inverted_edges(subdivided)
+        assert not _inverted_edges(subdivided)
         assert verify_automorphism(subdivided) == 6
         # one edge orbit of size 6, vertex orbits of sizes 2 and 3
         dart = g.darts()[0]
@@ -177,7 +190,7 @@ class TestSubdivision:
         assert len(g.vertices) == 3 and len(g.edges) == 2
         names = {rec.name for rec in g.edges}
         assert {subdivided.edge_map[name][0] for name in names} == names
-        assert not inverted_edges(subdivided)
+        assert not _inverted_edges(subdivided)
 
 
 class TestMappingTorus:
@@ -244,7 +257,7 @@ class TestTrustedSteps:
         order = verify_automorphism(aut)
         subdivided = _subdivide_inverted_edges(aut)
         assert verify_automorphism(subdivided) == order
-        assert not inverted_edges(subdivided)
+        assert not _inverted_edges(subdivided)
         assert not reverses_some_dart(subdivided)
 
 
@@ -258,7 +271,7 @@ class TestDeckTransformations:
     @pytest.mark.parametrize("base, n, shift", DECKS, ids=[f"deck-{i}" for i in range(len(DECKS))])
     def test_rank_is_base_betti_plus_one(self, base, n, shift):
         assert verify_automorphism(shift) == n
-        assert not inverted_edges(shift)
+        assert not _inverted_edges(shift)
         quotient = mapping_torus_graph(shift)
         assert (len(quotient.vertices), len(quotient.edges)) == (len(base.vertices), len(base.edges))
         assert all(rec.label_origin == rec.label_terminus == 1 for rec in quotient.edges)
