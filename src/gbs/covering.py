@@ -100,6 +100,7 @@ def verify_admissible(m: AdmissibleMap) -> Verification:
 def _check_admissible(m: AdmissibleMap) -> Verification:
     src, tgt = m.source, m.target
     vm, em = m.vertex_map, m.edge_map
+    vmult, emult = m.vertex_multiplicity, m.edge_multiplicity
 
     if set(vm) != set(src.vertices):
         return _fail("structure", "vertex-map", "vertex map must cover exactly the source vertices")
@@ -108,50 +109,58 @@ def _check_admissible(m: AdmissibleMap) -> Verification:
     for x in src.vertices:
         if not tgt.has_vertex(vm[x]):
             return _fail("structure", x, f"image vertex {vm[x]!r} is not in the target")
-        mult = m.vertex_multiplicity.get(x)
-        if not isinstance(mult, int) or mult <= 0:
+        mult = vmult.get(x)
+        if not isinstance(mult, int) or isinstance(mult, bool) or mult <= 0:
             return _fail("structure", x, f"vertex multiplicity {mult!r} must be a positive integer")
     for rec in src.edges:
-        image, _ = em[rec.name]
+        image, same = em[rec.name]
         if not tgt.has_edge(image):
             return _fail("structure", rec.name, f"image edge {image!r} is not in the target")
-        mult = m.edge_multiplicity.get(rec.name)
-        if not isinstance(mult, int) or mult <= 0:
+        if not isinstance(same, bool):
+            return _fail("structure", rec.name, f"orientation flag {same!r} must be a bool")
+        mult = emult.get(rec.name)
+        if not isinstance(mult, int) or isinstance(mult, bool) or mult <= 0:
             return _fail("structure", rec.name, f"edge multiplicity {mult!r} must be a positive integer")
 
+    # each fact is read once from the edge records; no Dart is built
+    src_edges, tgt_edges = src._edge_by_name, tgt._edge_by_name
     for rec in src.edges:
-        for dart in (Dart(rec.name, True), Dart(rec.name, False)):
-            if tgt.origin(m.map_dart(dart)) != vm[src.origin(dart)]:
-                return _fail("incidence", rec.name,
-                             "edge image is not incident to the images of its endpoints")
+        image, same = em[rec.name]
+        t = tgt_edges[image]
+        if ((t.origin, t.terminus) if same else (t.terminus, t.origin)) \
+                != (vm[rec.origin], vm[rec.terminus]):
+            return _fail("incidence", rec.name,
+                         "edge image is not incident to the images of its endpoints")
 
+    totals = dict.fromkeys(tgt.vertices, 0)
     for x in src.vertices:
-        v = vm[x]
-        mult_x = m.vertex_multiplicity[x]
-        grouped: dict[Dart, list[Dart]] = {}
-        for dart in src.darts_at(x):
-            grouped.setdefault(m.map_dart(dart), []).append(dart)
+        v, mult_x = vm[x], vmult[x]
+        totals[v] += mult_x
+        grouped: dict[tuple[str, bool], list[Dart]] = {}
+        for dart in src.darts_at(x):  # keyed by m.map_dart(dart), which a Dart equals
+            image, same = em[dart.edge]
+            grouped.setdefault((image, dart.forward == same), []).append(dart)
         for target_dart in tgt.darts_at(v):
-            label = tgt.label(target_dart)
+            t = tgt_edges[target_dart.edge]
+            label = t.label_origin if target_dart.forward else t.label_terminus
             k = math.gcd(mult_x, abs(label))
-            lifts = grouped.get(target_dart, [])
+            lifts = grouped.get(target_dart, ())
             if len(lifts) != k:
                 return _fail("condition-star", f"{x}/{target_dart.render()}",
                              f"expected {k} lifts, found {len(lifts)}")
             want_label = label // k
             want_mult = mult_x // k
             for lift in lifts:
-                if src.label(lift) != want_label:
+                rec = src_edges[lift.edge]
+                lift_label = rec.label_origin if lift.forward else rec.label_terminus
+                if lift_label != want_label:
                     return _fail("condition-star", f"{x}/{lift.render()}",
-                                 f"lift label {src.label(lift)} differs from {want_label}")
-                if m.edge_multiplicity[lift.edge] != want_mult:
+                                 f"lift label {lift_label} differs from {want_label}")
+                if emult[lift.edge] != want_mult:
                     return _fail("condition-star", f"{x}/{lift.edge}",
-                                 f"lift multiplicity {m.edge_multiplicity[lift.edge]} "
+                                 f"lift multiplicity {emult[lift.edge]} "
                                  f"differs from {want_mult}")
 
-    totals = {}
-    for v in tgt.vertices:
-        totals[v] = sum(m.vertex_multiplicity[x] for x in m.vertex_preimages[v])
     if len(set(totals.values())) > 1:
         low = min(totals, key=lambda v: (totals[v], tgt.vertex_position[v]))
         return _fail("total-multiplicity", low,

@@ -2,8 +2,9 @@ from collections import Counter
 
 import pytest
 
-from gbs import (AdmissibleMap, LabelledGraph, covering, run_suite, stable_colorings,
-                 verify_admissible, voltage_cover)
+from gbs import (AdmissibleMap, LabelledGraph, covering, generate_admissible_map,
+                 plateau_free_cover, run_suite, stable_colorings, suites, verify_admissible,
+                 voltage_cover)
 from gbs.decide import _smallest_common_cover
 
 
@@ -189,10 +190,22 @@ def checked(fn, seen: Counter, connected: bool = False):
 def plateau_free_suite():
     """The `plateau-free-cover` suite at count 100 and seed 1, run once with
     every cover of the private builder verified and checked connected:
-    (report, verified covers by function name)."""
-    seen = Counter()
+    (report, verified covers by function name, the suite's plateau-free covers)."""
+    seen, covers = Counter(), []
+
+    def recording(g, **kwargs):
+        covers.append(plateau_free_cover(g, **kwargs))
+        return covers[-1]
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(covering, "_prime_power_cover",
                       checked(covering._prime_power_cover, seen, connected=True))
+        patch.setattr(suites, "plateau_free_cover", recording)
         report = run_suite("plateau-free-cover", count=100, base_seed=1)
-    return report, seen
+    return report, seen, covers
+
+
+@pytest.fixture(scope="session")
+def generated_maps():
+    """The maps of the three map suites at seeds 1-600."""
+    return [generate_admissible_map(suites._map_config(seed)) for seed in range(1, 601)]

@@ -176,7 +176,7 @@ def test_criterion_09_inequality_audit_suite():
 
 
 def test_criterion_10_plateau_free_covers(plateau_free_suite):
-    result, _ = plateau_free_suite
+    result, _, _ = plateau_free_suite
     assert result.instances == 100
     assert result.failures == 0
     assert_report_unchanged(result)

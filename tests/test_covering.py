@@ -100,6 +100,25 @@ class TestVerify:
         assert (result.ok, result.kind, result.site) == (False, "total-multiplicity", "u")
         assert result.message == "preimage multiplicities sum to [1, 2]"
 
+    LOOP_2_3 = LabelledGraph.build(["a"], [("e", "a", "a", 2, 3)])
+
+    @pytest.mark.parametrize("vertex_mult, image, edge_mult, site, message", [
+        (True, ("e", True), True, "a", "vertex multiplicity True must be a positive integer"),
+        (1, ("e", True), True, "e", "edge multiplicity True must be a positive integer"),
+        (1, ("e", 1), 1, "e", "orientation flag 1 must be a bool"),
+        (1, ("e", 2), 1, "e", "orientation flag 2 must be a bool"),
+    ], ids=["bool-vertex-multiplicity", "bool-edge-multiplicity", "flag-1", "flag-2"])
+    def test_bool_multiplicity_and_non_bool_flag_are_structure_faults(
+            self, vertex_mult, image, edge_mult, site, message):
+        """A multiplicity is an int and not a bool, as a label is; a flag
+        is a bool, so that `forward == same` is its only reading."""
+        g = self.LOOP_2_3
+        m = AdmissibleMap(g, g, {"a": "a"}, {"e": image}, {"a": vertex_mult}, {"e": edge_mult})
+        result = verify_admissible(m)
+        assert (result.ok, result.kind, result.site, result.message) == (
+            False, "structure", site, message)
+        assert result.render() == f"admissible=false kind=structure site={site} detail={message}"
+
 
 class TestCompose:
     def test_identity_neutral(self):
@@ -425,7 +444,7 @@ class TestTrustedSteps:
 
     def test_plateau_free_steps_are_admissible(self, plateau_free_suite):
         """Every step of the criterion-10 suite run, verified as it was built."""
-        report, seen = plateau_free_suite
+        report, seen, _ = plateau_free_suite
         assert report.instances == 100
         assert seen["_prime_power_cover"] == 71  # instances with a proper plateau
 
@@ -554,3 +573,49 @@ class TestVerdict:
     def test_suite_checks_each_map_once(self, verify_calls, name, count, checks):
         assert run_suite(name, count, 1).ok
         assert len(verify_calls) == len(set(map(id, verify_calls))) == checks
+
+
+@pytest.fixture
+def accessor_calls_in_check(monkeypatch):
+    """Calls of the per-dart accessors made from inside `_check_admissible`,
+    by name, and the number of real checks; calls from elsewhere are not counted."""
+    inside = [False]
+    calls = dict.fromkeys(["checks", "map_dart", "origin", "label", "edge",
+                           "vertex_preimages"], 0)
+    real_check = covering._check_admissible
+
+    def flagged(m):
+        calls["checks"] += 1
+        inside[0] = True
+        try:
+            return real_check(m)
+        finally:
+            inside[0] = False
+
+    def spy(name, real):
+        def counting(*args):
+            calls[name] += inside[0]
+            return real(*args)
+        return counting
+
+    monkeypatch.setattr(covering, "_check_admissible", flagged)
+    for owner, name in [(AdmissibleMap, "map_dart"), (LabelledGraph, "origin"),
+                        (LabelledGraph, "label"), (LabelledGraph, "edge")]:
+        monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
+    preimages = AdmissibleMap.vertex_preimages.func  # a cached_property
+    monkeypatch.setattr(AdmissibleMap, "vertex_preimages",
+                        property(spy("vertex_preimages", preimages)))
+    return calls
+
+
+class TestCheckReadsTables:
+    """The check reads each fact from the edge records and the dart tables:
+    it asks no accessor per dart and builds no preimage table."""
+
+    @pytest.mark.parametrize(("name", "count", "checks"),
+                             [("plateau-free-cover", 20, 20), ("rank-monotonicity", 60, 131)])
+    def test_no_accessor_calls_inside_the_check(self, accessor_calls_in_check,
+                                                name, count, checks):
+        assert run_suite(name, count, 1).ok
+        assert accessor_calls_in_check == {"checks": checks, "map_dart": 0, "origin": 0,
+                                           "label": 0, "edge": 0, "vertex_preimages": 0}

@@ -11,12 +11,9 @@ import math
 import random
 from collections import Counter
 
-import pytest
-
 from conftest import circle_graph
 from gbs import (GeneratorConfig, InputError, LabelledGraph, Plateau, all_plateaux,
-                 branched_cover, commensurable, generate_admissible_map, generate_graph,
-                 is_large, suites, voltage_cover)
+                 branched_cover, commensurable, generate_graph, is_large, voltage_cover)
 from gbs.primes import smallest_prime_factor
 
 
@@ -26,11 +23,6 @@ def largeness(g) -> bool | None:
         return is_large(g)
     except InputError:
         return None
-
-
-@pytest.fixture(scope="module")
-def generated_maps():
-    return [generate_admissible_map(suites._map_config(seed)) for seed in range(1, 601)]
 
 
 def test_admissible_maps_keep_largeness(generated_maps):
