@@ -106,15 +106,19 @@ def _check_admissible(m: AdmissibleMap) -> Verification:
         return _fail("structure", "vertex-map", "vertex map must cover exactly the source vertices")
     if set(em) != {r.name for r in src.edges}:
         return _fail("structure", "edge-map", "edge map must cover exactly the source edges")
-    for x in src.vertices:
-        if not tgt.has_vertex(vm[x]):
+    for x in src.vertices:  # names are strings, so no other image is in the target
+        if not isinstance(vm[x], str) or not tgt.has_vertex(vm[x]):
             return _fail("structure", x, f"image vertex {vm[x]!r} is not in the target")
         mult = vmult.get(x)
         if not isinstance(mult, int) or isinstance(mult, bool) or mult <= 0:
             return _fail("structure", x, f"vertex multiplicity {mult!r} must be a positive integer")
     for rec in src.edges:
-        image, same = em[rec.name]
-        if not tgt.has_edge(image):
+        try:
+            image, same = em[rec.name]
+        except (TypeError, ValueError):
+            return _fail("structure", rec.name, f"edge map value {em[rec.name]!r} must be "
+                                                "an (image edge, orientation flag) pair")
+        if not isinstance(image, str) or not tgt.has_edge(image):
             return _fail("structure", rec.name, f"image edge {image!r} is not in the target")
         if not isinstance(same, bool):
             return _fail("structure", rec.name, f"orientation flag {same!r} must be a bool")

@@ -11,6 +11,7 @@ presented group.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Any, Callable, Sequence
 
 from .errors import InputError
@@ -40,13 +41,58 @@ def _memo(g: LabelledGraph, key: str, compute: Callable[[LabelledGraph], Any]) -
     return g.__dict__[key]
 
 
+def _factors(g: LabelledGraph) -> dict[int, list[int]]:
+    """The prime factors of each label magnitude of g, each magnitude factored once."""
+    return _memo(g, "_factors", lambda g: {n: prime_factors(n) for n in {
+        abs(label) for rec in g.edges for label in (rec.label_origin, rec.label_terminus)}})
+
+
 def label_primes(g: LabelledGraph) -> list[int]:
     """Distinct primes dividing at least one label magnitude."""
-    def compute(g: LabelledGraph) -> list[int]:
-        magnitudes = {abs(label) for rec in g.edges
-                      for label in (rec.label_origin, rec.label_terminus)}
-        return sorted({p for n in magnitudes for p in prime_factors(n)})
-    return list(_memo(g, "_label_primes", compute))
+    return sorted({p for ps in _factors(g).values() for p in ps})
+
+
+def _dart_tables(g: LabelledGraph) -> tuple[list[int], ...]:
+    """Dart 2i is edge i at its origin and 2i+1 at its terminus, so d ^ 1 reverses d.
+    The label and vertex index of each dart, and the darts at vertex v in declaration
+    order, order[start[v]:start[v + 1]]: (labels, heads, order, start), once per graph."""
+    def compute(g: LabelledGraph):
+        labels = [label for rec in g.edges for label in (rec.label_origin, rec.label_terminus)]
+        heads = [g.vertex_position[v] for rec in g.edges for v in (rec.origin, rec.terminus)]
+        at = [[] for _ in g.vertices]
+        for d, v in enumerate(heads):
+            at[v].append(d)
+        order = [d for ds in at for d in ds]
+        return labels, heads, order, list(accumulate(map(len, at), initial=0))
+    return _memo(g, "_dart_tables", compute)
+
+
+def _walk(g: LabelledGraph, divisible: bytes) -> list[tuple[frozenset[str], frozenset[str]]]:
+    """The proper plateaux (vertices, edges) of a prime dividing the labels at exactly
+    the darts marked in `divisible`, by least vertex index: the only test of the
+    divisibility dichotomy.  g may be disconnected."""
+    _, heads, order, start = _dart_tables(g)
+    seen, out = bytearray(len(g.vertices)), []
+    for root in range(len(g.vertices)):
+        if seen[root]:
+            continue
+        seen[root], comp, proper = 1, [root], True
+        for v in comp:  # the list grows as the queue, over the edges with no divisible dart
+            for d in order[start[v]:start[v + 1]]:
+                if divisible[d]:
+                    continue
+                if divisible[d ^ 1]:  # coprime here, divisible at the far end
+                    proper = False
+                elif not seen[w := heads[d ^ 1]]:
+                    seen[w] = 1
+                    comp.append(w)
+        if not proper:
+            continue
+        edges = {d >> 1 for v in comp for d in order[start[v]:start[v + 1]] if not divisible[d]}
+        if len(comp) < len(seen) or len(edges) < len(g.edges):  # not the whole graph
+            out.append((frozenset(g.vertices[v] for v in comp),
+                        frozenset(g.edges[i].name for i in edges)))
+    return out
 
 
 def plateaux_for_prime(g: LabelledGraph, p: int) -> list[Plateau]:
@@ -66,22 +112,11 @@ def plateaux_for_prime(g: LabelledGraph, p: int) -> list[Plateau]:
 def _plateaux(g: LabelledGraph, p: int,
               labels: dict[str, Sequence[int]] | None = None) -> list[Plateau]:
     """:func:`plateaux_for_prime` for a prime p, read with `labels` (each edge's
-    [origin, terminus] labels by name; g's own by default).  The only test of the
-    divisibility dichotomy; g may be disconnected."""
-    if labels is None:
-        labels = _memo(g, "_label_table", lambda g: {
-            rec.name: (rec.label_origin, rec.label_terminus) for rec in g.edges})
-    keep = {name for name, (lo, lt) in labels.items() if lo % p != 0 and lt % p != 0}
-    out: list[Plateau] = []
-    n_vertices, n_edges = len(g.vertices), len(g.edges)
-    for vertices, edges in g.subgraph_components(keep):
-        if len(vertices) == n_vertices and len(edges) == n_edges:
-            continue  # whole graph
-        if all(dart.edge in edges or labels[dart.edge][0 if dart.forward else 1] % p == 0
-               for v in vertices for dart in g.darts_at(v)):
-            out.append(Plateau(p, frozenset(vertices), edges))
-    out.sort(key=lambda P: min(g.vertex_position[v] for v in P.vertices))
-    return out
+    [origin, terminus] labels by name; g's own by default); g may be disconnected."""
+    dart_labels = _dart_tables(g)[0] if labels is None else [
+        label for rec in g.edges for label in labels[rec.name]]
+    return [Plateau(p, vertices, edges)
+            for vertices, edges in _walk(g, bytes(label % p == 0 for label in dart_labels))]
 
 
 def check_plateau(g: LabelledGraph, plateau: Plateau) -> bool:
@@ -95,10 +130,22 @@ def check_plateau(g: LabelledGraph, plateau: Plateau) -> bool:
 
 
 def all_plateaux(g: LabelledGraph) -> PlateauCollection:
-    """Every proper plateau of g, over all primes dividing some label."""
+    """Every proper plateau of g, over all primes dividing some label.
+
+    Primes dividing the labels of the same darts have the same plateaux, so
+    g is walked once per such divisibility class."""
     g._require_connected()
-    return _memo(g, "_all_plateaux", lambda g: PlateauCollection(
-        tuple(P for p in label_primes(g) for P in _plateaux(g, p))))
+
+    def compute(g: LabelledGraph) -> PlateauCollection:
+        masks = {p: bytearray(2 * len(g.edges)) for p in label_primes(g)}  # factors the labels
+        factors, labels = _factors(g), _dart_tables(g)[0]
+        for d, label in enumerate(labels):
+            for p in factors[abs(label)]:
+                masks[p][d] = 1
+        walks = {mask: _walk(g, mask) for mask in {bytes(mask) for mask in masks.values()}}
+        return PlateauCollection(tuple(Plateau(p, vertices, edges) for p, mask in masks.items()
+                                       for vertices, edges in walks[bytes(mask)]))
+    return _memo(g, "_all_plateaux", compute)
 
 
 def has_proper_plateau(g: LabelledGraph) -> bool:

@@ -1,13 +1,17 @@
 """Small exact-arithmetic helpers.
 
-Factoring trial-divides up to 1000, keeps a cofactor that the Miller-Rabin
-test below proves prime, and trial-divides any other on up to
-TRIAL_DIVISION_BOUND, so every number up to its square (10**12) factors.
-A cofactor with no divisor up to that bound is refused with InputError.
+Factoring trial-divides by primes: up to 1000, then, unless the Miller-Rabin
+test below proves the cofactor prime, on up to TRIAL_DIVISION_BOUND, so every
+number up to its square (10**12) factors and a cofactor with no divisor up to
+the bound is refused with InputError.  The primes come from a sieve grown on
+demand, only as far as the square roots divided need, and never past the bound.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, bisect_right
+from itertools import compress
 from math import isqrt
 
 from .errors import InputError
@@ -38,23 +42,42 @@ def _is_strong_probable_prime(n: int) -> bool:
     return True
 
 
+# every prime up to _sieved, ascending; a cache, so how far it has grown changes no answer
+_primes, _sieved = array("I", (2, 3, 5, 7)), 10
+
+
+def _trial_divide(n: int, lo: int, hi: int) -> int:
+    """Least prime in [lo, hi] dividing n, or 0; hi is at most TRIAL_DIVISION_BOUND."""
+    global _primes, _sieved
+    if hi < lo:  # as for the last, prime cofactor of most numbers: nothing to divide by
+        return 0
+    if hi > _sieved:  # at least double, so a run of growing needs sieves few times
+        _sieved = min(max(hi, 2 * _sieved), TRIAL_DIVISION_BOUND)
+        sieve = bytearray([1]) * (_sieved + 1)
+        for q in range(2, isqrt(_sieved) + 1):  # a composite q crosses out nothing new
+            sieve[q * q::q] = bytes(len(sieve[q * q::q]))
+        _primes = array("I", compress(range(2, _sieved + 1), sieve[2:]))
+    for q in memoryview(_primes)[bisect_left(_primes, lo):bisect_right(_primes, hi)]:
+        if n % q == 0:
+            return q
+    return 0
+
+
 def _least_divisor(n: int, d: int = 2, label: int | None = None) -> int:
     """Smallest divisor of n in [d, sqrt(n)], or n itself when there is none.
 
-    Callers pass n with no divisor in [2, d), so the result is prime.  Once
+    Callers pass n with no divisor in [2, d), so only primes are tried.  Once
     trial division passes _PROOF_START, an n that Miller-Rabin proves prime
     is returned; one with no divisor up to TRIAL_DIVISION_BOUND raises
     InputError naming `label` (the number being factored, n by default).
     """
     root = isqrt(n)
-    for q in range(d, min(root, _PROOF_START) + 1):
-        if n % q == 0:
-            return q
-    if root > _PROOF_START and n < MILLER_RABIN_LIMIT and _is_strong_probable_prime(n):
+    if q := _trial_divide(n, d, min(root, _PROOF_START)):
+        return q
+    if root <= _PROOF_START or (n < MILLER_RABIN_LIMIT and _is_strong_probable_prime(n)):
         return n
-    for q in range(max(d, _PROOF_START + 1), min(root, TRIAL_DIVISION_BOUND) + 1):
-        if n % q == 0:
-            return q
+    if q := _trial_divide(n, max(d, _PROOF_START + 1), min(root, TRIAL_DIVISION_BOUND)):
+        return q
     if root > TRIAL_DIVISION_BOUND:  # Miller-Rabin has not proved n prime
         raise InputError(f"cannot factor {n if label is None else label}: a factor has no "
                          f"divisor up to {TRIAL_DIVISION_BOUND} and is not a prime below "

@@ -47,18 +47,19 @@ class TestBasicCommands:
         assert capsys.readouterr().out.strip() == "rank=3 betti=1 mu=2"
 
     def test_rank_factors_labels_once(self, tmp_path, capsys, monkeypatch):
-        calls = []
-        real = plateau.label_primes
-
-        def counting(g):
-            calls.append(g)
-            return real(g)
-
-        monkeypatch.setattr(plateau, "label_primes", counting)
+        """Each label magnitude is factored once, and each divisibility class
+        of the label primes is walked once."""
+        factored, walked = [], []
+        for name, calls in (("prime_factors", factored), ("_walk", walked)):
+            def counting(*args, real=getattr(plateau, name), calls=calls):
+                calls.append(args)
+                return real(*args)
+            monkeypatch.setattr(plateau, name, counting)
         path = write_graph(tmp_path, "f3.gbs", f3())
         assert main(["rank", path]) == 0
         assert capsys.readouterr().out == "rank=3 betti=1 mu=2\n"
-        assert len(calls) == 1
+        assert sorted(n for n, in factored) == [2, 3, 5]
+        assert len(walked) == len({mask for _, mask in walked}) == 3
 
     def test_mu(self, tmp_path, capsys):
         path = write_graph(tmp_path, "f3.gbs", f3())

@@ -119,6 +119,23 @@ class TestVerify:
             False, "structure", site, message)
         assert result.render() == f"admissible=false kind=structure site={site} detail={message}"
 
+    @pytest.mark.parametrize("image_vertex, image, site, message", [
+        ("a", ("e",), "e",
+         "edge map value ('e',) must be an (image edge, orientation flag) pair"),
+        ("a", ("e", True, 1), "e",
+         "edge map value ('e', True, 1) must be an (image edge, orientation flag) pair"),
+        ("a", 7, "e", "edge map value 7 must be an (image edge, orientation flag) pair"),
+        (["a"], ("e", True), "a", "image vertex ['a'] is not in the target"),
+        ("a", (["e"], True), "e", "image edge ['e'] is not in the target"),
+    ], ids=["short-pair", "long-pair", "not-a-pair", "unhashable-vertex", "unhashable-edge"])
+    def test_malformed_images_are_structure_faults(self, image_vertex, image, site, message):
+        """A map value of the wrong shape or type is a verdict, not a traceback."""
+        g = self.LOOP_2_3
+        m = AdmissibleMap(g, g, {"a": image_vertex}, {"e": image}, {"a": 1}, {"e": 1})
+        result = verify_admissible(m)
+        assert (result.ok, result.kind, result.site, result.message) == (
+            False, "structure", site, message)
+
 
 class TestCompose:
     def test_identity_neutral(self):

@@ -1,15 +1,21 @@
+import json
+import os
 import random
+import subprocess
+import sys
 import time
 from array import array
 from collections import Counter
 from itertools import combinations
 from math import isqrt, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bs, f1, f2, f3, f4_source
+import gbs
 from gbs import (GeneratorConfig, InputError, LabelledGraph, Plateau, all_plateaux,
                  branched_cover, check_plateau, covering, emit_graph, generate_graph, generates,
                  has_proper_plateau, identity_map, label_primes, minimum_generating_vertices,
@@ -68,6 +74,26 @@ def hitting_oracle(order, constraints):
     raise AssertionError("unsatisfiable")
 
 
+def check_round_table(g, p, inside, kept):
+    """`_plateaux` read with a label table, against g rebuilt with the table's
+    labels: the table divides by p, where p divides them, the labels leaving
+    the vertices `inside` by edges outside `kept`, as a plateau-free round does.
+    Returns the plateaux found."""
+    labels = {rec.name: [rec.label_origin, rec.label_terminus] for rec in g.edges}
+    for v in inside:
+        for name, forward in g.darts_at(v):
+            end = 0 if forward else 1
+            if name not in kept and labels[name][end] % p == 0:
+                labels[name][end] //= p
+    rebuilt = LabelledGraph(g.vertices, tuple(
+        rec._replace(label_origin=labels[rec.name][0], label_terminus=labels[rec.name][1])
+        for rec in g.edges))
+    found = _plateaux(g, p, labels)
+    assert found == _plateaux(rebuilt, p)
+    assert {(P.vertices, P.edges) for P in found} == plateau_oracle(rebuilt, p)
+    return found
+
+
 def inventory(g):
     return {(P.prime, P.vertices, P.edges)
             for P in all_plateaux(g).proper_plateaux}
@@ -102,28 +128,13 @@ class TestPlateauxForPrime:
     @given(connected_graphs(), st.sampled_from([2, 3, 5, 7, 11]), st.data())
     @settings(deadline=None)
     def test_matches_oracle(self, g, p, data):
-        """On g, and on a label table against g rebuilt with the table's labels.
-
-        The table divides by p, where p divides them, the labels leaving the
-        vertices `inside` by edges outside `kept`, as a plateau-free round does.
-        """
+        """On g, and on a cover round's label table (see check_round_table)."""
         computed = {(P.vertices, P.edges) for P in plateaux_for_prime(g, p)}
         assert computed == plateau_oracle(g, p)
         names = [rec.name for rec in g.edges]
         inside = data.draw(st.sets(st.sampled_from(g.vertices)))
         kept = data.draw(st.sets(st.sampled_from(names))) if names else set()
-        labels = {rec.name: [rec.label_origin, rec.label_terminus] for rec in g.edges}
-        for v in inside:
-            for name, forward in g.darts_at(v):
-                end = 0 if forward else 1
-                if name not in kept and labels[name][end] % p == 0:
-                    labels[name][end] //= p
-        rebuilt = LabelledGraph(g.vertices, tuple(
-            rec._replace(label_origin=labels[rec.name][0], label_terminus=labels[rec.name][1])
-            for rec in g.edges))
-        found = _plateaux(g, p, labels)
-        assert found == plateaux_for_prime(rebuilt, p)
-        assert {(P.vertices, P.edges) for P in found} == plateau_oracle(rebuilt, p)
+        check_round_table(g, p, inside, kept)
 
     @given(connected_graphs(), st.sampled_from([2, 3, 5, 7]))
     def test_disjointness_and_dichotomy(self, g, p):
@@ -331,8 +342,11 @@ def spy(monkeypatch, module, name):
 
 class TestPlateauFactsOncePerGraph:
     def test_rank_query_factors_each_magnitude_once(self, monkeypatch):
+        """Each magnitude is factored once, and g is walked once per divisibility
+        class of its label primes, which is fewer walks than primes on some seed."""
         factored = spy(monkeypatch, plateau, "prime_factors")
-        detected = spy(monkeypatch, plateau, "_plateaux")
+        walked = spy(monkeypatch, plateau, "_walk")
+        shared = 0
         for seed in range(1, 11):
             cfg = GeneratorConfig(seed=seed, max_vertices=12, max_edges=20,
                                   max_label_magnitude=10 ** 9)
@@ -342,11 +356,17 @@ class TestPlateauFactsOncePerGraph:
             generates(g, g.vertices[:1])
             magnitudes = {abs(g.label(d)) for d in g.darts()}
             assert sorted(n for n, in factored) == sorted(magnitudes), seed
-            assert detected == [(g, p) for p in label_primes(g)], seed
+            classes = {bytes(g.label(d) % p == 0 for d in g.darts()) for p in label_primes(g)}
+            assert [h for h, _ in walked] == [g] * len(classes), seed
+            assert {mask for _, mask in walked} == classes, seed
+            shared += len(classes) < len(label_primes(g))
             factored.clear()
-            detected.clear()
+            walked.clear()
+        assert shared
 
     def test_plateau_free_suite_builds_each_label_table_once(self, monkeypatch):
+        """Every memo, the dart and label tables included, is built at most once
+        per graph, however often the graph is walked."""
         built, real = [], plateau._memo
 
         def counting(g, key, compute):
@@ -355,13 +375,11 @@ class TestPlateauFactsOncePerGraph:
                 return compute(g)
             return real(g, key, build)
         monkeypatch.setattr(plateau, "_memo", counting)
-        spies = [spy(monkeypatch, module, "_plateaux") for module in (plateau, covering)]
+        walked = spy(monkeypatch, plateau, "_walk")
         assert run_suite("plateau-free-cover", count=15, base_seed=1).ok
-        detections = spies[0] + spies[1]
-        reads = [id(g) for g, _, *labels in detections if not labels]  # g's own labels
-        tables = Counter(id(g) for key, g in built if key == "_label_table")
-        # the graphs stay referenced in `built` and `detections`, so ids are not reused
-        assert len(reads) > len(tables) > 15 and set(tables) == set(reads)
+        tables = Counter(id(g) for key, g in built if key == "_dart_tables")
+        # the graphs stay referenced in `built` and `walked`, so ids are not reused
+        assert len(walked) > len(tables) > 15 and set(tables) >= {id(g) for g, _ in walked}
         assert max(Counter((key, id(g)) for key, g in built).values()) == 1
 
     def test_memo_does_not_leak(self, monkeypatch):
@@ -375,6 +393,119 @@ class TestPlateauFactsOncePerGraph:
         assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
         assert all_plateaux(twin) == inventory and all_plateaux(twin) is not inventory
         assert sorted(n for n, in factored) == [2, 3, 5]  # the twin factors its own labels
+
+
+def shared_class_graphs(count=60):
+    """Connected graphs on up to 6 vertices, loops and parallel edges included,
+    whose labels multiply small primes with the large pairs P = 10007 * 10009
+    and Q = 999979 * 999983: the two primes of a pair divide the same darts
+    unless a lone factor of the pair shows up, and an edge may carry labels
+    divisible by one prime at both ends."""
+    rng = random.Random(29)
+    for i in range(count):
+        n = rng.randint(1, 6)
+        pool = [1, 2, 3, 4, 6, 9, 10007 * 10009, 2 * 10007 * 10009,
+                3 * 999979 * 999983, 999979 * 999983]
+        if i % 3 == 0:
+            pool += [10007, 2 * 999983]
+        edges = []
+        for j in range(1, n):  # a tree first, then extra edges
+            edges.append((f"t{j}", f"v{rng.randrange(j)}", f"v{j}",
+                          rng.choice(pool[1:]), rng.choice(pool[1:])))
+        for j in range(rng.randint(0, 4)):
+            a, b = rng.randrange(n), rng.randrange(n)
+            edges.append((f"x{j}", f"v{a}", f"v{b}", rng.choice(pool), rng.choice(pool)))
+        yield LabelledGraph.build([f"v{j}" for j in range(n)], edges)
+
+
+def rank_query_graphs():
+    for seed in range(1, 11):
+        yield generate_graph(GeneratorConfig(seed=seed, max_vertices=12, max_edges=20,
+                                             max_label_magnitude=10 ** 9))
+
+
+class TestInventoryOracle:
+    """The inventory, walked once per divisibility class, is the union over the
+    label primes of the dichotomy oracle, in prime order and then by least vertex."""
+
+    @staticmethod
+    def assert_inventory_matches(g):
+        position = g.vertex_position
+        got = [(P.prime, P.vertices, P.edges) for P in all_plateaux(g).proper_plateaux]
+        expected = sorted(((p, vertices, edges) for p in label_primes(g)
+                           for vertices, edges in plateau_oracle(g, p)),
+                          key=lambda t: (t[0], min(position[v] for v in t[1])))
+        assert got == expected
+
+    def test_rank_query_graphs(self):
+        sizes = Counter()
+        for g in rank_query_graphs():
+            self.assert_inventory_matches(g)
+            sizes[len(g.vertices)] += 1
+        assert max(sizes) >= 10
+
+    def test_shared_classes_loops_and_parallel_edges(self):
+        seen = Counter()
+        for g in shared_class_graphs():
+            self.assert_inventory_matches(g)
+            primes = label_primes(g)
+            classes = {bytes(g.label(d) % p == 0 for d in g.darts()) for p in primes}
+            seen["shared"] += len(classes) < len(primes)
+            seen["loop"] += any(rec.is_loop for rec in g.edges)
+            seen["parallel"] += len({frozenset((r.origin, r.terminus)) for r in g.edges
+                                     if not r.is_loop}) < sum(not r.is_loop for r in g.edges)
+            seen["both ends"] += any(r.label_origin % p == 0 and r.label_terminus % p == 0
+                                     for r in g.edges for p in primes)
+            seen["plateaux"] += len(all_plateaux(g).proper_plateaux)
+        assert min(seen.values()) >= 5, seen
+
+    def test_label_table_other_than_the_graphs(self):
+        """A cover round's table (see check_round_table), with a random vertex
+        set and random kept edges, for every label prime."""
+        rng = random.Random(31)
+        found = 0
+        for g in [*rank_query_graphs(), *shared_class_graphs(30)]:
+            if len(g.vertices) > 10:
+                continue  # the oracle walks every vertex subset, once per prime
+            names = [rec.name for rec in g.edges]
+            for p in label_primes(g):
+                inside = rng.sample(g.vertices, rng.randint(1, len(g.vertices)))
+                kept = rng.sample(names, rng.randint(0, len(names)))
+                found += bool(check_round_table(g, p, set(inside), set(kept)))
+        assert found >= 20
+
+
+class TestPrimeTable:
+    """Trial division walks a table of primes grown on demand, never at import
+    and never past TRIAL_DIVISION_BOUND; a fresh interpreter sees it from the start."""
+
+    SCRIPT = """
+import json
+from math import isqrt
+import gbs
+from gbs import primes
+out = {"fresh": list(primes._primes)}
+for seed in range(1, 11):
+    gbs.rank(gbs.generate_graph(gbs.GeneratorConfig(
+        seed=seed, max_vertices=12, max_edges=20, max_label_magnitude=10 ** 9)))
+out["rank"] = [primes._primes[-1], primes._sieved, 2 * isqrt(10 ** 9)]
+try:
+    primes.prime_factors(2 * 1000003 ** 2)
+except gbs.InputError:
+    out["refused"] = [primes._primes[-1], primes._sieved, len(primes._primes)]
+print(json.dumps(out))
+"""
+
+    def test_lazy_and_bounded(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(gbs.__file__).parent.parent)}
+        run = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        out = json.loads(run.stdout)
+        assert out["fresh"] == [2, 3, 5, 7]
+        top, sieved, bound = out["rank"]
+        assert 1000 < top <= sieved <= bound
+        top, sieved, count = out["refused"]
+        assert (top, sieved, count) == (999983, TRIAL_DIVISION_BOUND, 78498)
 
 
 class TestInventories:
