@@ -102,73 +102,77 @@ def _check_admissible(m: AdmissibleMap) -> Verification:
     vm, em = m.vertex_map, m.edge_map
     vmult, emult = m.vertex_multiplicity, m.edge_multiplicity
 
-    if set(vm) != set(src.vertices):
+    if vm.keys() != src.vertex_position.keys():
         return _fail("structure", "vertex-map", "vertex map must cover exactly the source vertices")
-    if set(em) != {r.name for r in src.edges}:
+    if em.keys() != src._edge_by_name.keys():
         return _fail("structure", "edge-map", "edge map must cover exactly the source edges")
+    tgt_vertex = tgt.vertex_position
+    tgt_edge = dict(zip(tgt._edge_by_name, range(len(tgt.edges))))
+    vertex_image: list[int] = []
     for x in src.vertices:  # names are strings, so no other image is in the target
-        if not isinstance(vm[x], str) or not tgt.has_vertex(vm[x]):
+        if not isinstance(vm[x], str) or vm[x] not in tgt_vertex:
             return _fail("structure", x, f"image vertex {vm[x]!r} is not in the target")
         mult = vmult.get(x)
         if not isinstance(mult, int) or isinstance(mult, bool) or mult <= 0:
             return _fail("structure", x, f"vertex multiplicity {mult!r} must be a positive integer")
+        vertex_image.append(tgt_vertex[vm[x]])
+    dart_image: list[int] = []  # source dart d maps to target dart dart_image[d]
+    edge_mult: list[int] = []
     for rec in src.edges:
         try:
             image, same = em[rec.name]
         except (TypeError, ValueError):
             return _fail("structure", rec.name, f"edge map value {em[rec.name]!r} must be "
                                                 "an (image edge, orientation flag) pair")
-        if not isinstance(image, str) or not tgt.has_edge(image):
+        if not isinstance(image, str) or image not in tgt_edge:
             return _fail("structure", rec.name, f"image edge {image!r} is not in the target")
         if not isinstance(same, bool):
             return _fail("structure", rec.name, f"orientation flag {same!r} must be a bool")
         mult = emult.get(rec.name)
         if not isinstance(mult, int) or isinstance(mult, bool) or mult <= 0:
             return _fail("structure", rec.name, f"edge multiplicity {mult!r} must be a positive integer")
+        d = 2 * tgt_edge[image] + (0 if same else 1)
+        dart_image += (d, d ^ 1)
+        edge_mult.append(mult)
 
-    # each fact is read once from the edge records; no Dart is built
-    src_edges, tgt_edges = src._edge_by_name, tgt._edge_by_name
-    for rec in src.edges:
-        image, same = em[rec.name]
-        t = tgt_edges[image]
-        if ((t.origin, t.terminus) if same else (t.terminus, t.origin)) \
-                != (vm[rec.origin], vm[rec.terminus]):
-            return _fail("incidence", rec.name,
-                         "edge image is not incident to the images of its endpoints")
+    # each fact is read once from the two dart indices; a Dart only names a failing site
+    src_labels, src_heads, src_order, src_start = src._index
+    tgt_labels, tgt_heads, tgt_order, tgt_start = tgt._index
+    origins = list(map(vertex_image.__getitem__, src_heads))
+    if list(map(tgt_heads.__getitem__, dart_image)) != origins:  # each image starts there
+        d = next(d for d, v in enumerate(origins) if tgt_heads[dart_image[d]] != v)
+        return _fail("incidence", src.edges[d >> 1].name,
+                     "edge image is not incident to the images of its endpoints")
 
-    totals = dict.fromkeys(tgt.vertices, 0)
-    for x in src.vertices:
-        v, mult_x = vm[x], vmult[x]
+    totals = [0] * len(tgt.vertices)
+    for x_index, x in enumerate(src.vertices):
+        v, mult_x = vertex_image[x_index], vmult[x]
         totals[v] += mult_x
-        grouped: dict[tuple[str, bool], list[Dart]] = {}
-        for dart in src.darts_at(x):  # keyed by m.map_dart(dart), which a Dart equals
-            image, same = em[dart.edge]
-            grouped.setdefault((image, dart.forward == same), []).append(dart)
-        for target_dart in tgt.darts_at(v):
-            t = tgt_edges[target_dart.edge]
-            label = t.label_origin if target_dart.forward else t.label_terminus
+        grouped: dict[int, list[int]] = {}
+        for d in src_order[src_start[x_index]:src_start[x_index + 1]]:
+            grouped.setdefault(dart_image[d], []).append(d)
+        for target_dart in tgt_order[tgt_start[v]:tgt_start[v + 1]]:
+            label = tgt_labels[target_dart]
             k = math.gcd(mult_x, abs(label))
             lifts = grouped.get(target_dart, ())
             if len(lifts) != k:
-                return _fail("condition-star", f"{x}/{target_dart.render()}",
+                return _fail("condition-star", f"{x}/{tgt.darts()[target_dart].render()}",
                              f"expected {k} lifts, found {len(lifts)}")
             want_label = label // k
             want_mult = mult_x // k
             for lift in lifts:
-                rec = src_edges[lift.edge]
-                lift_label = rec.label_origin if lift.forward else rec.label_terminus
-                if lift_label != want_label:
-                    return _fail("condition-star", f"{x}/{lift.render()}",
-                                 f"lift label {lift_label} differs from {want_label}")
-                if emult[lift.edge] != want_mult:
-                    return _fail("condition-star", f"{x}/{lift.edge}",
-                                 f"lift multiplicity {emult[lift.edge]} "
+                if src_labels[lift] != want_label:
+                    return _fail("condition-star", f"{x}/{src.darts()[lift].render()}",
+                                 f"lift label {src_labels[lift]} differs from {want_label}")
+                if edge_mult[lift >> 1] != want_mult:
+                    return _fail("condition-star", f"{x}/{src.edges[lift >> 1].name}",
+                                 f"lift multiplicity {edge_mult[lift >> 1]} "
                                  f"differs from {want_mult}")
 
-    if len(set(totals.values())) > 1:
-        low = min(totals, key=lambda v: (totals[v], tgt.vertex_position[v]))
-        return _fail("total-multiplicity", low,
-                     f"preimage multiplicities sum to {sorted(set(totals.values()))}")
+    if len(set(totals)) > 1:
+        low = min(range(len(totals)), key=lambda v: (totals[v], v))
+        return _fail("total-multiplicity", tgt.vertices[low],
+                     f"preimage multiplicities sum to {sorted(set(totals))}")
     return Verification(True)
 
 
@@ -219,28 +223,18 @@ def covering_characterizations(m: AdmissibleMap) -> dict[str, bool]:
         raise InputError("covering characterizations require an admissible map")
     src, tgt = m.source, m.target
 
-    local_bijection = True
-    for x in src.vertices:
-        images = [m.map_dart(d) for d in src.darts_at(x)]
-        if sorted(images) != sorted(tgt.darts_at(m.vertex_map[x])):
-            local_bijection = False
-            break
-
+    local_bijection = all(sorted(map(m.map_dart, src.darts_at(x)))
+                          == sorted(tgt.darts_at(m.vertex_map[x])) for x in src.vertices)
     unit_gcds = all(m.local_gcd(x, td) == 1
                     for x in src.vertices
                     for td in tgt.darts_at(m.vertex_map[x]))
 
     label_preserving = all(src.label(d) == tgt.label(m.map_dart(d))
                            for d in src.darts())
-
-    constant_multiplicity = True
-    for vertices, edges in src.subgraph_components():
-        values = {m.vertex_multiplicity[x] for x in vertices}
-        values.update(m.edge_multiplicity[name] for name in edges)
-        if len(values) > 1:
-            constant_multiplicity = False
-            break
-
+    constant_multiplicity = all(
+        len({m.vertex_multiplicity[x] for x in vertices}
+            | {m.edge_multiplicity[name] for name in edges}) == 1
+        for vertices, edges in src.subgraph_components())
     return {
         "local-bijection": local_bijection,
         "unit-gcds": unit_gcds,
@@ -279,27 +273,23 @@ def _sheeted_cover(g: LabelledGraph, vertex_sheets: Callable[[str], _VertexSheet
     in the declaration order of g; every edge maps onto its base edge with
     the same orientation.
     """
-    vertices: list[str] = []
-    vmap: dict[str, str] = {}
-    vmult: dict[str, int] = {}
+    vertices, vmap, vmult = [], {}, {}
     for v in g.vertices:
         mult, sheets = vertex_sheets(v)
-        for i in sheets:
-            name = f"{v}.{i}"
-            vertices.append(name)
-            vmap[name] = v
-            vmult[name] = mult
-    records: list[EdgeRecord] = []
-    emap: dict[str, tuple[str, bool]] = {}
-    emult: dict[str, int] = {}
+        names = [f"{v}.{i}" for i in sheets]
+        vertices += names
+        vmap.update(dict.fromkeys(names, v))
+        vmult.update(dict.fromkeys(names, mult))
+    records, emap, emult = [], {}, {}
     for rec in g.edges:
         lo, lt, mult, sheets = edge_sheets(rec)
-        for j, i, k in sheets:
-            name = f"{rec.name}.{j}"
-            records.append(EdgeRecord(name, f"{rec.origin}.{i}", f"{rec.terminus}.{k}", lo, lt))
-            emap[name] = (rec.name, True)
-            emult[name] = mult
-    source = LabelledGraph(tuple(vertices), tuple(records))
+        sheet_records = [EdgeRecord(f"{rec.name}.{j}", f"{rec.origin}.{i}",
+                                    f"{rec.terminus}.{k}", lo, lt) for j, i, k in sheets]
+        records += sheet_records
+        names = [r.name for r in sheet_records]
+        emap.update(dict.fromkeys(names, (rec.name, True)))
+        emult.update(dict.fromkeys(names, mult))
+    source = LabelledGraph._trusted(tuple(vertices), tuple(records))
     return AdmissibleMap(source, g, vmap, emap, vmult, emult)
 
 
@@ -392,7 +382,7 @@ def restrict_to_component(m: AdmissibleMap, vertex: str | None = None) -> Admiss
     component = set(reached)
     vertices = tuple(v for v in src.vertices if v in component)
     records = tuple(r for r in src.edges if r.name in edges)
-    sub = LabelledGraph(vertices, records)
+    sub = LabelledGraph._trusted(vertices, records)
     return AdmissibleMap(sub, m.target,
                          {v: m.vertex_map[v] for v in vertices},
                          {r.name: m.edge_map[r.name] for r in records},
@@ -433,17 +423,11 @@ def extract_proper_plateau(m: AdmissibleMap) -> Plateau:
     if not verify_admissible(m):
         raise InputError("extract_proper_plateau requires an admissible map")
     src, tgt = m.source, m.target
-    prime = None
-    for x in src.vertices:
-        for target_dart in tgt.darts_at(m.vertex_map[x]):
-            k = m.local_gcd(x, target_dart)
-            if k > 1:
-                prime = smallest_prime_factor(k)
-                break
-        if prime is not None:
-            break
-    if prime is None:
+    gcds = (m.local_gcd(x, td) for x in src.vertices for td in tgt.darts_at(m.vertex_map[x]))
+    k = next((k for k in gcds if k > 1), None)
+    if k is None:
         raise InputError("topological covering: no proper plateau to extract")
+    prime = smallest_prime_factor(k)
 
     delta = max(valuation(m.vertex_multiplicity[x], prime) for x in src.vertices)
     marked = {v for v in tgt.vertices

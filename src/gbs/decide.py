@@ -131,7 +131,7 @@ def _smallest_common_cover(h1: LabelledGraph, h2: LabelledGraph, colors1: dict[s
         rec, name = h1.edge(e1), f"e{j}"
         records.append(EdgeRecord(name, names[o], names[t], rec.label_origin, rec.label_terminus))
         to_h1[name], to_h2[name] = (e1, True), (d2.edge, d2.forward)
-    source = LabelledGraph(tuple(names), tuple(records))
+    source = LabelledGraph._trusted(tuple(names), tuple(records))
     return tuple(assert_admissible(AdmissibleMap(
         source, h, {x: pair[side] for x, pair in zip(names, pairs)}, edge_map,
         dict.fromkeys(names, 1), dict.fromkeys(edge_map, 1)), "the fibre-product walk")

@@ -13,9 +13,12 @@ operations are deterministic in the declaration order of vertices and edges.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate, chain, cycle, permutations
+from operator import itemgetter
 from typing import Container, Iterable, Iterator, NamedTuple
 
 from .errors import InputError
@@ -114,15 +117,42 @@ class LabelledGraph:
               edges: Iterable[tuple[str, str, str, int, int]]) -> "LabelledGraph":
         return cls(tuple(vertices), tuple(EdgeRecord(*e) for e in edges))
 
+    @classmethod
+    def _trusted(cls, vertices: tuple[str, ...], edges: tuple[EdgeRecord, ...]) -> "LabelledGraph":
+        """A graph valid by construction, with the checking pass's tables, unchecked."""
+        g = object.__new__(cls)
+        g.__dict__.update(vertices=vertices, edges=edges,
+                          vertex_position=dict(zip(vertices, range(len(vertices)))),
+                          _edge_by_name={rec.name: rec for rec in edges})
+        return g
+
     # -- indexed access -------------------------------------------------
 
     @cached_property
-    def _darts_at(self) -> dict[str, tuple[Dart, ...]]:
-        table: dict[str, list[Dart]] = {v: [] for v in self.vertices}
-        for rec in self.edges:
-            table[rec.origin].append(Dart(rec.name, True))
-            table[rec.terminus].append(Dart(rec.name, False))
-        return {v: tuple(ds) for v, ds in table.items()}
+    def _index(self) -> tuple[tuple[int, ...], ...]:
+        """Dart 2i is edge i at its origin and 2i+1 at its terminus, so d ^ 1 reverses d.
+        (labels, heads, order, start): the label and vertex index of each dart, and the
+        darts at vertex v in declaration order, order[start[v]:start[v + 1]].  Built once
+        per graph, as tuples of ints, which the cyclic garbage collector stops tracking."""
+        labels = tuple(chain.from_iterable(map(itemgetter(3, 4), self.edges)))
+        heads = tuple(map(self.vertex_position.__getitem__,
+                          chain.from_iterable(map(itemgetter(1, 2), self.edges))))
+        order = tuple(sorted(range(len(heads)), key=heads.__getitem__))  # a stable sort
+        counts = Counter(heads)
+        return labels, heads, order, tuple(accumulate(
+            map(counts.__getitem__, range(len(self.vertices))), initial=0))
+
+    @cached_property
+    def _darts(self) -> tuple[Dart, ...]:
+        """Each dart of the index as a `Dart`: the view for name-level callers."""
+        names = [rec.name for rec in self.edges]
+        return tuple(map(Dart, chain.from_iterable(zip(names, names)), cycle((True, False))))
+
+    @cached_property
+    def _darts_at(self) -> tuple[tuple[Dart, ...], ...]:
+        _, _, order, start = self._index
+        return tuple(tuple(map(self._darts.__getitem__, order[start[v]:start[v + 1]]))
+                     for v in range(len(self.vertices)))
 
     def edge(self, name: str) -> EdgeRecord:
         try:
@@ -148,26 +178,53 @@ class LabelledGraph:
         return rec.label_origin if dart.forward else rec.label_terminus
 
     def darts(self) -> tuple[Dart, ...]:
-        out: list[Dart] = []
-        for rec in self.edges:
-            out.append(Dart(rec.name, True))
-            out.append(Dart(rec.name, False))
-        return tuple(out)
+        """Every dart, in index order: dart 2i is Dart(edge i, True)."""
+        return self._darts
 
     def darts_at(self, v: str) -> tuple[Dart, ...]:
         """Oriented edges with origin v; a loop at v contributes both darts."""
+        return self._darts_at[self._position(v)]
+
+    def _position(self, v: str) -> int:
         try:
-            return self._darts_at[v]
+            return self.vertex_position[v]
         except KeyError:
             raise InputError(f"unknown vertex {v!r}") from None
 
     def valence(self, v: str) -> int:
-        return len(self.darts_at(v))
+        start, i = self._index[3], self._position(v)
+        return start[i + 1] - start[i]
 
     def terminal_vertices(self) -> tuple[str, ...]:
         return tuple(v for v in self.vertices if self.valence(v) == 1)
 
     # -- connectivity and Betti number ----------------------------------
+
+    def _component_walk(self, mask: bytes, roots: Iterable[int]) -> Iterator[list[int]]:
+        """The one component walk.  Yields the vertex indices of each component of
+        the spanning subgraph on the darts marked in `mask` that meets `roots`, in
+        the order `roots` first reaches them, each in the discovery order of a
+        depth-first walk with a stack."""
+        _, heads, order, start = self._index
+        seen = bytearray(len(self.vertices))
+        for root in roots:
+            if seen[root]:
+                continue
+            seen[root] = 1
+            comp, stack = [root], [root]
+            while stack:
+                v = stack.pop()
+                for d in order[start[v]:start[v + 1]]:
+                    if mask[d] and not seen[w := heads[d ^ 1]]:
+                        seen[w] = 1
+                        comp.append(w)
+                        stack.append(w)
+            yield comp
+
+    def _kept_edges(self, comp: list[int], mask: bytes) -> set[int]:
+        """Indices of the edges with a dart marked in `mask` at a vertex of `comp`."""
+        _, _, order, start = self._index
+        return {d >> 1 for v in comp for d in order[start[v]:start[v + 1]] if mask[d]}
 
     def subgraph_components(self, keep: Container[str] | None = None,
                             starts: Iterable[str] | None = None
@@ -179,34 +236,18 @@ class LabelledGraph:
         the vertices in depth-first discovery order and the names of the
         kept edges inside the component.  `keep=None` keeps every edge.
         """
-        darts_at = self._darts_at
-        edge_by_name = self._edge_by_name
-        seen: set[str] = set()
-        for start in self.vertices if starts is None else starts:
-            if start in seen:
-                continue
-            if start not in darts_at:
-                raise InputError(f"unknown vertex {start!r}")
-            comp = [start]
-            walked: set[str] = set()
-            seen.add(start)
-            frontier = [start]
-            while frontier:
-                for name, forward in darts_at[frontier.pop()]:
-                    if keep is not None and name not in keep:
-                        continue
-                    walked.add(name)
-                    rec = edge_by_name[name]
-                    w = rec.terminus if forward else rec.origin
-                    if w not in seen:
-                        seen.add(w)
-                        comp.append(w)
-                        frontier.append(w)
-            yield tuple(comp), frozenset(walked)
+        mask = bytearray(2 * len(self.edges))
+        mask[::2] = mask[1::2] = bytes(keep is None or rec.name in keep for rec in self.edges)
+        roots = range(len(self.vertices)) if starts is None else map(self._position, starts)
+        for comp in self._component_walk(mask, roots):
+            yield (tuple(self.vertices[v] for v in comp),
+                   frozenset(self.edges[i].name for i in self._kept_edges(comp, mask)))
 
     @cached_property
     def _components(self) -> tuple[tuple[str, ...], ...]:
-        return tuple(vertices for vertices, _ in self.subgraph_components())
+        return tuple(tuple(self.vertices[v] for v in comp)
+                     for comp in self._component_walk(b"\1" * (2 * len(self.edges)),
+                                                      range(len(self.vertices))))
 
     def components(self) -> tuple[tuple[str, ...], ...]:
         """Vertex sets of the connected components, each in discovery order (walked once)."""
@@ -304,13 +345,9 @@ class LabelledGraph:
 
     def is_strongly_slide_free(self) -> bool:
         """No label near a vertex divides another label near the same vertex."""
-        for v in self.vertices:
-            mags = [abs(self.label(d)) for d in self.darts_at(v)]
-            for i, a in enumerate(mags):
-                for j, b in enumerate(mags):
-                    if i != j and b % a == 0:
-                        return False
-        return True
+        labels, _, order, start = self._index
+        return not any(labels[e] % labels[d] == 0 for v in range(len(self.vertices))
+                       for d, e in permutations(order[start[v]:start[v + 1]], 2))
 
     def is_circle(self) -> bool:
         # all valences 2 make |E| = |V|, so a connected one has Betti number 1
@@ -321,27 +358,21 @@ class LabelledGraph:
         """Products of the co-oriented and counter-oriented labels of a circle."""
         if not self.is_circle():
             raise InputError("circle_products requires a graph homeomorphic to a circle")
-        start = self.darts_at(self.vertices[0])[0]
-        forward = 1
-        backward = 1
-        dart = start
+        labels, heads, order, start = self._index
+        forward = backward = 1
+        d = first = order[0]  # the first dart at the first vertex
         while True:
-            forward *= self.label(dart)
-            backward *= self.label(dart.reverse())
-            w = self.terminus(dart)
-            back = dart.reverse()
-            nxt = next(d for d in self.darts_at(w) if d != back)
-            if nxt == start:
-                break
-            dart = nxt
-        return forward, backward
+            forward, backward = forward * labels[d], backward * labels[d ^ 1]
+            w = heads[d ^ 1]  # leave w by its other dart
+            d = next(e for e in order[start[w]:start[w + 1]] if e != d ^ 1)
+            if d == first:
+                return forward, backward
 
     # -- sign changes ----------------------------------------------------
 
     def sign_change_vertex(self, v: str) -> "LabelledGraph":
         """Negate every label near v; the presented group is unchanged."""
-        if not self.has_vertex(v):
-            raise InputError(f"unknown vertex {v!r}")
+        self._position(v)  # refuses an unknown vertex
         new = []
         for rec in self.edges:
             lo = -rec.label_origin if rec.origin == v else rec.label_origin

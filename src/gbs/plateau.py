@@ -11,7 +11,7 @@ presented group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import compress, filterfalse
 from typing import Any, Callable, Sequence
 
 from .errors import InputError
@@ -41,10 +41,11 @@ def _memo(g: LabelledGraph, key: str, compute: Callable[[LabelledGraph], Any]) -
     return g.__dict__[key]
 
 
-def _factors(g: LabelledGraph) -> dict[int, list[int]]:
-    """The prime factors of each label magnitude of g, each magnitude factored once."""
-    return _memo(g, "_factors", lambda g: {n: prime_factors(n) for n in {
-        abs(label) for rec in g.edges for label in (rec.label_origin, rec.label_terminus)}})
+def _factors(g: LabelledGraph) -> dict[int, tuple[int, ...]]:
+    """The prime factors of each label magnitude of g, each magnitude factored once,
+    as tuples of ints, which the cyclic garbage collector stops tracking."""
+    return _memo(g, "_factors", lambda g: {n: tuple(prime_factors(n))
+                                           for n in set(map(abs, g._index[0]))})
 
 
 def label_primes(g: LabelledGraph) -> list[int]:
@@ -52,44 +53,28 @@ def label_primes(g: LabelledGraph) -> list[int]:
     return sorted({p for ps in _factors(g).values() for p in ps})
 
 
-def _dart_tables(g: LabelledGraph) -> tuple[list[int], ...]:
-    """Dart 2i is edge i at its origin and 2i+1 at its terminus, so d ^ 1 reverses d.
-    The label and vertex index of each dart, and the darts at vertex v in declaration
-    order, order[start[v]:start[v + 1]]: (labels, heads, order, start), once per graph."""
-    def compute(g: LabelledGraph):
-        labels = [label for rec in g.edges for label in (rec.label_origin, rec.label_terminus)]
-        heads = [g.vertex_position[v] for rec in g.edges for v in (rec.origin, rec.terminus)]
-        at = [[] for _ in g.vertices]
-        for d, v in enumerate(heads):
-            at[v].append(d)
-        order = [d for ds in at for d in ds]
-        return labels, heads, order, list(accumulate(map(len, at), initial=0))
-    return _memo(g, "_dart_tables", compute)
-
-
 def _walk(g: LabelledGraph, divisible: bytes) -> list[tuple[frozenset[str], frozenset[str]]]:
     """The proper plateaux (vertices, edges) of a prime dividing the labels at exactly
     the darts marked in `divisible`, by least vertex index: the only test of the
-    divisibility dichotomy.  g may be disconnected."""
-    _, heads, order, start = _dart_tables(g)
-    seen, out = bytearray(len(g.vertices)), []
-    for root in range(len(g.vertices)):
-        if seen[root]:
+    divisibility dichotomy.  g may be disconnected.
+
+    The candidates are the components of the edges with no divisible dart; one
+    is proper unless a vertex of it is a frontier vertex, where a coprime dart's
+    reverse is divisible, or it is the whole graph."""
+    heads = g._index[1]
+    kept, frontier = bytearray(b"\1" * len(divisible)), set()
+    for d in compress(range(len(divisible)), divisible):
+        kept[d] = kept[d ^ 1] = 0
+        if not divisible[d ^ 1]:  # coprime at the origin of d ^ 1, divisible at its far end
+            frontier.add(heads[d ^ 1])
+    out = []
+    # a component of frontier vertices alone is no candidate, so none is a root
+    for comp in g._component_walk(kept, filterfalse(frontier.__contains__,
+                                                     range(len(g.vertices)))):
+        if not frontier.isdisjoint(comp):
             continue
-        seen[root], comp, proper = 1, [root], True
-        for v in comp:  # the list grows as the queue, over the edges with no divisible dart
-            for d in order[start[v]:start[v + 1]]:
-                if divisible[d]:
-                    continue
-                if divisible[d ^ 1]:  # coprime here, divisible at the far end
-                    proper = False
-                elif not seen[w := heads[d ^ 1]]:
-                    seen[w] = 1
-                    comp.append(w)
-        if not proper:
-            continue
-        edges = {d >> 1 for v in comp for d in order[start[v]:start[v + 1]] if not divisible[d]}
-        if len(comp) < len(seen) or len(edges) < len(g.edges):  # not the whole graph
+        edges = g._kept_edges(comp, kept)
+        if len(comp) < len(g.vertices) or len(edges) < len(g.edges):  # not the whole graph
             out.append((frozenset(g.vertices[v] for v in comp),
                         frozenset(g.edges[i].name for i in edges)))
     return out
@@ -113,7 +98,7 @@ def _plateaux(g: LabelledGraph, p: int,
               labels: dict[str, Sequence[int]] | None = None) -> list[Plateau]:
     """:func:`plateaux_for_prime` for a prime p, read with `labels` (each edge's
     [origin, terminus] labels by name; g's own by default); g may be disconnected."""
-    dart_labels = _dart_tables(g)[0] if labels is None else [
+    dart_labels = g._index[0] if labels is None else [
         label for rec in g.edges for label in labels[rec.name]]
     return [Plateau(p, vertices, edges)
             for vertices, edges in _walk(g, bytes(label % p == 0 for label in dart_labels))]
@@ -138,7 +123,7 @@ def all_plateaux(g: LabelledGraph) -> PlateauCollection:
 
     def compute(g: LabelledGraph) -> PlateauCollection:
         masks = {p: bytearray(2 * len(g.edges)) for p in label_primes(g)}  # factors the labels
-        factors, labels = _factors(g), _dart_tables(g)[0]
+        factors, labels = _factors(g), g._index[0]
         for d, label in enumerate(labels):
             for p in factors[abs(label)]:
                 masks[p][d] = 1

@@ -63,6 +63,25 @@ def f4_map() -> AdmissibleMap:
 
 
 @pytest.fixture
+def graph_builds(monkeypatch):
+    """Every `LabelledGraph` built from here on, checked or trusted, in build order."""
+    built = []
+    real_check, real_trusted = LabelledGraph.__post_init__, LabelledGraph._trusted.__func__
+
+    def checked(graph):
+        built.append(graph)
+        real_check(graph)
+
+    def trusted(cls, vertices, edges):
+        built.append(real_trusted(cls, vertices, edges))
+        return built[-1]
+
+    monkeypatch.setattr(LabelledGraph, "__post_init__", checked)
+    monkeypatch.setattr(LabelledGraph, "_trusted", classmethod(trusted))
+    return built
+
+
+@pytest.fixture
 def figures():
     return {"f1_7": f1(7), "f1_6": f1(6), "f2": f2(), "f3": f3(),
             "f4_target": f4_target(), "f4_source": f4_source()}

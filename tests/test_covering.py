@@ -16,26 +16,12 @@ from gbs import (AdmissibleMap, GeneratorConfig, InputError, InternalError, Labe
                  orientation_double_cover, plateau_free_cover,
                  plateaux_for_prime, rank, restrict_to_component, run_suite,
                  totally_unfolded, verify_admissible, voltage_cover)
-from gbs import covering, generate, suites
+from gbs import covering, generate, graph, suites
 from gbs.covering import COVER_VERTEX_LIMIT, _prime_power_cover
 from strategies import connected_graphs
 
 
 PATH_2_3 = LabelledGraph.build(["a", "b"], [("e", "a", "b", 2, 3)])
-
-
-@pytest.fixture
-def graph_builds(monkeypatch):
-    """Every `LabelledGraph` built from here on, in build order."""
-    built = []
-    real = LabelledGraph.__post_init__
-
-    def counting(graph):
-        built.append(graph)
-        real(graph)
-
-    monkeypatch.setattr(LabelledGraph, "__post_init__", counting)
-    return built
 
 
 def plateau_of(g, p, vertex):
@@ -512,6 +498,61 @@ def verify_calls(monkeypatch):
 
     monkeypatch.setattr(covering, "_check_admissible", counting)
     return calls
+
+
+@pytest.fixture
+def suite_covers(monkeypatch):
+    """Runs `run_suite("plateau-free-cover", 20, 1)` and returns (its covers,
+    the graphs built by the trusted constructor, the generated graphs, the
+    (kind, name) of every `_check_identifier` call), each in order."""
+    covers, trusted, generated, identifiers = [], [], [], []
+
+    def spy(log, real):
+        def logging(*args, **kwargs):
+            log.append(real(*args, **kwargs))
+            return log[-1]
+        return logging
+
+    def checking(kind, name):
+        identifiers.append((kind, name))
+        real_check(kind, name)
+
+    real_check = graph._check_identifier
+    monkeypatch.setattr(suites, "plateau_free_cover", spy(covers, suites.plateau_free_cover))
+    monkeypatch.setattr(suites, "generate_graph", spy(generated, suites.generate_graph))
+    monkeypatch.setattr(LabelledGraph, "_trusted",
+                        classmethod(spy(trusted, LabelledGraph._trusted.__func__)))
+    monkeypatch.setattr(graph, "_check_identifier", checking)
+    assert run_suite("plateau-free-cover", 20, 1).ok
+    return covers, trusted, generated, identifiers
+
+
+class TestTrustedBuilds:
+    """The constructions build their graphs with the unchecked constructor, which
+    gives the graph the checked one would; only generated inputs are checked."""
+
+    def test_trusted_sources_equal_checked_builds(self, suite_covers):
+        covers, trusted, _, _ = suite_covers
+        built = [m.source for m in covers if m.source is not m.target]
+        assert len(covers) == 20 and len(built) > 10
+        assert [id(g) for g in trusted] == [id(g) for g in built]
+        for g in built:
+            checked = LabelledGraph(g.vertices, g.edges)
+            assert g == checked and hash(g) == hash(checked)
+            assert list(g.vertex_position.items()) == list(checked.vertex_position.items())
+            assert list(g._edge_by_name.items()) == list(checked._edge_by_name.items())
+
+    def test_no_cover_source_builds_the_dart_view(self, suite_covers):
+        covers, _, _, _ = suite_covers
+        assert not any(view in m.source.__dict__
+                       for m in covers for view in ("_darts", "_darts_at"))
+        assert all("_index" in m.source.__dict__ for m in covers)
+
+    def test_only_generated_inputs_are_checked(self, suite_covers):
+        _, _, generated, identifiers = suite_covers
+        assert len(generated) > 20
+        assert identifiers == [(kind, name) for g in generated for kind, names in (
+            ("vertex", g.vertices), ("edge", [rec.name for rec in g.edges])) for name in names]
 
 
 class TestCheckCount:

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import (R2, R3, bs, circle_graph, cyclic_cover, f1, f2, f3, nx_isomorphic,
                       walk_isomorphism, witness_cases)
-from gbs import (InputError, InternalError, LabelledGraph, commensurable, decide,
+from gbs import (InputError, InternalError, LabelledGraph, commensurable,
                  is_large, is_topological_covering, stable_colorings, verify_admissible,
                  voltage_cover)
 from gbs.decide import _prepared, _smallest_common_cover
@@ -235,15 +235,9 @@ class TestWitnessSearch:
         assert walk_isomorphism(g, circle_graph([(5, 7), (2, 3), (2, 3)])) is not None
         assert walk_isomorphism(g, circle_graph([(2, 3), (7, 5), (2, 3)])) is None
 
-    def test_only_the_witness_pair_is_built(self, monkeypatch):
+    def test_only_the_witness_pair_is_built(self, graph_builds):
         # the two witness maps share the one graph the search builds
-        built = []
-
-        def counting(*args):
-            built.append(LabelledGraph(*args))
-            return built[-1]
-
-        monkeypatch.setattr(decide, "LabelledGraph", counting)
+        built = graph_builds
         for name, (g1, g2, degree) in witness_cases().items():
             h1, h2 = _prepared(g1.reduce()), _prepared(g2.reduce())
             colors = stable_colorings([h1, h2])

@@ -335,13 +335,13 @@ def test_disconnected_graphs_are_rejected(operation):
 def test_connectivity_is_checked_once(operation, monkeypatch):
     g = bs(2, -3)
     walks = []
-    real = LabelledGraph.subgraph_components
+    real = LabelledGraph._component_walk
 
-    def counting(self, keep=None, starts=None):
-        walks.append(self is g and keep is None and starts is None)
-        return real(self, keep, starts)
+    def counting(self, mask, roots):  # a walk of every dart from every vertex
+        walks.append(self is g and all(mask) and roots == range(len(g.vertices)))
+        return real(self, mask, roots)
 
-    monkeypatch.setattr(LabelledGraph, "subgraph_components", counting)
+    monkeypatch.setattr(LabelledGraph, "_component_walk", counting)
     with contextlib.suppress(InputError):  # generates then rejects the vertex zz
         operation(g)
     assert walks.count(True) == 1

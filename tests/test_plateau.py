@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -6,6 +7,7 @@ import sys
 import time
 from array import array
 from collections import Counter
+from functools import cached_property
 from itertools import combinations
 from math import isqrt, prod
 from pathlib import Path
@@ -21,7 +23,7 @@ from gbs import (GeneratorConfig, InputError, LabelledGraph, Plateau, all_platea
                  has_proper_plateau, identity_map, label_primes, minimum_generating_vertices,
                  minimum_hitting_set, mu, parse_graph, plateau, plateau_free_cover,
                  plateaux_for_prime, rank, run_suite, totally_unfolded, voltage_cover)
-from gbs.plateau import _plateaux
+from gbs.plateau import _factors, _plateaux
 from gbs.primes import (MILLER_RABIN_LIMIT, TRIAL_DIVISION_BOUND, _is_strong_probable_prime,
                         is_prime, prime_factors, smallest_prime_factor)
 from strategies import connected_graphs
@@ -365,8 +367,8 @@ class TestPlateauFactsOncePerGraph:
         assert shared
 
     def test_plateau_free_suite_builds_each_label_table_once(self, monkeypatch):
-        """Every memo, the dart and label tables included, is built at most once
-        per graph, however often the graph is walked."""
+        """Every memo and the graph's dart index are built at most once per graph,
+        however often the graph is walked, and the index for every walked graph."""
         built, real = [], plateau._memo
 
         def counting(g, key, compute):
@@ -375,12 +377,35 @@ class TestPlateauFactsOncePerGraph:
                 return compute(g)
             return real(g, key, build)
         monkeypatch.setattr(plateau, "_memo", counting)
-        walked = spy(monkeypatch, plateau, "_walk")
+        real_index = LabelledGraph._index.func
+
+        def indexing(g):
+            built.append(("_index", g))
+            return real_index(g)
+        index = cached_property(indexing)
+        index.__set_name__(LabelledGraph, "_index")
+        monkeypatch.setattr(LabelledGraph, "_index", index)
+        walked, real_walk = [], LabelledGraph._component_walk
+
+        def walking(g, mask, roots):
+            walked.append(g)
+            return real_walk(g, mask, roots)
+        monkeypatch.setattr(LabelledGraph, "_component_walk", walking)
         assert run_suite("plateau-free-cover", count=15, base_seed=1).ok
-        tables = Counter(id(g) for key, g in built if key == "_dart_tables")
+        indexed = Counter(id(g) for key, g in built if key == "_index")
         # the graphs stay referenced in `built` and `walked`, so ids are not reused
-        assert len(walked) > len(tables) > 15 and set(tables) >= {id(g) for g, _ in walked}
+        assert len(walked) > len(indexed) > 15 and set(indexed) >= set(map(id, walked))
         assert max(Counter((key, id(g)) for key, g in built).values()) == 1
+
+    def test_tables_leave_the_cyclic_collector(self):
+        """The dart index and the factor table hold only tuples of ints, so the
+        collector stops tracking them and does not scan them while the graph lives."""
+        g = f3()
+        all_plateaux(g)
+        tables = [g._index, *g._index, _factors(g), *_factors(g).values()]
+        gc.collect()
+        gc.collect()  # the outer tuple is untracked once its members are
+        assert not any(map(gc.is_tracked, tables))
 
     def test_memo_does_not_leak(self, monkeypatch):
         g, twin = f3(), f3()
