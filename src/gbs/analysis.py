@@ -24,23 +24,22 @@ def _doubled_deltas(m: AdmissibleMap) -> dict[str, int]:
     Doubling keeps the arithmetic exact; the values sum to
     2*((beta+t of the source) - (beta+t of the target)).
     """
-    out = {}
-    for v in m.target.vertices:
-        total = sum(abs(m.source.valence(x) - 2) for x in m.vertex_preimages[v])
-        out[v] = total - abs(m.target.valence(v) - 2)
-    return out
+    src_start, tgt_start = m.source._index[3], m.target._index[3]
+    out = [-abs(b - a - 2) for a, b in zip(tgt_start, tgt_start[1:])]
+    for x, v in enumerate(m._tables[0]):
+        out[v] += abs(src_start[x + 1] - src_start[x] - 2)
+    return dict(zip(m.target.vertices, out))
 
 
 def _bad_vertices(m: AdmissibleMap) -> frozenset[str]:
     """Terminal target vertices all of whose preimages have valence 2."""
+    labels, _, order, start = m.target._index
     out = set()
-    for v in m.target.vertices:
-        if m.target.valence(v) != 1:
+    for i, (v, preimages) in enumerate(m.vertex_preimages.items()):  # in target order
+        if start[i + 1] - start[i] != 1:
             continue
-        preimages = m.vertex_preimages[v]
         if preimages and all(m.source.valence(x) == 2 for x in preimages):
-            dart = m.target.darts_at(v)[0]
-            if m.target.label(dart) % 2 != 0:
+            if labels[order[start[i]]] % 2 != 0:
                 raise InternalError(f"bad vertex {v!r} must carry an even label")
             out.add(v)
     return frozenset(out)
@@ -58,11 +57,18 @@ def totally_unfolded(m: AdmissibleMap, plateau: Plateau) -> bool:
 def _totally_unfolded(m: AdmissibleMap, plateau: Plateau) -> bool:
     """A dart leaving the plateau has p | label, so its gcd(m_x, |label|) lifts at
     x are a multiple of p exactly when p | m_x."""
-    p, tgt = plateau.prime, m.target
-    return all(m.vertex_multiplicity[x] % p == 0
-               for v in plateau.vertices
-               if any(d.edge not in plateau.edges for d in tgt.darts_at(v))
-               for x in m.vertex_preimages[v])
+    leaving = {v for v, darts in _leaving_darts(m.target, plateau).items() if darts}
+    vertex_image, _, vertex_mult, _ = m._tables
+    return all(mult % plateau.prime == 0
+               for v, mult in zip(vertex_image, vertex_mult) if v in leaving)
+
+
+def _leaving_darts(g: LabelledGraph, plateau: Plateau) -> dict[int, list[int]]:
+    """The darts at each plateau vertex whose edges lie outside the plateau, by index."""
+    _, _, order, start = g._index
+    return {v: [d for d in order[start[v]:start[v + 1]]
+                if g.edges[d >> 1].name not in plateau.edges]
+            for v in sorted(map(g.vertex_position.__getitem__, plateau.vertices))}
 
 
 def _require_admissible(m: AdmissibleMap, caller: str) -> None:
@@ -92,12 +98,10 @@ def _hitting_number(g: LabelledGraph, minimal: list[Plateau]) -> int:
     return len(minimum_hitting_set(g.vertices, [P.vertices for P in minimal]))
 
 
-def _boundary_darts(g: LabelledGraph, plateau: Plateau):
-    """Oriented edges with origin in the plateau and terminus outside it."""
-    for v in plateau.vertices:
-        for dart in g.darts_at(v):
-            if dart.edge not in plateau.edges and g.terminus(dart) not in plateau.vertices:
-                yield dart
+def _boundary_darts(g: LabelledGraph, plateau: Plateau) -> list[int]:
+    """Darts with origin in the plateau and terminus outside it, by index."""
+    heads, leaving = g._index[1], _leaving_darts(g, plateau)
+    return [d for darts in leaving.values() for d in darts if heads[d ^ 1] not in leaving]
 
 
 def _bad_plateaux(m: AdmissibleMap, minimal: list[Plateau]) -> list[Plateau]:
@@ -106,11 +110,14 @@ def _bad_plateaux(m: AdmissibleMap, minimal: list[Plateau]) -> list[Plateau]:
     for plateau in minimal:
         if plateau.prime != 2:
             continue
-        boundary = list(_boundary_darts(m.target, plateau))
+        boundary = _boundary_darts(m.target, plateau)
         if len(boundary) != 1:
             continue
-        dart = boundary[0]
-        lifts = sum(m.local_gcd(x, dart) for x in m.vertex_preimages[m.target.origin(dart)])
+        labels, heads, _, _ = m.target._index
+        vertex_image, _, vertex_mult, _ = m._tables
+        label, origin = abs(labels[boundary[0]]), heads[boundary[0]]
+        lifts = sum(math.gcd(mult, label)
+                    for v, mult in zip(vertex_image, vertex_mult) if v == origin)
         if lifts == 2:
             out.append(plateau)
     return out
@@ -177,9 +184,9 @@ def _is_generalized_branched(m: AdmissibleMap, chosen: tuple[Plateau, ...]) -> b
         if rec.name not in in_plateau_edges:
             if len(m.edge_preimages[rec.name]) != 2:
                 return False
-    frontier_points = {tgt.origin(d) for plateau in chosen
+    frontier_points = {tgt._index[1][d] for plateau in chosen
                        for d in _boundary_darts(tgt, plateau)}
-    return all(len(m.vertex_preimages[v]) == 1 for v in frontier_points)
+    return all(m._tables[0].count(v) == 1 for v in frontier_points)
 
 
 def classify(m: AdmissibleMap) -> MapClassification:
@@ -310,7 +317,7 @@ def check_inequalities(m: AdmissibleMap) -> AuditReport:
         return len(parities) > 1
 
     parity_plateaux = list(two_plateaux)
-    if all(tgt.label(d) % 2 != 0 for d in tgt.darts()):
+    if all(label % 2 for label in tgt._index[0]):
         parity_plateaux.append(Plateau(2, frozenset(tgt.vertices),
                                        frozenset(r.name for r in tgt.edges)))
     varying = next((P for P in parity_plateaux if parity_varies(P)), None)
@@ -355,12 +362,13 @@ def _has_plateau_preimage_component(m: AdmissibleMap, plateau: Plateau) -> bool:
     component is a plateau exactly when that holds at each of its points.
     """
     p, tgt = plateau.prime, m.target
-    leaving = {v: min((valuation(tgt.label(d), p) for d in tgt.darts_at(v)
-                       if d.edge not in plateau.edges), default=math.inf)
-               for v in plateau.vertices}
-    pre_vertices = [x for v in tgt.vertices if v in plateau.vertices
-                    for x in m.vertex_preimages[v]]
-    pre_edges = {name for ename in plateau.edges for name in m.edge_preimages[ename]}
-    return any(all(valuation(m.vertex_multiplicity[x], p) < leaving[m.vertex_map[x]]
-                   for x in vertices)
-               for vertices, _ in m.source.subgraph_components(pre_edges, pre_vertices))
+    labels = tgt._index[0]
+    leaving = {v: min((valuation(labels[d], p) for d in darts), default=math.inf)
+               for v, darts in _leaving_darts(tgt, plateau).items()}
+    vertex_image, dart_image, vertex_mult, _ = m._tables
+    inside = bytes(rec.name in plateau.edges for rec in tgt.edges for _ in (0, 1))  # by dart
+    pre_darts = bytes(map(inside.__getitem__, dart_image))
+    pre_vertices = sorted((x for x, v in enumerate(vertex_image) if v in leaving),
+                          key=vertex_image.__getitem__)  # target order, then source order
+    return any(all(valuation(vertex_mult[x], p) < leaving[vertex_image[x]] for x in comp)
+               for comp in m.source._component_walk(pre_darts, pre_vertices))

@@ -23,9 +23,27 @@ from .plateau import Plateau, _plateaux, check_plateau, has_proper_plateau, labe
 from .primes import smallest_prime_factor, valuation
 
 
+# (vertex image, dart image, vertex multiplicities, edge multiplicities), by index
+_Tables = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+_NAME_VIEWS: dict[str, Callable[["AdmissibleMap"], Iterable[tuple]]] = {
+    "vertex_map": lambda m: zip(m.source.vertices, map(m.target.vertices.__getitem__,
+                                                       m._tables[0])),
+    "edge_map": lambda m: ((rec.name, (m.target.edges[d >> 1].name, not d & 1))
+                           for rec, d in zip(m.source.edges, m._tables[1][::2])),
+    "vertex_multiplicity": lambda m: zip(m.source.vertices, m._tables[2]),
+    "edge_multiplicity": lambda m: zip((rec.name for rec in m.source.edges), m._tables[3]),
+}
+
+
 @dataclass(frozen=True, eq=False)
 class AdmissibleMap:
-    """Graph morphism (commuting with reversal) with vertex and edge multiplicities."""
+    """Graph morphism (commuting with reversal) with vertex and edge multiplicities.
+
+    Its tables are built once: by the constructions, or for a map given by
+    names by the check's structural pass.  The target dart of source dart d is
+    2·image + flip, so the reverse of an image is image ^ 1.  The four name
+    mappings are read-only; a map built from tables makes them on first use.
+    """
 
     source: LabelledGraph
     target: LabelledGraph
@@ -35,8 +53,29 @@ class AdmissibleMap:
     edge_multiplicity: Mapping[str, int]
 
     def __post_init__(self):  # read-only copies: no caller can make a kept verdict stale
-        for name in ("vertex_map", "edge_map", "vertex_multiplicity", "edge_multiplicity"):
+        for name in _NAME_VIEWS:
             object.__setattr__(self, name, types.MappingProxyType(dict(getattr(self, name))))
+
+    def __getattr__(self, name: str):  # only reached for a name missing from the map
+        if name not in _NAME_VIEWS:
+            raise AttributeError(name)
+        view = self.__dict__[name] = types.MappingProxyType(dict(_NAME_VIEWS[name](self)))
+        return view
+
+    @classmethod
+    def _from_tables(cls, source: LabelledGraph, target: LabelledGraph,
+                     *tables: Iterable[int]) -> "AdmissibleMap":
+        m = object.__new__(cls)  # its tables take the place of the name checks
+        m.__dict__.update(source=source, target=target, _tables=tuple(map(tuple, tables)))
+        return m
+
+    @cached_property
+    def _tables(self) -> _Tables:
+        """The tables of a map given by names, from the check's structural pass."""
+        tables = _name_tables(self)
+        if isinstance(tables, Verification):
+            raise InputError(f"not a map from its source to its target: {tables.render()}")
+        return tables
 
     def map_dart(self, dart: Dart) -> Dart:
         image, same = self.edge_map[dart.edge]
@@ -44,25 +83,21 @@ class AdmissibleMap:
 
     @cached_property
     def vertex_preimages(self) -> dict[str, tuple[str, ...]]:
-        table: dict[str, list[str]] = {v: [] for v in self.target.vertices}
-        for x in self.source.vertices:
-            table[self.vertex_map[x]].append(x)
-        return {v: tuple(xs) for v, xs in table.items()}
+        table: list[list[str]] = [[] for _ in self.target.vertices]
+        for x, v in zip(self.source.vertices, self._tables[0]):
+            table[v].append(x)
+        return dict(zip(self.target.vertices, map(tuple, table)))
 
     @cached_property
     def edge_preimages(self) -> dict[str, tuple[str, ...]]:
-        table: dict[str, list[str]] = {r.name: [] for r in self.target.edges}
-        for rec in self.source.edges:
-            table[self.edge_map[rec.name][0]].append(rec.name)
-        return {name: tuple(es) for name, es in table.items()}
-
-    def local_gcd(self, x: str, target_dart: Dart) -> int:
-        return math.gcd(self.vertex_multiplicity[x],
-                        abs(self.target.label(target_dart)))
+        table: list[list[str]] = [[] for _ in self.target.edges]
+        for rec, d in zip(self.source.edges, self._tables[1][::2]):
+            table[d >> 1].append(rec.name)
+        return {rec.name: tuple(es) for rec, es in zip(self.target.edges, table)}
 
     def total_multiplicity(self) -> int:
-        v = self.target.vertices[0]
-        return sum(self.vertex_multiplicity[x] for x in self.vertex_preimages[v])
+        vertex_image, _, vertex_mult, _ = self._tables
+        return sum(mult for v, mult in zip(vertex_image, vertex_mult) if v == 0)
 
 
 @dataclass(frozen=True)
@@ -97,7 +132,8 @@ def verify_admissible(m: AdmissibleMap) -> Verification:
     return m.__dict__["_verdict"]
 
 
-def _check_admissible(m: AdmissibleMap) -> Verification:
+def _name_tables(m: AdmissibleMap) -> _Tables | Verification:
+    """The structural pass of a map given by names: its tables, or the first failure."""
     src, tgt = m.source, m.target
     vm, em = m.vertex_map, m.edge_map
     vmult, emult = m.vertex_multiplicity, m.edge_multiplicity
@@ -116,8 +152,7 @@ def _check_admissible(m: AdmissibleMap) -> Verification:
         if not isinstance(mult, int) or isinstance(mult, bool) or mult <= 0:
             return _fail("structure", x, f"vertex multiplicity {mult!r} must be a positive integer")
         vertex_image.append(tgt_vertex[vm[x]])
-    dart_image: list[int] = []  # source dart d maps to target dart dart_image[d]
-    edge_mult: list[int] = []
+    dart_image: list[int] = []
     for rec in src.edges:
         try:
             image, same = em[rec.name]
@@ -133,11 +168,27 @@ def _check_admissible(m: AdmissibleMap) -> Verification:
             return _fail("structure", rec.name, f"edge multiplicity {mult!r} must be a positive integer")
         d = 2 * tgt_edge[image] + (0 if same else 1)
         dart_image += (d, d ^ 1)
-        edge_mult.append(mult)
+    return (tuple(vertex_image), tuple(dart_image), tuple(map(vmult.__getitem__, src.vertices)),
+            tuple(emult[rec.name] for rec in src.edges))
 
-    # each fact is read once from the two dart indices; a Dart only names a failing site
+
+def _check_admissible(m: AdmissibleMap) -> Verification:
+    try:
+        vertex_image, dart_image, vertex_mult, edge_mult = tables = m._tables
+    except InputError:  # a map given by names that fails its structural pass
+        return _name_tables(m)
+    src, tgt = m.source, m.target
+    # each fact is read once from the tables and the two dart indices; a Dart only
+    # names a failing site
     src_labels, src_heads, src_order, src_start = src._index
     tgt_labels, tgt_heads, tgt_order, tgt_start = tgt._index
+    if (list(map(len, tables)) != [len(src.vertices), len(src_heads), len(src.vertices),
+                                   len(src.edges)]
+            or not set(vertex_image).issubset(range(len(tgt.vertices)))
+            or not set(dart_image).issubset(range(len(tgt_heads)))
+            or dart_image[1::2] != tuple(d ^ 1 for d in dart_image[::2])
+            or min(vertex_mult) < 1 or min(edge_mult, default=1) < 1):
+        return _fail("structure", "tables", "the map's tables do not fit its source and target")
     origins = list(map(vertex_image.__getitem__, src_heads))
     if list(map(tgt_heads.__getitem__, dart_image)) != origins:  # each image starts there
         d = next(d for d, v in enumerate(origins) if tgt_heads[dart_image[d]] != v)
@@ -145,8 +196,7 @@ def _check_admissible(m: AdmissibleMap) -> Verification:
                      "edge image is not incident to the images of its endpoints")
 
     totals = [0] * len(tgt.vertices)
-    for x_index, x in enumerate(src.vertices):
-        v, mult_x = vertex_image[x_index], vmult[x]
+    for x_index, (x, v, mult_x) in enumerate(zip(src.vertices, vertex_image, vertex_mult)):
         totals[v] += mult_x
         grouped: dict[int, list[int]] = {}
         for d in src_order[src_start[x_index]:src_start[x_index + 1]]:
@@ -184,9 +234,8 @@ def assert_admissible(m: AdmissibleMap, context: str) -> AdmissibleMap:
 
 
 def identity_map(g: LabelledGraph) -> AdmissibleMap:
-    return AdmissibleMap(g, g, {v: v for v in g.vertices},
-                         {r.name: (r.name, True) for r in g.edges},
-                         {v: 1 for v in g.vertices}, {r.name: 1 for r in g.edges})
+    n, e = len(g.vertices), len(g.edges)
+    return AdmissibleMap._from_tables(g, g, range(n), range(2 * e), (1,) * n, (1,) * e)
 
 
 def compose(outer: AdmissibleMap, inner: AdmissibleMap) -> AdmissibleMap:
@@ -198,20 +247,14 @@ def compose(outer: AdmissibleMap, inner: AdmissibleMap) -> AdmissibleMap:
         result = verify_admissible(m)
         if not result:
             raise InputError(f"compose: the {role} map is not admissible: {result.render()}")
-    vm = {x: outer.vertex_map[inner.vertex_map[x]] for x in inner.source.vertices}
-    em = {}
-    for rec in inner.source.edges:
-        mid, same1 = inner.edge_map[rec.name]
-        out, same2 = outer.edge_map[mid]
-        em[rec.name] = (out, same1 == same2)
-    vmult = {x: inner.vertex_multiplicity[x]
-             * outer.vertex_multiplicity[inner.vertex_map[x]]
-             for x in inner.source.vertices}
-    emult = {rec.name: inner.edge_multiplicity[rec.name]
-             * outer.edge_multiplicity[inner.edge_map[rec.name][0]]
-             for rec in inner.source.edges}
-    return assert_admissible(AdmissibleMap(inner.source, outer.target, vm, em, vmult, emult),
-                             "compose")
+    outer_vertex, outer_dart, outer_vmult, outer_emult = outer._tables
+    inner_vertex, inner_dart, inner_vmult, inner_emult = inner._tables
+    return assert_admissible(AdmissibleMap._from_tables(
+        inner.source, outer.target, map(outer_vertex.__getitem__, inner_vertex),
+        map(outer_dart.__getitem__, inner_dart),
+        map(int.__mul__, inner_vmult, map(outer_vmult.__getitem__, inner_vertex)),
+        (mult * outer_emult[d >> 1] for mult, d in zip(inner_emult, inner_dart[::2]))),
+        "compose")
 
 
 # -- covering characterizations ------------------------------------------------
@@ -221,20 +264,21 @@ def covering_characterizations(m: AdmissibleMap) -> dict[str, bool]:
     """Four equivalent descriptions of a topological covering, evaluated independently."""
     if not verify_admissible(m):
         raise InputError("covering characterizations require an admissible map")
-    src, tgt = m.source, m.target
+    vertex_image, dart_image, vertex_mult, edge_mult = m._tables
+    src_labels, src_heads, src_order, src_start = m.source._index
+    tgt_labels, _, tgt_order, tgt_start = m.target._index
 
-    local_bijection = all(sorted(map(m.map_dart, src.darts_at(x)))
-                          == sorted(tgt.darts_at(m.vertex_map[x])) for x in src.vertices)
-    unit_gcds = all(m.local_gcd(x, td) == 1
-                    for x in src.vertices
-                    for td in tgt.darts_at(m.vertex_map[x]))
-
-    label_preserving = all(src.label(d) == tgt.label(m.map_dart(d))
-                           for d in src.darts())
-    constant_multiplicity = all(
-        len({m.vertex_multiplicity[x] for x in vertices}
-            | {m.edge_multiplicity[name] for name in edges}) == 1
-        for vertices, edges in src.subgraph_components())
+    # the darts at x map onto the darts at its image, which run in index order
+    local_bijection = all(
+        sorted(map(dart_image.__getitem__, src_order[src_start[x]:src_start[x + 1]]))
+        == list(tgt_order[tgt_start[v]:tgt_start[v + 1]]) for x, v in enumerate(vertex_image))
+    unit_gcds = all(math.gcd(mult, abs(tgt_labels[d])) == 1
+                    for v, mult in zip(vertex_image, vertex_mult)
+                    for d in tgt_order[tgt_start[v]:tgt_start[v + 1]])
+    label_preserving = tuple(map(tgt_labels.__getitem__, dart_image)) == src_labels
+    # one value on a component: each edge carries the multiplicity of both its ends
+    constant_multiplicity = all(edge_mult[d >> 1] == vertex_mult[x]
+                                for d, x in enumerate(src_heads))
     return {
         "local-bijection": local_bijection,
         "unit-gcds": unit_gcds,
@@ -273,24 +317,23 @@ def _sheeted_cover(g: LabelledGraph, vertex_sheets: Callable[[str], _VertexSheet
     in the declaration order of g; every edge maps onto its base edge with
     the same orientation.
     """
-    vertices, vmap, vmult = [], {}, {}
-    for v in g.vertices:
+    vertices, vertex_image, vertex_mult = [], [], []
+    for v_index, v in enumerate(g.vertices):
         mult, sheets = vertex_sheets(v)
         names = [f"{v}.{i}" for i in sheets]
         vertices += names
-        vmap.update(dict.fromkeys(names, v))
-        vmult.update(dict.fromkeys(names, mult))
-    records, emap, emult = [], {}, {}
-    for rec in g.edges:
+        vertex_image += [v_index] * len(names)
+        vertex_mult += [mult] * len(names)
+    records, dart_image, edge_mult = [], [], []
+    for e_index, rec in enumerate(g.edges):
         lo, lt, mult, sheets = edge_sheets(rec)
         sheet_records = [EdgeRecord(f"{rec.name}.{j}", f"{rec.origin}.{i}",
                                     f"{rec.terminus}.{k}", lo, lt) for j, i, k in sheets]
         records += sheet_records
-        names = [r.name for r in sheet_records]
-        emap.update(dict.fromkeys(names, (rec.name, True)))
-        emult.update(dict.fromkeys(names, mult))
+        dart_image += (2 * e_index, 2 * e_index + 1) * len(sheet_records)
+        edge_mult += [mult] * len(sheet_records)
     source = LabelledGraph._trusted(tuple(vertices), tuple(records))
-    return AdmissibleMap(source, g, vmap, emap, vmult, emult)
+    return AdmissibleMap._from_tables(source, g, vertex_image, dart_image, vertex_mult, edge_mult)
 
 
 # the most source vertices of a `branched_cover`, a `voltage_cover`, a default
@@ -373,21 +416,18 @@ def restrict_to_component(m: AdmissibleMap, vertex: str | None = None) -> Admiss
     target the restriction is again admissible.  A component holding every
     source vertex is the whole source, and `m` itself is returned.
     """
-    src = m.source
-    if vertex is None:
-        vertex = src.vertices[0]
-    reached, edges = next(src.subgraph_components(starts=(vertex,)))
+    src, every = m.source, b"\1" * len(m.source._index[1])
+    reached = next(src._component_walk(every, (0 if vertex is None else src._position(vertex),)))
     if len(reached) == len(src.vertices):
         return m
-    component = set(reached)
-    vertices = tuple(v for v in src.vertices if v in component)
-    records = tuple(r for r in src.edges if r.name in edges)
-    sub = LabelledGraph._trusted(vertices, records)
-    return AdmissibleMap(sub, m.target,
-                         {v: m.vertex_map[v] for v in vertices},
-                         {r.name: m.edge_map[r.name] for r in records},
-                         {v: m.vertex_multiplicity[v] for v in vertices},
-                         {r.name: m.edge_multiplicity[r.name] for r in records})
+    vertices, edges = sorted(reached), sorted(src._kept_edges(reached, every))
+    vertex_image, dart_image, vertex_mult, edge_mult = m._tables
+    sub = LabelledGraph._trusted(tuple(map(src.vertices.__getitem__, vertices)),
+                                 tuple(map(src.edges.__getitem__, edges)))
+    return AdmissibleMap._from_tables(
+        sub, m.target, map(vertex_image.__getitem__, vertices),
+        (dart_image[d] for i in edges for d in (2 * i, 2 * i + 1)),
+        map(vertex_mult.__getitem__, vertices), map(edge_mult.__getitem__, edges))
 
 
 def orientation_double_cover(g: LabelledGraph) -> AdmissibleMap | None:
@@ -422,17 +462,19 @@ def extract_proper_plateau(m: AdmissibleMap) -> Plateau:
     """
     if not verify_admissible(m):
         raise InputError("extract_proper_plateau requires an admissible map")
-    src, tgt = m.source, m.target
-    gcds = (m.local_gcd(x, td) for x in src.vertices for td in tgt.darts_at(m.vertex_map[x]))
+    tgt = m.target
+    vertex_image, _, vertex_mult, _ = m._tables
+    labels, _, order, start = tgt._index
+    gcds = (math.gcd(mult, abs(labels[d])) for v, mult in zip(vertex_image, vertex_mult)
+            for d in order[start[v]:start[v + 1]])
     k = next((k for k in gcds if k > 1), None)
     if k is None:
         raise InputError("topological covering: no proper plateau to extract")
     prime = smallest_prime_factor(k)
 
-    delta = max(valuation(m.vertex_multiplicity[x], prime) for x in src.vertices)
-    marked = {v for v in tgt.vertices
-              if any(valuation(m.vertex_multiplicity[x], prime) >= delta
-                     for x in m.vertex_preimages[v])}
+    delta = max(valuation(mult, prime) for mult in vertex_mult)
+    marked = {tgt.vertices[v] for v, mult in zip(vertex_image, vertex_mult)
+              if valuation(mult, prime) >= delta}
     kept_edges = {rec.name for rec in tgt.edges
                   if rec.origin in marked and rec.terminus in marked
                   and rec.label_origin % prime != 0

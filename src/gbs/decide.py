@@ -91,13 +91,18 @@ def _smallest_common_cover(h1: LabelledGraph, h2: LabelledGraph, colors1: dict[s
     if smallest > COVER_VERTEX_LIMIT:
         raise InputError(f"the smallest common cover has over {COVER_VERTEX_LIMIT} vertices")
     cap = min(max_degree * min(n1, n2), COVER_VERTEX_LIMIT)
-    steps1 = {v: [(h1.label(d), h1.terminus(d), d) for d in h1.darts_at(v)] for v in h1.vertices}
-    steps2 = {v: {h2.label(d): (h2.terminus(d), d) for d in h2.darts_at(v)} for v in h2.vertices}
-    if any(len(table) < h2.valence(v) for v, table in steps2.items()):
+    # the walk runs on the dart indices: (label, far vertex, dart) of each dart at v
+    labels1, heads1, order1, start1 = h1._index
+    labels2, heads2, order2, start2 = h2._index
+    steps1 = [[(labels1[d], heads1[d ^ 1], d) for d in order1[start1[v]:start1[v + 1]]]
+              for v in range(n1)]
+    steps2 = [{labels2[d]: (heads2[d ^ 1], d) for d in order2[start2[v]:start2[v + 1]]}
+              for v in range(n2)]
+    if any(len(table) < start2[v + 1] - start2[v] for v, table in enumerate(steps2)):
         raise InternalError("two darts at one vertex share a label")
-    v0, seen, best = h1.vertices[0], set(), None
-    for v2 in h2.vertices:
-        if colors2[v2] != colors1[v0] or (v0, v2) in seen:
+    v0, seen, best = 0, set(), None
+    for v2 in range(n2):
+        if colors2[h2.vertices[v2]] != colors1[h1.vertices[v0]] or (v0, v2) in seen:
             continue
         bound = cap if best is None else min(cap, len(best[0]) - 1)
         index, pairs, edges = {(v0, v2): 0}, [(v0, v2)], []
@@ -107,13 +112,14 @@ def _smallest_common_cover(h1: LabelledGraph, h2: LabelledGraph, colors1: dict[s
             table = steps2[x2]
             for label, t1, d1 in steps1[x1]:
                 if label not in table:
-                    raise InternalError(f"no dart at {x2!r} matches {d1.render()!r}")
+                    raise InternalError(f"no dart at {h2.vertices[x2]!r} matches "
+                                        f"{h1.darts()[d1].render()!r}")
                 t2, d2 = table[label]
                 j = index.setdefault((t1, t2), len(pairs))
                 if j == len(pairs):
                     pairs.append((t1, t2))
-                if d1.forward:  # (edge of h1, dart of h2, origin, terminus)
-                    edges.append((d1.edge, d2, i, j))
+                if not d1 & 1:  # (dart of h1 at its origin, dart of h2, origin, terminus)
+                    edges.append((d1, d2, i, j))
         else:  # the component closed within `bound`
             best = pairs, edges
             if len(pairs) == smallest:
@@ -126,16 +132,14 @@ def _smallest_common_cover(h1: LabelledGraph, h2: LabelledGraph, colors1: dict[s
 
     pairs, edges = best
     names = [f"v{i}" for i in range(len(pairs))]
-    records, to_h1, to_h2 = [], {}, {}
-    for j, (e1, d2, o, t) in enumerate(edges):
-        rec, name = h1.edge(e1), f"e{j}"
-        records.append(EdgeRecord(name, names[o], names[t], rec.label_origin, rec.label_terminus))
-        to_h1[name], to_h2[name] = (e1, True), (d2.edge, d2.forward)
-    source = LabelledGraph._trusted(tuple(names), tuple(records))
-    return tuple(assert_admissible(AdmissibleMap(
-        source, h, {x: pair[side] for x, pair in zip(names, pairs)}, edge_map,
-        dict.fromkeys(names, 1), dict.fromkeys(edge_map, 1)), "the fibre-product walk")
-        for side, h, edge_map in ((0, h1, to_h1), (1, h2, to_h2)))
+    source = LabelledGraph._trusted(tuple(names), tuple(
+        EdgeRecord(f"e{j}", names[o], names[t], labels1[d1], labels1[d1 ^ 1])
+        for j, (d1, _, o, t) in enumerate(edges)))
+    return tuple(assert_admissible(AdmissibleMap._from_tables(
+        source, h, (pair[side] for pair in pairs),
+        (edge[side] ^ end for edge in edges for end in (0, 1)),
+        (1,) * len(pairs), (1,) * len(edges)), "the fibre-product walk")
+        for side, h in ((0, h1), (1, h2)))
 
 
 def commensurable(g1: LabelledGraph, g2: LabelledGraph,

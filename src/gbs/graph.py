@@ -196,7 +196,8 @@ class LabelledGraph:
         return start[i + 1] - start[i]
 
     def terminal_vertices(self) -> tuple[str, ...]:
-        return tuple(v for v in self.vertices if self.valence(v) == 1)
+        start = self._index[3]
+        return tuple(v for v, a, b in zip(self.vertices, start, start[1:]) if b - a == 1)
 
     # -- connectivity and Betti number ----------------------------------
 

@@ -10,8 +10,10 @@ presented group.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, filterfalse
+from heapq import heapify, heappop, heappush
+from itertools import chain, compress, filterfalse
 from typing import Any, Callable, Sequence
 
 from .errors import InputError
@@ -160,27 +162,33 @@ def minimum_hitting_set(order: tuple[str, ...],
     # drop supersets of other constraints: hitting the subset hits them too
     kept: list[frozenset[str]] = []
     for c in work:
-        if not any(other < c for other in kept):
+        if not any(map(c.__gt__, kept)):  # no kept constraint is a proper subset
             kept.append(c)
 
     def greedy(unmet: list[frozenset[str]]) -> set[str]:
-        chosen: set[str] = set()
+        """The most frequent element, the first in `order` on a tie, until every
+        constraint is hit; a heap entry is current while it holds its count."""
+        chosen, counts = set(), Counter(chain.from_iterable(unmet))
+        heap = [(-n, position[v], v) for v, n in counts.items()]
+        heapify(heap)
         while unmet:
-            counts: dict[str, int] = {}
-            for c in unmet:
-                for v in c:
-                    counts[v] = counts.get(v, 0) + 1
-            best = min(counts, key=lambda v: (-counts[v], position[v]))
-            chosen.add(best)
-            unmet = [c for c in unmet if best not in c]
+            n, _, best = heappop(heap)
+            if -n == counts[best]:
+                chosen.add(best)
+                hit = [c for c in unmet if best in c]
+                unmet = [c for c in unmet if best not in c]
+                counts.subtract(chain.from_iterable(hit))
+                for v in {v for c in hit for v in c if counts[v]}:
+                    heappush(heap, (-counts[v], position[v], v))
         return chosen
 
     def lower_bound(unmet: list[frozenset[str]]) -> int:
-        picked: list[frozenset[str]] = []
+        picked, union = 0, set()  # a constraint misses every picked one iff it misses their union
         for c in unmet:
-            if all(c.isdisjoint(d) for d in picked):
-                picked.append(c)
-        return len(picked)
+            if union.isdisjoint(c):
+                picked += 1
+                union |= c
+        return picked
 
     best: set[str] = greedy(kept)
 

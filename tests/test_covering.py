@@ -1,13 +1,14 @@
 import time
 from collections import Counter
 from dataclasses import replace
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (THREE_PRIMES, bs, checked, circle_graph, f1, f2, f3, f4_map, f4_target,
-                      nx_isomorphic)
+from conftest import (THREE_PRIMES, bs, checked, circle_graph, f1, f2, f3, f4_map, f4_source,
+                      f4_target, nx_isomorphic)
 from gbs import (AdmissibleMap, GeneratorConfig, InputError, InternalError, LabelledGraph,
                  Plateau, all_plateaux, branched_cover, check_inequalities, classify, compose,
                  covering_characterizations, emit_graph, emit_map, extract_proper_plateau,
@@ -121,6 +122,59 @@ class TestVerify:
         result = verify_admissible(m)
         assert (result.ok, result.kind, result.site, result.message) == (
             False, "structure", site, message)
+
+    F4_TABLES = ((0, 1), (0, 1, 0, 1, 2, 3), (2, 2), (1, 1, 2))  # f4_map's tables
+
+    @pytest.mark.parametrize("table, value", [
+        (0, (0,)), (1, (0, 1, 0, 1)), (2, (2, 2, 2)), (3, (1, 1)),
+        (0, (0, 2)), (0, (-1, 1)), (1, (0, 1, 0, 1, 4, 5)), (1, (0, 1, 0, 1, -2, -1)),
+        (1, (0, 1, 0, 1, 2, 2)), (1, (0, 3, 0, 1, 2, 1)), (2, (2, 0)), (3, (1, -1, 2)),
+    ], ids=["short-vertex-image", "short-dart-image", "long-vertex-mult", "short-edge-mult",
+            "vertex-past-target", "negative-vertex", "dart-past-target", "negative-dart",
+            "unpaired-reverse", "reverse-on-another-edge", "zero-vertex-mult",
+            "negative-edge-mult"])
+    def test_ill_fitting_tables_are_structure_faults(self, table, value):
+        """A map built from tables has no names to check: its tables must fit
+        its graphs, the reverse of each dart's image must be the image of its
+        reverse, and every multiplicity must be positive."""
+        assert verify_admissible(AdmissibleMap._from_tables(
+            f4_source(), f4_target(), *self.F4_TABLES))
+        tables = list(self.F4_TABLES)
+        tables[table] = value
+        result = verify_admissible(AdmissibleMap._from_tables(f4_source(), f4_target(), *tables))
+        assert (result.ok, result.kind, result.site, result.message) == (
+            False, "structure", "tables", "the map's tables do not fit its source and target")
+
+    def test_a_name_given_map_keeps_the_tables_its_check_built(self):
+        m = f4_map()
+        assert "_tables" not in m.__dict__
+        assert verify_admissible(m)
+        assert m._tables == self.F4_TABLES
+        built = AdmissibleMap._from_tables(m.source, m.target, *m._tables)
+        assert verify_admissible(built)
+        assert [dict(getattr(built, name)) for name in ("vertex_map", "edge_map",
+                "vertex_multiplicity", "edge_multiplicity")] == [
+            dict(getattr(m, name)) for name in ("vertex_map", "edge_map",
+                                                "vertex_multiplicity", "edge_multiplicity")]
+        with pytest.raises(TypeError):
+            built.edge_map["a"] = ("s", False)
+        with pytest.raises(AttributeError):
+            built.no_such_attribute
+
+    @pytest.mark.parametrize("read", [
+        lambda m: m.vertex_preimages, lambda m: m.edge_preimages,
+        lambda m: m.total_multiplicity(), restrict_to_component,
+        lambda m: compose(identity_map(m.target), m)],
+        ids=["vertex-preimages", "edge-preimages", "total-multiplicity", "restrict", "compose"])
+    def test_a_malformed_name_map_is_refused_by_every_reader(self, read):
+        """A map given by names that fails the structural pass has no tables:
+        a reader refuses it with InputError, as the check gives its verdict."""
+        two_points = LabelledGraph.build(["u", "w"], [])
+        m = replace(identity_map(two_points), vertex_map={"u": "u", "w": "z"})
+        assert verify_admissible(m).render() == (
+            "admissible=false kind=structure site=w detail=image vertex 'z' is not in the target")
+        with pytest.raises(InputError, match="site=w"):
+            read(m)
 
 
 class TestCompose:
@@ -553,6 +607,41 @@ class TestTrustedBuilds:
         assert len(generated) > 20
         assert identifiers == [(kind, name) for g in generated for kind, names in (
             ("vertex", g.vertices), ("edge", [rec.name for rec in g.edges])) for name in names]
+
+
+@pytest.fixture
+def dart_view_builds(monkeypatch):
+    """The graphs that build a `Dart` view, by view, in build order."""
+    built = {"_darts": [], "_darts_at": []}
+
+    def spy(name, real):
+        def building(g):
+            built[name].append(g)
+            return real(g)
+        view = cached_property(building)
+        view.__set_name__(LabelledGraph, name)
+        return view
+
+    for name in built:
+        monkeypatch.setattr(LabelledGraph, name, spy(name, getattr(LabelledGraph, name).func))
+    return built
+
+
+class TestNoDartViews:
+    """The map readers (the check, `compose`, the characterizations and the
+    audit) read the maps' tables and the dart indices, so the map suites build
+    no `Dart` view of any graph."""
+
+    @pytest.mark.parametrize("name", ["covering-equivalence", "audit", "rank-monotonicity"])
+    def test_map_suites_build_no_dart_view(self, dart_view_builds, name):
+        assert run_suite(name, 20, 1).ok
+        assert dart_view_builds == {"_darts": [], "_darts_at": []}
+
+    def test_the_spy_sees_a_build(self, dart_view_builds):
+        g = f3()
+        g.darts_at("v_a")
+        g.darts()
+        assert dart_view_builds == {"_darts": [g], "_darts_at": [g]}
 
 
 class TestCheckCount:

@@ -2,6 +2,7 @@
 
     python3 tools/pairs.py --workload rank-query [--workload witness ...] --seed 1 \
         --seconds 12 --pairs 10 [--base REV]
+    python3 tools/pairs.py --workload map-suites --seed 1 --passes 5 --pairs 10 [--base REV]
 
 Run from anywhere inside a checkout.  The base is the commit REV (HEAD by
 default), exported with `git archive` into a temporary directory; the change
@@ -17,6 +18,13 @@ not all correct.  A metric whose change/base median ratio is worse than the
 metric's `bound` in `BENCHMARK.json` (below 1 - bound for a metric where
 higher is better, above 1 + bound where lower is) is marked WORSE.  It exits
 1 if any run was not correct or any metric is marked.
+
+With `--passes K` each side instead runs, in one fresh process per pair, K
+passes over the workload's ops through that tree's own `perfbench/workloads.py`,
+each pass in an order drawn from the seed as `perfbench/run.py` draws it.  It
+prints the least CPU seconds of a pass of each side (median and quartiles over
+the pairs), their ratio and the pairs the change won, and exits 1 if any op
+answered differently on the two sides.  No golden answers are read.
 """
 
 from __future__ import annotations
@@ -43,17 +51,81 @@ def export(rev: str, into: Path) -> None:
         archive.extractall(into, filter="data")
 
 
-def run(tree: Path, workload: str, args) -> dict:
-    """One benchmark run in `tree`: the JSON object of its last output line."""
-    command = [sys.executable, "perfbench/run.py", "--workload", workload,
-               "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
+def last_json(command: list[str], tree: Path, label: str) -> dict:
+    """Run `command`, called `label` in an error, in `tree`: the JSON object of
+    its last output line."""
     # neither side writes bytecode, so neither reads a cache the other lacks
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     done = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
     if done.returncode != 0:
-        sys.exit(f"pairs: {' '.join(command)} in {tree} exited {done.returncode}:\n"
+        sys.exit(f"pairs: {label} in {tree} exited {done.returncode}:\n"
                  f"{done.stderr}")
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def run(tree: Path, workload: str, args) -> dict:
+    """One benchmark run in `tree`."""
+    command = ["perfbench/run.py", "--workload", workload, "--seed", str(args.seed),
+               "--seconds", str(args.seconds), "--trace", "0"]
+    return last_json([sys.executable, *command], tree, " ".join(command))
+
+
+# one side's process in passes mode: argv is workload, seed, passes; prints one JSON
+# object of the CPU seconds of each pass and the digest of each op's answer
+PASSES = """
+import hashlib, json, random, sys
+from time import process_time
+sys.path[:0] = ["src", "perfbench"]
+from workloads import WORKLOADS
+workload, rng = WORKLOADS[sys.argv[1]], random.Random(int(sys.argv[2]))
+items, seconds, answers = workload.build(), [], {}
+for _ in range(int(sys.argv[3])):
+    start = process_time()
+    for item in rng.sample(items, len(items)):
+        answers.setdefault(item.key, set()).add(workload.op(item.payload).answer)
+    seconds.append(process_time() - start)
+digests = {key: sorted(hashlib.sha256(a.encode()).hexdigest()[:16] for a in found)
+           for key, found in answers.items()}
+print(json.dumps({"seconds": seconds, "answers": digests}))
+"""
+
+
+def run_passes(tree: Path, workload: str, args) -> dict:
+    """One passes-mode process in `tree`."""
+    return last_json([sys.executable, "-c", PASSES, workload, str(args.seed),
+                      str(args.passes)], tree, f"the {workload} passes")
+
+
+def differing_answers(runs: list[dict]) -> list[str]:
+    """The ops, by key, whose answer digests are not the same in every run."""
+    keys = sorted(set().union(*(run["answers"] for run in runs)))
+    return [key for key in keys if len({tuple(run["answers"].get(key, ())) for run in runs}) > 1]
+
+
+def pass_summary(base: list[float], change: list[float]) -> dict:
+    """Medians and quartiles of each side's least pass seconds, one per pair; the
+    change/base ratio of the medians; the pairs whose change pass was quicker."""
+    return {"base": statistics.quantiles(base, n=4, method="inclusive"),
+            "change": statistics.quantiles(change, n=4, method="inclusive"),
+            "ratio": statistics.median(change) / statistics.median(base),
+            "wins": sum(c < b for b, c in zip(base, change)), "pairs": len(base)}
+
+
+def passes_report(workload: str, results: dict[str, list[dict]], args) -> bool:
+    """Print one workload's passes summary; True if the two sides answered differently."""
+    least = {side: [min(run["seconds"]) for run in runs] for side, runs in results.items()}
+    summary = pass_summary(least["base"], least["change"])
+    print(f"\n{workload}, seed {args.seed}, {args.pairs} pairs of {args.passes} passes; "
+          f"base {args.base} against the working tree")
+    print("least CPU s per pass: base median [q1, q3] | change median [q1, q3] | "
+          "change/base | change quicker")
+    print(" | ".join(f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
+                     for q in (summary["base"], summary["change"]))
+          + f" | {summary['ratio']:.3f} | {summary['wins']} of {summary['pairs']}")
+    differ = differing_answers(results["base"] + results["change"])
+    print(f"ops answered differently: {len(differ)}" + (f" ({', '.join(differ[:5])})"
+                                                        if differ else ""))
+    return bool(differ)
 
 
 def spread(values: list[float]) -> str:
@@ -74,10 +146,14 @@ def pairs(base: Path, workload: str, args) -> dict[str, list[dict]]:
     results: dict[str, list[dict]] = {"base": [], "change": []}
     for i in range(args.pairs):
         for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
-            results[side].append(run(sides[side], workload, args))
-        values = {side: results[side][-1]["metrics"]["ops_per_s"]["value"] for side in results}
-        print(f"{workload} pair {i + 1}: ops_per_s base {values['base']:.4g} "
-              f"change {values['change']:.4g}", flush=True)
+            results[side].append((run_passes if args.passes else run)(sides[side], workload, args))
+        if args.passes:
+            values = {side: f"{min(results[side][-1]['seconds']):.4g} s" for side in results}
+        else:
+            values = {side: f"{results[side][-1]['metrics']['ops_per_s']['value']:.4g}"
+                      for side in results}
+        print(f"{workload} pair {i + 1}: {'least pass' if args.passes else 'ops_per_s'} "
+              f"base {values['base']} change {values['change']}", flush=True)
     return results
 
 
@@ -112,9 +188,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=12)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--base", default="HEAD", help="commit to compare against")
+    parser.add_argument("--passes", type=int, default=None,
+                        help="time K in-process corpus passes per side instead of run.py")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
+    if args.passes is not None and args.passes < 1:
+        parser.error("--passes must be at least 1")
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     if (ROOT / "src" / "gbs" / "__pycache__").exists():
         print("pairs: the working tree holds src/gbs/__pycache__; setup_s and "
@@ -123,10 +203,15 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="pairs-base-") as tmp:
         export(args.base, Path(tmp))
         results = {workload: pairs(Path(tmp), workload, args) for workload in args.workload}
-    failed = [workload for workload in args.workload
-              if report(workload, results[workload], metrics, args)]
+    if args.passes:
+        failed = [workload for workload in args.workload
+                  if passes_report(workload, results[workload], args)]
+    else:
+        failed = [workload for workload in args.workload
+                  if report(workload, results[workload], metrics, args)]
     if failed:
-        print(f"\nnot correct or worse than a bound: {', '.join(failed)}")
+        print(f"\n{'answers differ' if args.passes else 'not correct or worse than a bound'}: "
+              f"{', '.join(failed)}")
     return 1 if failed else 0
 
 
