@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, cycle, permutations
 from operator import itemgetter
-from typing import Container, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Container, Iterable, Iterator, NamedTuple
 
 from .errors import InputError
 
@@ -54,23 +54,80 @@ class ModulusEntry(NamedTuple):
     value: Fraction
 
 
-@dataclass(frozen=True)
-class CycleBasisModulus:
-    """Label ratios around the fundamental cycles of a spanning tree."""
+# the most darts that the loops of `CycleBasisModulus.entries` may hold, as bounded
+# from the tree depths before any is built; they are Θ(|E|·depth) long by nature
+MODULUS_LOOP_LIMIT = 100_000
 
-    entries: tuple[ModulusEntry, ...]
+
+class CycleBasisModulus:
+    """Label ratios around the fundamental cycles of the declaration-order spanning
+    tree, one per non-tree edge e from o to t in declaration order: ratio(e)·pot(o)/pot(t)
+    for potentials on the tree's vertices.  The signs are read off parity potentials;
+    the `Fraction` values and the loops of `entries` are built when first read."""
+
+    def __init__(self, graph: LabelledGraph):
+        self._graph, self._cycles = graph, [i for i, kept in enumerate(graph._tree[0]) if not kept]
+
+    @cached_property
+    def _values(self) -> list[Fraction]:
+        labels, heads, _, _ = self._graph._index
+        pot = self._graph._potentials(Fraction(1), lambda p, a, b: p * Fraction(a, b))
+        return [Fraction(labels[2 * i], labels[2 * i + 1]) * pot[heads[2 * i]]
+                / pot[heads[2 * i + 1]] for i in self._cycles]
 
     def values(self) -> list[Fraction]:
-        return [entry.value for entry in self.entries]
+        return list(self._values)
 
     def is_unimodular(self) -> bool:
-        return all(abs(value) == 1 for value in self.values())
+        return all(abs(value) == 1 for value in self._values)
 
     def is_trivial(self) -> bool:
-        return all(value == 1 for value in self.values())
+        return all(value == 1 for value in self._values)
 
     def takes_negative_value(self) -> bool:
-        return any(value < 0 for value in self.values())
+        labels, heads, _, _ = self._graph._index
+        negative = self._graph._negative()
+        return any(negative[heads[2 * i]] ^ negative[heads[2 * i + 1]]
+                   ^ ((labels[2 * i] < 0) != (labels[2 * i + 1] < 0)) for i in self._cycles)
+
+    @cached_property
+    def entries(self) -> tuple[ModulusEntry, ...]:
+        """Each non-tree edge's forward dart, then the tree path back to its origin,
+        with its value.  Past MODULUS_LOOP_LIMIT darts, bounded first, InputError."""
+        g = self._graph
+        heads, parent = g._index[1], g._tree[2]
+        depth = g._potentials(0, lambda p, a, b: p + 1)
+        bound = sum(1 + depth[heads[2 * i]] + depth[heads[2 * i + 1]] for i in self._cycles)
+        if bound > MODULUS_LOOP_LIMIT:
+            raise InputError(f"the modulus loops could hold {bound} darts, above the "
+                             f"limit {MODULUS_LOOP_LIMIT}")
+        entries = []
+        for i, value in zip(self._cycles, self._values):
+            a, b, up, down = heads[2 * i + 1], heads[2 * i], [], []
+            while a != b:  # climb from the deeper end until the two meet
+                if depth[a] >= depth[b]:
+                    up.append(parent[a] ^ 1)
+                    a = heads[parent[a]]
+                else:
+                    down.append(parent[b])
+                    b = heads[parent[b]]
+            loop = (Dart(g.edges[d >> 1].name, not d & 1) for d in (2 * i, *up, *reversed(down)))
+            entries.append(ModulusEntry(tuple(loop), value))
+        return tuple(entries)
+
+
+def _find(into: list[int], factor: list[int], v: int) -> int:
+    """The root of v in a union-find whose links carry factors.  Compresses the
+    path: afterwards into[v] is the root and factor[v] the product on the way."""
+    path = []
+    while into[v] != v:
+        path.append(v)
+        v = into[v]
+    product = 1
+    for u in reversed(path):  # the nearest to the root first
+        product *= factor[u]
+        into[u], factor[u] = v, product
+    return v
 
 
 def _check_identifier(kind: str, name: str) -> None:
@@ -268,75 +325,56 @@ class LabelledGraph:
 
     # -- spanning tree and modulus --------------------------------------
 
+    @cached_property
+    def _tree(self) -> tuple[bytearray, list[int], list[int]]:
+        """The declaration-order spanning tree: a union-find over the edges in
+        declaration order picks its edges, and a breadth-first walk along them from
+        vertex 0, in index dart order, orders the vertices.  (tree, walk, parent):
+        a flag per edge, the vertices in walk order, and the tree dart from each
+        vertex's parent to it (-1 at the root)."""
+        self._require_connected()
+        _, heads, order, start = self._index
+        n = len(self.vertices)
+        root, ones, tree = list(range(n)), [1] * n, bytearray(len(self.edges))
+        for i in range(len(self.edges)):
+            a, b = _find(root, ones, heads[2 * i]), _find(root, ones, heads[2 * i + 1])
+            if a != b:
+                root[a], tree[i] = b, 1
+        parent, walk = [-1] * n, [0]
+        for v in walk:  # the list grows as the queue
+            for d in order[start[v]:start[v + 1]]:
+                w = heads[d ^ 1]
+                if tree[d >> 1] and w and parent[w] < 0:
+                    parent[w] = d
+                    walk.append(w)
+        return tree, walk, parent
+
     def maximal_subtree(self) -> frozenset[str]:
         """Edge names of a spanning tree, chosen in declaration order."""
-        self._require_connected()
-        parent: dict[str, str] = {v: v for v in self.vertices}
-
-        def find(v: str) -> str:
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        tree: list[str] = []
-        for rec in self.edges:
-            if rec.is_loop:
-                continue
-            a, b = find(rec.origin), find(rec.terminus)
-            if a != b:
-                parent[a] = b
-                tree.append(rec.name)
-        return frozenset(tree)
+        return frozenset(rec.name for rec, kept in zip(self.edges, self._tree[0]) if kept)
 
     def _require_connected(self) -> None:
         if not self.is_connected():
             raise InputError("operation requires a connected graph")
 
-    def _tree_structure(self, tree: frozenset[str]):
-        """BFS order and parent darts of the spanning tree from the first vertex."""
-        root = self.vertices[0]
-        parent_dart: dict[str, Dart] = {}
-        order = [root]
-        for v in order:  # the list grows as the queue
-            for dart in self.darts_at(v):
-                w = self.terminus(dart)
-                if dart.edge in tree and w != root and w not in parent_dart:
-                    parent_dart[w] = dart  # dart runs parent -> child
-                    order.append(w)
-        return order, parent_dart
+    def _potentials(self, root: Any, step: Callable[[Any, int, int], Any]) -> list:
+        """A potential per vertex on the tree: `root` at vertex 0, and at a child
+        step(its parent's, label of the tree dart at the parent, label at the child)."""
+        labels, heads, _, _ = self._index
+        _, walk, parent = self._tree
+        potential = [root] * len(self.vertices)
+        for w in walk[1:]:
+            d = parent[w]
+            potential[w] = step(potential[heads[d]], labels[d], labels[d ^ 1])
+        return potential
 
-    def _tree_path(self, a: str, b: str, parent_dart, depth) -> list[Dart]:
-        """Darts of the spanning-tree path from a to b, climbing only to where they meet."""
-        up_a: list[Dart] = []
-        up_b: list[Dart] = []
-        while a != b:
-            if depth[a] >= depth[b]:
-                up_a.append(parent_dart[a].reverse())
-                a = self.origin(parent_dart[a])
-            else:
-                up_b.append(parent_dart[b].reverse())
-                b = self.origin(parent_dart[b])
-        return up_a + [d.reverse() for d in reversed(up_b)]
+    def _negative(self) -> list[int]:
+        """1 at each vertex whose tree path from vertex 0 has a negative label ratio."""
+        return self._potentials(0, lambda p, a, b: p ^ ((a < 0) != (b < 0)))
 
     def modulus(self) -> CycleBasisModulus:
         """Label-ratio products over the fundamental cycles of the chosen tree."""
-        tree = self.maximal_subtree()
-        order, parent_dart = self._tree_structure(tree)
-        depth = {order[0]: 0}
-        for v in order[1:]:
-            depth[v] = depth[self.origin(parent_dart[v])] + 1
-        entries: list[ModulusEntry] = []
-        for rec in self.edges:
-            if rec.name in tree:
-                continue
-            d0 = Dart(rec.name, True)
-            loop = [d0] + self._tree_path(rec.terminus, rec.origin, parent_dart, depth)
-            value = Fraction(1)
-            for dart in loop:
-                value *= Fraction(self.label(dart), self.label(dart.reverse()))
-            entries.append(ModulusEntry(tuple(loop), value))
-        return CycleBasisModulus(tuple(entries))
+        return CycleBasisModulus(self)
 
     def has_nontrivial_center(self) -> bool:
         """True when the modulus is identically 1 on the cycle basis."""
@@ -371,44 +409,44 @@ class LabelledGraph:
 
     # -- sign changes ----------------------------------------------------
 
+    def _negated(self, negated: list) -> "LabelledGraph":
+        """The labels of the darts flagged in `negated` negated; the graph itself if none is."""
+        if not any(negated):
+            return self
+        signed = [-x if neg else x for x, neg in zip(self._index[0], negated)]
+        return LabelledGraph._trusted(self.vertices, tuple(
+            rec._replace(label_origin=signed[2 * i], label_terminus=signed[2 * i + 1])
+            for i, rec in enumerate(self.edges)))
+
     def sign_change_vertex(self, v: str) -> "LabelledGraph":
         """Negate every label near v; the presented group is unchanged."""
-        self._position(v)  # refuses an unknown vertex
-        new = []
-        for rec in self.edges:
-            lo = -rec.label_origin if rec.origin == v else rec.label_origin
-            lt = -rec.label_terminus if rec.terminus == v else rec.label_terminus
-            new.append(EdgeRecord(rec.name, rec.origin, rec.terminus, lo, lt))
-        return LabelledGraph(self.vertices, tuple(new))
+        i = self._position(v)
+        return self._negated([h == i for h in self._index[1]])
 
     def sign_change_edge(self, name: str) -> "LabelledGraph":
         """Negate both labels carried by one edge."""
-        if not self.has_edge(name):
-            raise InputError(f"unknown edge {name!r}")
-        new = [EdgeRecord(r.name, r.origin, r.terminus, -r.label_origin, -r.label_terminus)
-               if r.name == name else r for r in self.edges]
-        return LabelledGraph(self.vertices, tuple(new))
+        i = self.edges.index(self.edge(name))
+        return self._negated([d >> 1 == i for d in range(2 * len(self.edges))])
 
     def normalize_signs(self) -> "LabelledGraph":
         """Push negative signs off a spanning tree by admissible sign changes.
 
         Afterwards every spanning-tree label is positive and each remaining
         edge carries at most one negative label; when the modulus takes only
-        positive values this makes every label positive.
+        positive values this makes every label positive.  In one pass: a vertex
+        is negated when its tree path from vertex 0 has a negative label ratio,
+        then a tree edge when its label at its parent's end is negative, and
+        any other edge when both its labels are.  The graph itself is returned
+        when no label changes sign.
         """
-        tree = self.maximal_subtree()
-        order, parent_dart = self._tree_structure(tree)
-        g = self
-        for v in order[1:]:
-            dart = parent_dart[v]  # runs parent -> v
-            if g.label(dart) < 0:
-                g = g.sign_change_edge(dart.edge)
-            if g.label(dart.reverse()) < 0:
-                g = g.sign_change_vertex(v)
-        for name in [r.name for r in self.edges if r.name not in tree]:
-            if g.edge(name).label_origin < 0 and g.edge(name).label_terminus < 0:
-                g = g.sign_change_edge(name)
-        return g
+        labels, heads, _, _ = self._index
+        _, walk, parent = self._tree
+        negative = self._negative()
+        below = [(x < 0) ^ negative[v] for x, v in zip(labels, heads)]  # once vertices flip
+        flip = [below[2 * i] and below[2 * i + 1] for i in range(len(self.edges))]
+        for w in walk[1:]:
+            flip[parent[w] >> 1] = below[parent[w]]
+        return self._negated([flip[d >> 1] ^ negative[v] for d, v in enumerate(heads)])
 
     # -- reduction ---------------------------------------------------------
 
@@ -419,27 +457,31 @@ class LabelledGraph:
         disappears, and each of its remaining edge ends moves to the other
         endpoint with its label multiplied by the product of the collapsed
         edge's two labels.  Collapses follow declaration order; the result
-        does not depend on that order, up to isomorphism.
+        does not depend on that order, up to isomorphism; a reduced graph is
+        returned itself.  A collapse keeps loops loops and multiplies labels by
+        factors of magnitude at least 1, so one scan finds every collapse; each
+        dead vertex links to the one it merged into with the collapse's factor.
         """
         self._require_connected()
-        verts = list(self.vertices)
-        recs = {r.name: [r.origin, r.terminus, r.label_origin, r.label_terminus]
-                for r in self.edges}
-        while True:
-            target = next((name for name, (o, t, lo, lt) in recs.items()
-                           if o != t and (abs(lo) == 1 or abs(lt) == 1)), None)
-            if target is None:
-                break
-            o, t, lo, lt = recs.pop(target)
-            dying, surviving = (o, t) if abs(lo) == 1 else (t, o)
-            factor = lo * lt
-            for fields in recs.values():
-                if fields[0] == dying:
-                    fields[0] = surviving
-                    fields[2] *= factor
-                if fields[1] == dying:
-                    fields[1] = surviving
-                    fields[3] *= factor
-            verts.remove(dying)
-        return LabelledGraph(tuple(verts), tuple(
-            EdgeRecord(name, *fields) for name, fields in recs.items()))
+        if self.is_reduced():
+            return self
+        labels, heads, _, _ = self._index
+        into, factor = list(range(len(self.vertices))), [1] * len(self.vertices)
+
+        def end(d: int) -> tuple[int, int]:  # the vertex dart d starts at now, its label there
+            v = _find(into, factor, heads[d])
+            return v, labels[d] * factor[heads[d]]
+
+        collapsed = bytearray(len(self.edges))
+        for i in range(len(self.edges)):
+            (o, lo), (t, lt) = end(2 * i), end(2 * i + 1)
+            if o != t and (abs(lo) == 1 or abs(lt) == 1):
+                dying, surviving = (o, t) if abs(lo) == 1 else (t, o)
+                into[dying], factor[dying], collapsed[i] = surviving, lo * lt, 1
+        edges = []
+        for i, rec in enumerate(self.edges):
+            if not collapsed[i]:
+                (o, lo), (t, lt) = end(2 * i), end(2 * i + 1)
+                edges.append(EdgeRecord(rec.name, self.vertices[o], self.vertices[t], lo, lt))
+        return LabelledGraph._trusted(
+            tuple(v for i, v in enumerate(self.vertices) if into[i] == i), tuple(edges))

@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import cached_property
 
 import pytest
 
@@ -78,6 +79,24 @@ def graph_builds(monkeypatch):
 
     monkeypatch.setattr(LabelledGraph, "__post_init__", checked)
     monkeypatch.setattr(LabelledGraph, "_trusted", classmethod(trusted))
+    return built
+
+
+@pytest.fixture
+def dart_view_builds(monkeypatch):
+    """The graphs that build a `Dart` view, by view, in build order."""
+    built = {"_darts": [], "_darts_at": []}
+
+    def spy(name, real):
+        def building(g):
+            built[name].append(g)
+            return real(g)
+        view = cached_property(building)
+        view.__set_name__(LabelledGraph, name)
+        return view
+
+    for name in built:
+        monkeypatch.setattr(LabelledGraph, name, spy(name, getattr(LabelledGraph, name).func))
     return built
 
 

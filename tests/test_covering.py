@@ -609,24 +609,6 @@ class TestTrustedBuilds:
             ("vertex", g.vertices), ("edge", [rec.name for rec in g.edges])) for name in names]
 
 
-@pytest.fixture
-def dart_view_builds(monkeypatch):
-    """The graphs that build a `Dart` view, by view, in build order."""
-    built = {"_darts": [], "_darts_at": []}
-
-    def spy(name, real):
-        def building(g):
-            built[name].append(g)
-            return real(g)
-        view = cached_property(building)
-        view.__set_name__(LabelledGraph, name)
-        return view
-
-    for name in built:
-        monkeypatch.setattr(LabelledGraph, name, spy(name, getattr(LabelledGraph, name).func))
-    return built
-
-
 class TestNoDartViews:
     """The map readers (the check, `compose`, the characterizations and the
     audit) read the maps' tables and the dart indices, so the map suites build

@@ -1,7 +1,8 @@
-"""The passes mode of `tools/pairs.py`: its summary and its answer comparison.
+"""`tools/pairs.py`: the passes mode's summary and answer comparison, the
+setup parts read off run.py's output, and the WORSE and UNRESOLVED marks.
 
-Both are pure functions of the runs' JSON objects, so no tree is exported and
-no process is started here.
+All are pure functions of the runs' output, so no tree is exported and no
+process is started here.
 """
 
 import importlib.util
@@ -47,3 +48,37 @@ def test_a_changed_missing_or_unsteady_answer_differs(pairs):
     reference = run([0.5], a=["11"], b=["22"], c=["33"], d=["44"])
     other = run([0.5], a=["11"], b=["2f"], d=["44", "45"], e=["55"])
     assert pairs.differing_answers([reference, reference, other]) == ["b", "c", "d", "e"]
+
+
+def test_setup_parts_are_read_off_the_setup_line(pairs):
+    lines = ["workload=witness seed=1 trace=0 inputs={}",
+             "ops_per_s=1433.000 1/s (17196 ops in 12.000 CPU s; 12.1 s wall, 5732 passes)",
+             "setup_s=0.1212 s (median import 0.0950 s + median input build 0.0262 s, 5 each)",
+             "peak_rss_mb=25.2 MB", '{"correct": true}']
+    assert pairs.setup_parts(lines) == {"import": 0.095, "build": 0.0262}
+    assert pairs.setup_parts(lines[:2] + lines[3:]) is None
+
+
+OPS = {"name": "ops_per_s", "better": "higher", "bound": 0.25}
+SETUP = {"name": "setup_s", "better": "lower", "bound": 0.25}
+
+
+def test_a_steady_metric_within_its_bound_is_not_marked(pairs):
+    assert pairs.marks([100, 102, 98, 101, 99], [90, 92, 88, 91, 89], OPS) == []
+
+
+def test_a_metric_past_its_bound_is_worse(pairs):
+    (mark,) = pairs.marks([1.0, 1.02, 0.98, 1.01], [1.3, 1.32, 1.28, 1.31], SETUP)
+    assert mark.startswith("WORSE")
+
+
+def test_a_base_spread_past_the_bound_leaves_the_metric_unresolved(pairs):
+    base = [0.06, 0.08, 0.10, 0.12, 0.14]  # quartiles 0.08 and 0.12 about 0.10
+    (mark,) = pairs.marks(base, [0.09, 0.10, 0.11, 0.12, 0.13], SETUP)
+    assert mark.startswith("UNRESOLVED: base spread 0.400")
+    # unless every change run is better than every base run
+    assert pairs.marks(base, [0.02, 0.03, 0.04, 0.05, 0.055], SETUP) == []
+    assert pairs.marks([60, 80, 100, 120, 140], [150, 160, 170, 180, 190], OPS) == []
+    # a worse change with a wide base spread carries both marks
+    assert [m.split()[0] for m in pairs.marks(base, [0.2] * 5, SETUP)] == \
+        ["WORSE", "UNRESOLVED:"]

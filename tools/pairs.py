@@ -16,8 +16,13 @@ the median and the quartiles of each side, the ratio of the medians, and in
 how many pairs the change was better, and counts the runs whose answers were
 not all correct.  A metric whose change/base median ratio is worse than the
 metric's `bound` in `BENCHMARK.json` (below 1 - bound for a metric where
-higher is better, above 1 + bound where lower is) is marked WORSE.  It exits
-1 if any run was not correct or any metric is marked.
+higher is better, above 1 + bound where lower is) is marked WORSE.  A metric
+whose base runs spread wider than its bound (interquartile distance over the
+median) is marked UNRESOLVED, unless every change run is better than every
+base run: such runs cannot show that the metric did not move.  It exits 1 if
+any run was not correct or any metric is marked WORSE.  It also prints the two
+parts of each side's `setup_s`, the import and the input build, as run.py
+reports them.
 
 With `--passes K` each side instead runs, in one fresh process per pair, K
 passes over the workload's ops through that tree's own `perfbench/workloads.py`,
@@ -33,6 +38,7 @@ import argparse
 import io
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -51,23 +57,38 @@ def export(rev: str, into: Path) -> None:
         archive.extractall(into, filter="data")
 
 
-def last_json(command: list[str], tree: Path, label: str) -> dict:
-    """Run `command`, called `label` in an error, in `tree`: the JSON object of
-    its last output line."""
+def output(command: list[str], tree: Path, label: str) -> list[str]:
+    """Run `command`, called `label` in an error, in `tree`: its output lines."""
     # neither side writes bytecode, so neither reads a cache the other lacks
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     done = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
     if done.returncode != 0:
         sys.exit(f"pairs: {label} in {tree} exited {done.returncode}:\n"
                  f"{done.stderr}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    return done.stdout.strip().splitlines()
+
+
+def last_json(command: list[str], tree: Path, label: str) -> dict:
+    """The JSON object of the last output line of `command`."""
+    return json.loads(output(command, tree, label)[-1])
+
+
+# run.py's line "setup_s=S s (median import I s + median input build B s, ...)"
+SETUP_LINE = re.compile(r"setup_s=\S+ s \(median import (\S+) s \+ median input build (\S+) s")
+
+
+def setup_parts(lines: list[str]) -> dict[str, float] | None:
+    """The import and input-build seconds of run.py's setup_s line, if it printed one."""
+    found = next(filter(None, map(SETUP_LINE.match, lines)), None)
+    return found and {"import": float(found[1]), "build": float(found[2])}
 
 
 def run(tree: Path, workload: str, args) -> dict:
-    """One benchmark run in `tree`."""
+    """One benchmark run in `tree`: run.py's JSON object, with its setup parts."""
     command = ["perfbench/run.py", "--workload", workload, "--seed", str(args.seed),
                "--seconds", str(args.seconds), "--trace", "0"]
-    return last_json([sys.executable, *command], tree, " ".join(command))
+    lines = output([sys.executable, *command], tree, " ".join(command))
+    return {**json.loads(lines[-1]), "setup_parts": setup_parts(lines)}
 
 
 # one side's process in passes mode: argv is workload, seed, passes; prints one JSON
@@ -140,6 +161,22 @@ def worse(ratio: float, metric: dict) -> bool:
     return ratio > 1 + metric["bound"]
 
 
+def marks(base: list[float], change: list[float], metric: dict) -> list[str]:
+    """WORSE when the change/base median ratio is past the metric's bound;
+    UNRESOLVED when the base's interquartile distance over its median exceeds
+    the bound, unless every change run is better than every base run."""
+    found = []
+    if worse(statistics.median(change) / statistics.median(base), metric):
+        found.append(f"WORSE than its bound {metric['bound']:g}")
+    q1, median, q3 = statistics.quantiles(base, n=4, method="inclusive")
+    apart = (min(change) > max(base) if metric["better"] == "higher"
+             else max(change) < min(base))
+    if (q3 - q1) / median > metric["bound"] and not apart:
+        found.append(f"UNRESOLVED: base spread {(q3 - q1) / median:.3f} exceeds "
+                     f"its bound {metric['bound']:g}")
+    return found
+
+
 def pairs(base: Path, workload: str, args) -> dict[str, list[dict]]:
     """The runs of each side over the alternating pairs of one workload."""
     sides = {"base": base, "change": ROOT}
@@ -171,10 +208,16 @@ def report(workload: str, results: dict[str, list[dict]], metrics: list[dict], a
         wins = sum((c > b) if metric["better"] == "higher" else (c < b)
                    for b, c in zip(series["base"], series["change"]))
         ratio = statistics.median(series["change"]) / statistics.median(series["base"])
-        flag = f" | WORSE than its bound {metric['bound']:g}" if worse(ratio, metric) else ""
-        marked |= bool(flag)
+        found = marks(series["base"], series["change"], metric)
+        marked |= any(mark.startswith("WORSE") for mark in found)
         print(f"{name}: {spread(series['base'])} | {spread(series['change'])} | "
-              f"{ratio:.3f} | {wins} of {args.pairs}{flag}")
+              f"{ratio:.3f} | {wins} of {args.pairs}" + "".join(f" | {m}" for m in found))
+    for part in ("import", "build"):
+        sides = {side: [r["setup_parts"][part] for r in runs if r.get("setup_parts")]
+                 for side, runs in results.items()}
+        if all(sides.values()):
+            print(f"setup_s {part} part: base {spread(sides['base'])} | "
+                  f"change {spread(sides['change'])}")
     wrong = {side: sum(not r["correct"] for r in runs) for side, runs in results.items()}
     print(f"runs not correct: base {wrong['base']}, change {wrong['change']}")
     return marked or any(wrong.values())
