@@ -17,7 +17,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, cycle, permutations
+from itertools import accumulate, chain, cycle
+from math import gcd, prod
 from operator import itemgetter
 from typing import Any, Callable, Container, Iterable, Iterator, NamedTuple
 
@@ -318,6 +319,33 @@ class LabelledGraph:
         """First Betti number |E| - |V| + number of components."""
         return len(self.edges) - len(self.vertices) + len(self.components())
 
+    @cached_property
+    def _bridges(self) -> bytes:
+        """1 for each edge whose removal splits its component, else 0 (so 0 for a loop
+        or an edge with a parallel twin): a depth-first walk, then low points in reverse
+        preorder (Tarjan, 1974)."""
+        _, heads, order, start = self._index
+        pre, into, walk = [-1] * len(self.vertices), [-1] * len(self.vertices), []
+        for root in range(len(self.vertices)):
+            if pre[root] < 0:
+                pre[root], stack = len(walk), list(order[start[root]:start[root + 1]])
+                walk.append(root)
+                while stack:  # a vertex is entered by the first dart to it popped
+                    e = stack.pop()
+                    if pre[w := heads[e ^ 1]] < 0:
+                        pre[w], into[w] = len(walk), e
+                        walk.append(w)
+                        stack += order[start[w]:start[w + 1]]
+        low, bridges = pre[:], bytearray(len(self.edges))
+        for v in reversed(walk):  # each child of v has passed its low point up
+            for e in order[start[v]:start[v + 1]]:
+                if pre[heads[e ^ 1]] < low[v] and e ^ 1 != into[v]:
+                    low[v] = pre[heads[e ^ 1]]
+            if into[v] >= 0:
+                bridges[into[v] >> 1] = low[v] == pre[v]  # no other dart leaves v's subtree
+                low[heads[into[v]]] = min(low[heads[into[v]]], low[v])
+        return bytes(bridges)
+
     def is_reduced(self) -> bool:
         """True when every edge carrying a label +-1 is a loop."""
         return all(rec.is_loop or (abs(rec.label_origin) != 1 and abs(rec.label_terminus) != 1)
@@ -383,10 +411,18 @@ class LabelledGraph:
     # -- structural predicates ------------------------------------------
 
     def is_strongly_slide_free(self) -> bool:
-        """No label near a vertex divides another label near the same vertex."""
+        """No label near a vertex divides another label near the same vertex.  Only
+        +-1 and the labels a with gcd(a, P/a) > 1, P the product of the magnitudes at
+        the vertex, can divide another; gcd(P mod a² // a, a) is that gcd."""
         labels, _, order, start = self._index
-        return not any(labels[e] % labels[d] == 0 for v in range(len(self.vertices))
-                       for d, e in permutations(order[start[v]:start[v + 1]], 2))
+        for v in range(len(self.vertices)):
+            magnitudes = [abs(labels[d]) for d in order[start[v]:start[v + 1]]]
+            product = prod(magnitudes)
+            for a in magnitudes:  # a zero beside a's own is another label that a divides
+                if (a == 1 or gcd(product % (a * a) // a, a) > 1) and list(
+                        map(a.__rmod__, magnitudes)).count(0) > 1:
+                    return False
+        return True
 
     def is_circle(self) -> bool:
         # all valences 2 make |E| = |V|, so a connected one has Betti number 1

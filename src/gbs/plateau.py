@@ -120,7 +120,7 @@ def all_plateaux(g: LabelledGraph) -> PlateauCollection:
     """Every proper plateau of g, over all primes dividing some label.
 
     Primes dividing the labels of the same darts have the same plateaux, so
-    g is walked once per such divisibility class."""
+    g is walked at most once per such divisibility class."""
     g._require_connected()
 
     def compute(g: LabelledGraph) -> PlateauCollection:
@@ -129,7 +129,10 @@ def all_plateaux(g: LabelledGraph) -> PlateauCollection:
         for d, label in enumerate(labels):
             for p in factors[abs(label)]:
                 masks[p][d] = 1
-        walks = {mask: _walk(g, mask) for mask in {bytes(mask) for mask in masks.values()}}
+        # a class of one divisible dart d on a loop or a non-bridge edge has no plateau:
+        # g less that edge is connected and holds d's far end, a frontier vertex
+        walks = {mask: [] if mask.count(1) == 1 and not g._bridges[mask.index(1) >> 1]
+                 else _walk(g, mask) for mask in {bytes(mask) for mask in masks.values()}}
         return PlateauCollection(tuple(Plateau(p, vertices, edges) for p, mask in masks.items()
                                        for vertices, edges in walks[bytes(mask)]))
     return _memo(g, "_all_plateaux", compute)

@@ -3,8 +3,10 @@
 Factoring trial-divides by primes: up to 1000, then, unless the Miller-Rabin
 test below proves the cofactor prime, on up to TRIAL_DIVISION_BOUND, so every
 number up to its square (10**12) factors and a cofactor with no divisor up to
-the bound is refused with InputError.  The primes come from a sieve grown on
-demand, only as far as the square roots divided need, and never past the bound.
+the bound is refused with InputError.  Past the bound, one gcd with the product
+of the primes up to 1000, built on first use, names the ones to divide by.  The
+primes come from a sieve grown on demand, only as far as the square roots
+divided need, and never past the bound.
 """
 
 from __future__ import annotations
@@ -12,24 +14,28 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from itertools import compress
-from math import isqrt
+from math import gcd, isqrt, prod
 
 from .errors import InputError
 
 TRIAL_DIVISION_BOUND = 10**6
 _PROOF_START = 1000  # trial division up to here first, then the Miller-Rabin proof
-# bases 2..41, the first 13 primes, make Miller-Rabin exact below this bound
-# (Sorenson and Webster, Math. Comp. 86, 2017)
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
+# psi_k, the least strong pseudoprime to the first k bases, below which they are exact (OEIS
+# A014233; Jaeschke, Math. Comp. 61, 1993; Sorenson and Webster, Math. Comp. 86, 2017)
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+        3825123056546413051, 318665857834031151167461, 3317044064679887385961981)
+MILLER_RABIN_LIMIT = _PSI[-1]
 
 
 def _is_strong_probable_prime(n: int) -> bool:
-    """Miller-Rabin on every base in _MILLER_RABIN_BASES, for n > 41; False proves n composite."""
+    """Miller-Rabin for n > 41 on the first k bases, k least with n < psi_k (all 13 at
+    or past MILLER_RABIN_LIMIT); False proves n composite."""
     s, t = 0, n - 1
     while t % 2 == 0:
         s, t = s + 1, t // 2
-    for a in _MILLER_RABIN_BASES:
+    for a in _MILLER_RABIN_BASES[:bisect_right(_PSI, n) + 1]:
         x = pow(a, t, n)
         if x == 1 or x == n - 1:
             continue
@@ -44,6 +50,7 @@ def _is_strong_probable_prime(n: int) -> bool:
 
 # every prime up to _sieved, ascending; a cache, so how far it has grown changes no answer
 _primes, _sieved = array("I", (2, 3, 5, 7)), 10
+_small_product = 0  # the product of the primes up to _PROOF_START once built, else 0
 
 
 def _trial_divide(n: int, lo: int, hi: int) -> int:
@@ -87,9 +94,22 @@ def _least_divisor(n: int, d: int = 2, label: int | None = None) -> int:
 
 def prime_factors(n: int) -> list[int]:
     """Distinct prime factors of |n| in ascending order."""
+    global _small_product
     label = n = abs(n)
     out: list[int] = []
     d = 2
+    if n > TRIAL_DIVISION_BOUND:  # the primes up to _PROOF_START that divide n, by one gcd
+        if not _small_product:  # 1 has no prime divisor: this only grows the table
+            _trial_divide(1, 2, _PROOF_START)
+            _small_product = prod(_primes[:bisect_right(_primes, _PROOF_START)])
+        small = gcd(n, _small_product)
+        while small > 1:  # a product of distinct primes up to _PROOF_START
+            d = _least_divisor(small, d)
+            out.append(d)
+            small //= d
+            while n % d == 0:
+                n //= d
+        d = _PROOF_START + 1
     while n > 1:
         d = _least_divisor(n, d, label)  # resumes where the last factor was found
         out.append(d)

@@ -1,18 +1,22 @@
-"""Oracles for the tree pass, the one-scan `reduce` and the worklist refinement.
+"""Oracles for the tree pass, the one-scan `reduce`, the worklist refinement
+and the slide-free test.
 
 The references are the name-level routines these replaced, kept here: the
 union-find and breadth-first tree on `Dart` views, the tree-path `Fraction`
 product of `modulus`, the sign-change loop of `normalize_signs`, the collapse
-loop of `reduce` and the round-based `stable_colorings`.  networkx's
-Weisfeiler-Lehman hashes of the dart subdivision are a second, independent
-partition oracle.  The slow inputs that the old routines took seconds on
-are pinned with CPU-time gates.
+loop of `reduce`, the round-based `stable_colorings` and the pairwise
+`is_strongly_slide_free`.  networkx's Weisfeiler-Lehman hashes of the dart
+subdivision are a second, independent partition oracle.  The slow inputs
+that the old routines took seconds on are pinned with CPU-time gates.
 """
 
 import hashlib
 import random
 import time
+from collections import Counter
 from fractions import Fraction
+from itertools import permutations
+from math import isqrt
 
 import pytest
 
@@ -159,6 +163,12 @@ def by_first_appearance(colorings: list[dict[str, str]]) -> list[dict[str, str]]
     names: dict[str, str] = {}
     return [{v: names.setdefault(c, f"c{len(names)}") for v, c in coloring.items()}
             for coloring in colorings]
+
+
+def reference_slide_free(g: LabelledGraph) -> bool:
+    """Every ordered pair of darts at each vertex: no label divides the other."""
+    return not any(g.label(e) % g.label(d) == 0 for v in g.vertices
+                   for d, e in permutations(g.darts_at(v), 2))
 
 
 # -- the corpus ---------------------------------------------------------------
@@ -342,6 +352,27 @@ def test_an_unchanged_graph_keeps_its_memos():
     assert [(r.label_origin, r.label_terminus) for r in doubled.edges] == [(2, 3), (2, 3)]
 
 
+def bouquet(labels: list[int]) -> LabelledGraph:
+    """One vertex with a loop per pair of consecutive labels."""
+    return LabelledGraph.build(["v"], [(f"l{i}", "v", "v", labels[2 * i], labels[2 * i + 1])
+                                       for i in range(len(labels) // 2)])
+
+
+def test_slide_free_agrees_with_the_pairwise_test():
+    """The corpus, and bouquets whose labels share primes without dividing each
+    other (6, 10, 15, ...), so that the gcd screen passes labels that divide none."""
+    rng = random.Random(37)
+    shared = [a * b for a, b in permutations((2, 3, 5, 7, 11), 2)] + [1, -1, 4, 9, 13]
+    bouquets = [bouquet([rng.choice(shared) for _ in range(2 * rng.randint(1, 5))])
+                for _ in range(300)]
+    seen = Counter()
+    for g in GRAPHS + bouquets:
+        expected = reference_slide_free(g)
+        assert g.is_strongly_slide_free() == expected, g
+        seen[expected, len(g.vertices) == 1] += 1
+    assert min(seen.values()) >= 30 and len(seen) == 4, seen
+
+
 # -- the slow inputs ------------------------------------------------------------------
 
 
@@ -419,3 +450,11 @@ def test_a_long_cycle_pair_is_refined_quickly():
     # each cycle's vertices are told apart by their distances to the (5, 7) edge
     assert [len(set(c.values())) for c in colorings] == [32_000, 32_001]
     assert seconds < 5
+
+
+def test_slide_free_on_a_wide_bouquet_is_quick():
+    primes = [p for p in range(2, 40_000) if all(p % q for q in range(2, isqrt(p) + 1))]
+    wide = bouquet(primes[:4000])  # 2,000 loops, every label a distinct prime
+    verdict, seconds = cpu_seconds(wide.is_strongly_slide_free)
+    assert verdict and seconds < 0.5
+    assert not bouquet(primes[:3998] + [2, 3 * primes[3000]]).is_strongly_slide_free()

@@ -1,8 +1,9 @@
 """`tools/pairs.py`: the passes mode's summary and answer comparison, the
-setup parts read off run.py's output, and the WORSE and UNRESOLVED marks.
+setup parts read off run.py's output, the WORSE and UNRESOLVED marks, and the
+imports mode's report, source line count and pair order.
 
-All are pure functions of the runs' output, so no tree is exported and no
-process is started here.
+All are pure functions of the runs' output or of a small tree written here,
+so no tree is exported and no process is started here.
 """
 
 import importlib.util
@@ -82,3 +83,36 @@ def test_a_base_spread_past_the_bound_leaves_the_metric_unresolved(pairs):
     # a worse change with a wide base spread carries both marks
     assert [m.split()[0] for m in pairs.marks(base, [0.2] * 5, SETUP)] == \
         ["WORSE", "UNRESOLVED:"]
+
+
+def test_pairs_alternate_which_side_runs_first(pairs):
+    assert [pairs.sides_in_order(i) for i in range(3)] == [
+        ("base", "change"), ("change", "base"), ("base", "change")]
+
+
+def test_source_lines_count_the_python_files_of_the_package(pairs, tmp_path):
+    package = tmp_path / "src" / "gbs"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("a = 1\nb = 2\n")
+    (package / "graph.py").write_text("x = 1\n\ny = 2")  # no final newline
+    (package / "notes.txt").write_text("not source\n")
+    assert pairs.source_lines(tmp_path) == 5
+
+
+def test_imports_report_reads_medians_ratio_wins_and_lines(pairs, capsys):
+    seconds = {"base": [0.044, 0.046, 0.045, 0.043], "change": [0.045, 0.044, 0.047, 0.046]}
+    pairs.imports_report(seconds, {"base": 3232, "change": 3290}, "HEAD")
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "import gbs, 4 pairs of fresh processes; base HEAD against the working tree"
+    assert lines[2] == "0.0445 [0.04375, 0.04525] | 0.0455 [0.04475, 0.04625] | 1.022 | 1 of 4"
+    assert lines[3] == "src/gbs lines: base 3232 | change 3290 (+58)"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--imports", "1"], "--imports must be at least 2"),
+    (["--seed", "1"], "--workload and --seed are required without --imports"),
+    (["--workload", "witness"], "--workload and --seed are required without --imports")])
+def test_imports_mode_and_workload_mode_check_their_arguments(pairs, capsys, argv, message):
+    with pytest.raises(SystemExit) as exit:
+        pairs.main(argv)
+    assert exit.value.code == 2 and message in capsys.readouterr().err

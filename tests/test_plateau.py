@@ -344,11 +344,14 @@ def spy(monkeypatch, module, name):
 
 class TestPlateauFactsOncePerGraph:
     def test_rank_query_factors_each_magnitude_once(self, monkeypatch):
-        """Each magnitude is factored once, and g is walked once per divisibility
-        class of its label primes, which is fewer walks than primes on some seed."""
+        """Each magnitude is factored once, and g is walked at most once per
+        divisibility class of its label primes, which is fewer walks than primes
+        on some seed.  A class of one divisible dart is walked only when its edge
+        is a bridge: a loop or an edge whose removal leaves g connected has no
+        plateau for it."""
         factored = spy(monkeypatch, plateau, "prime_factors")
         walked = spy(monkeypatch, plateau, "_walk")
-        shared = 0
+        shared = skipped = 0
         for seed in range(1, 11):
             cfg = GeneratorConfig(seed=seed, max_vertices=12, max_edges=20,
                                   max_label_magnitude=10 ** 9)
@@ -359,12 +362,19 @@ class TestPlateauFactsOncePerGraph:
             magnitudes = {abs(g.label(d)) for d in g.darts()}
             assert sorted(n for n, in factored) == sorted(magnitudes), seed
             classes = {bytes(g.label(d) % p == 0 for d in g.darts()) for p in label_primes(g)}
-            assert [h for h, _ in walked] == [g] * len(classes), seed
-            assert {mask for _, mask in walked} == classes, seed
+            names = {rec.name for rec in g.edges}
+
+            def splits(edge):  # g less the edge is disconnected
+                return len(list(g.subgraph_components(keep=names - {edge}))) > 1
+            settled = {mask for mask in classes if mask.count(1) == 1
+                       and not splits(g.edges[mask.index(1) >> 1].name)}
+            assert [h for h, _ in walked] == [g] * len(classes - settled), seed
+            assert {mask for _, mask in walked} == classes - settled, seed
             shared += len(classes) < len(label_primes(g))
+            skipped += len(settled)
             factored.clear()
             walked.clear()
-        assert shared
+        assert shared and skipped
 
     def test_plateau_free_suite_builds_each_label_table_once(self, monkeypatch):
         """Every memo and the graph's dart index are built at most once per graph,
@@ -502,18 +512,22 @@ class TestInventoryOracle:
 
 class TestPrimeTable:
     """Trial division walks a table of primes grown on demand, never at import
-    and never past TRIAL_DIVISION_BOUND; a fresh interpreter sees it from the start."""
+    and never past TRIAL_DIVISION_BOUND, and the gcd step's product of the primes
+    up to 1000 is built on its first use; a fresh interpreter sees both from the start."""
 
     SCRIPT = """
 import json
-from math import isqrt
+from math import isqrt, prod
 import gbs
 from gbs import primes
-out = {"fresh": list(primes._primes)}
+out = {"fresh": [list(primes._primes), primes._sieved, primes._small_product]}
+primes.prime_factors(10 ** 6)  # at the bound: no gcd step
+out["bound"] = primes._small_product
 for seed in range(1, 11):
     gbs.rank(gbs.generate_graph(gbs.GeneratorConfig(
         seed=seed, max_vertices=12, max_edges=20, max_label_magnitude=10 ** 9)))
 out["rank"] = [primes._primes[-1], primes._sieved, 2 * isqrt(10 ** 9)]
+out["product"] = primes._small_product == prod(p for p in primes._primes if p <= 1000)
 try:
     primes.prime_factors(2 * 1000003 ** 2)
 except gbs.InputError:
@@ -526,7 +540,9 @@ print(json.dumps(out))
         run = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env,
                              capture_output=True, text=True, check=True)
         out = json.loads(run.stdout)
-        assert out["fresh"] == [2, 3, 5, 7]
+        assert out["fresh"] == [[2, 3, 5, 7], 10, 0]
+        assert out["bound"] == 0
+        assert out["product"] is True
         top, sieved, bound = out["rank"]
         assert 1000 < top <= sieved <= bound
         top, sieved, count = out["refused"]

@@ -3,6 +3,7 @@
     python3 tools/pairs.py --workload rank-query [--workload witness ...] --seed 1 \
         --seconds 12 --pairs 10 [--base REV]
     python3 tools/pairs.py --workload map-suites --seed 1 --passes 5 --pairs 10 [--base REV]
+    python3 tools/pairs.py --imports 20 [--base REV]
 
 Run from anywhere inside a checkout.  The base is the commit REV (HEAD by
 default), exported with `git archive` into a temporary directory; the change
@@ -30,6 +31,14 @@ each pass in an order drawn from the seed as `perfbench/run.py` draws it.  It
 prints the least CPU seconds of a pass of each side (median and quartiles over
 the pairs), their ratio and the pairs the change won, and exits 1 if any op
 answered differently on the two sides.  No golden answers are read.
+
+With `--imports N` (no workload needed) each side instead runs N fresh
+processes, alternating as above, that each time one fresh `import gbs` from
+the tree's `src` with that tree's run.py `import_seconds` (CPU seconds, with
+the modules it needs already loaded, as in run.py's setup), writing and
+reading no bytecode.  It prints each side's median and quartiles, the
+ratio of the medians, the pairs the change won and each side's line count of
+`src/gbs`, the source that such an import compiles.
 """
 
 from __future__ import annotations
@@ -117,6 +126,42 @@ def run_passes(tree: Path, workload: str, args) -> dict:
                       str(args.passes)], tree, f"the {workload} passes")
 
 
+# one side's process in imports mode: the CPU seconds of a fresh `import gbs`, by the
+# tree's own run.py after a first import, as its setup loads the workloads first
+IMPORT = """
+import sys
+sys.path[:0] = ["src", "perfbench"]
+import gbs
+from run import import_seconds
+print(import_seconds())
+"""
+
+
+def run_import(tree: Path) -> float:
+    """One imports-mode process in `tree`."""
+    return float(output([sys.executable, "-c", IMPORT], tree, "import gbs")[-1])
+
+
+def source_lines(tree: Path) -> int:
+    """Lines of the Python files of `src/gbs` in `tree`."""
+    return sum(len(path.read_text().splitlines())
+               for path in (tree / "src" / "gbs").glob("*.py"))
+
+
+def imports_report(seconds: dict[str, list[float]], lines: dict[str, int], base: str) -> None:
+    """Print the imports summary of each side's seconds and source lines."""
+    summary = pass_summary(seconds["base"], seconds["change"])
+    print(f"\nimport gbs, {summary['pairs']} pairs of fresh processes; base {base} "
+          f"against the working tree")
+    print("CPU s per import: base median [q1, q3] | change median [q1, q3] | "
+          "change/base | change quicker")
+    print(" | ".join(f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
+                     for q in (summary["base"], summary["change"]))
+          + f" | {summary['ratio']:.3f} | {summary['wins']} of {summary['pairs']}")
+    print(f"src/gbs lines: base {lines['base']} | change {lines['change']} "
+          f"({lines['change'] - lines['base']:+d})")
+
+
 def differing_answers(runs: list[dict]) -> list[str]:
     """The ops, by key, whose answer digests are not the same in every run."""
     keys = sorted(set().union(*(run["answers"] for run in runs)))
@@ -124,8 +169,8 @@ def differing_answers(runs: list[dict]) -> list[str]:
 
 
 def pass_summary(base: list[float], change: list[float]) -> dict:
-    """Medians and quartiles of each side's least pass seconds, one per pair; the
-    change/base ratio of the medians; the pairs whose change pass was quicker."""
+    """Medians and quartiles of each side's seconds (least pass or import), one per
+    pair; the change/base ratio of the medians; the pairs the change was quicker in."""
     return {"base": statistics.quantiles(base, n=4, method="inclusive"),
             "change": statistics.quantiles(change, n=4, method="inclusive"),
             "ratio": statistics.median(change) / statistics.median(base),
@@ -177,12 +222,17 @@ def marks(base: list[float], change: list[float], metric: dict) -> list[str]:
     return found
 
 
+def sides_in_order(i: int) -> tuple[str, str]:
+    """Pair i runs the base first when i is even and the change first when it is odd."""
+    return ("base", "change") if i % 2 == 0 else ("change", "base")
+
+
 def pairs(base: Path, workload: str, args) -> dict[str, list[dict]]:
     """The runs of each side over the alternating pairs of one workload."""
     sides = {"base": base, "change": ROOT}
     results: dict[str, list[dict]] = {"base": [], "change": []}
     for i in range(args.pairs):
-        for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
+        for side in sides_in_order(i):
             results[side].append((run_passes if args.passes else run)(sides[side], workload, args))
         if args.passes:
             values = {side: f"{min(results[side][-1]['seconds']):.4g} s" for side in results}
@@ -225,15 +275,22 @@ def report(workload: str, results: dict[str, list[dict]], metrics: list[dict], a
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", action="append", required=True,
+    parser.add_argument("--workload", action="append",
                         help="a workload of BENCHMARK.json; give it again for more")
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seed", type=int)
     parser.add_argument("--seconds", type=float, default=12)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--base", default="HEAD", help="commit to compare against")
     parser.add_argument("--passes", type=int, default=None,
                         help="time K in-process corpus passes per side instead of run.py")
+    parser.add_argument("--imports", type=int, default=None,
+                        help="time N fresh `import gbs` processes per side instead")
     args = parser.parse_args(argv)
+    if args.imports is not None:
+        if args.imports < 2:
+            parser.error("--imports must be at least 2")
+    elif not args.workload or args.seed is None:
+        parser.error("--workload and --seed are required without --imports")
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
     if args.passes is not None and args.passes < 1:
@@ -245,6 +302,15 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="pairs-base-") as tmp:
         export(args.base, Path(tmp))
+        if args.imports:
+            sides = {"base": Path(tmp), "change": ROOT}
+            seconds: dict[str, list[float]] = {"base": [], "change": []}
+            for i in range(args.imports):
+                for side in sides_in_order(i):
+                    seconds[side].append(run_import(sides[side]))
+            imports_report(seconds, {side: source_lines(tree) for side, tree in sides.items()},
+                           args.base)
+            return 0
         results = {workload: pairs(Path(tmp), workload, args) for workload in args.workload}
     if args.passes:
         failed = [workload for workload in args.workload
