@@ -304,31 +304,30 @@ def is_topological_covering(m: AdmissibleMap) -> bool:
 
 # (multiplicity, sheet numbers) of a vertex
 _VertexSheets = tuple[int, Iterable[int | str]]
-# (label at origin, label at terminus, multiplicity, sheets) of an edge, where
-# sheet j is the triple (j, origin sheet, terminus sheet)
-_EdgeSheets = tuple[int, int, int, Iterable[tuple[int | str, int | str, int | str]]]
+# (label at origin, label at terminus, multiplicity, sheets) of an edge, where sheet j is the
+# triple (j, origin position, terminus position): its ends' places in their vertices' sheets
+_EdgeSheets = tuple[int, int, int, Iterable[tuple[int | str, int, int]]]
 
 
-def _sheeted_cover(g: LabelledGraph, vertex_sheets: Callable[[str], _VertexSheets],
-                   edge_sheets: Callable[[EdgeRecord], _EdgeSheets]) -> AdmissibleMap:
-    """Assemble a cover of g from its sheets, unchecked.
+def _sheeted_cover(g: LabelledGraph, vertex_sheets: Iterable[_VertexSheets],
+                   edge_sheets: Iterable[_EdgeSheets]) -> AdmissibleMap:
+    """Assemble a cover of g from the sheets of its vertices and of its edges, each
+    in the declaration order of g, unchecked.
 
-    Sheet i of vertex v is named `v.i` and sheet j of edge e is named `e.j`,
-    in the declaration order of g; every edge maps onto its base edge with
-    the same orientation.
+    Sheet i of vertex v is named `v.i` and sheet j of edge e is named `e.j`;
+    every edge maps onto its base edge with the same orientation.
     """
-    vertices, vertex_image, vertex_mult = [], [], []
-    for v_index, v in enumerate(g.vertices):
-        mult, sheets = vertex_sheets(v)
-        names = [f"{v}.{i}" for i in sheets]
-        vertices += names
-        vertex_image += [v_index] * len(names)
-        vertex_mult += [mult] * len(names)
-    records, dart_image, edge_mult = [], [], []
-    for e_index, rec in enumerate(g.edges):
-        lo, lt, mult, sheets = edge_sheets(rec)
-        sheet_records = [EdgeRecord(f"{rec.name}.{j}", f"{rec.origin}.{i}",
-                                    f"{rec.terminus}.{k}", lo, lt) for j, i, k in sheets]
+    vertices, vertex_image, vertex_mult, names = [], [], [], []
+    for v_index, (v, (mult, sheets)) in enumerate(zip(g.vertices, vertex_sheets)):
+        names.append([f"{v}.{i}" for i in sheets])
+        vertices += names[-1]
+        vertex_image += [v_index] * len(names[-1])
+        vertex_mult += [mult] * len(names[-1])
+    records, dart_image, edge_mult, position = [], [], [], g.vertex_position
+    for e_index, (rec, (lo, lt, mult, sheets)) in enumerate(zip(g.edges, edge_sheets)):
+        origin, terminus = names[position[rec.origin]], names[position[rec.terminus]]
+        sheet_records = [EdgeRecord(f"{rec.name}.{j}", origin[i], terminus[k], lo, lt)
+                         for j, i, k in sheets]
         records += sheet_records
         dart_image += (2 * e_index, 2 * e_index + 1) * len(sheet_records)
         edge_mult += [mult] * len(sheet_records)
@@ -364,18 +363,17 @@ def branched_cover(g: LabelledGraph, plateau: Plateau) -> AdmissibleMap:
     inside = plateau.vertices
     check_cover_size(len(inside) + p * (len(g.vertices) - len(inside)))
 
-    def vertex_sheets(v: str) -> _VertexSheets:
-        return (p, (0,)) if v in inside else (1, range(1, p + 1))
-
     def edge_sheets(rec: EdgeRecord) -> _EdgeSheets:
         if rec.name in plateau.edges:
             return rec.label_origin, rec.label_terminus, p, ((0, 0, 0),)
         o_in, t_in = rec.origin in inside, rec.terminus in inside
         return (rec.label_origin // p if o_in else rec.label_origin,
                 rec.label_terminus // p if t_in else rec.label_terminus,
-                1, ((i, 0 if o_in else i, 0 if t_in else i) for i in range(1, p + 1)))
+                1, ((i, 0 if o_in else i - 1, 0 if t_in else i - 1) for i in range(1, p + 1)))
 
-    return assert_admissible(_sheeted_cover(g, vertex_sheets, edge_sheets), "branched_cover")
+    vertex_sheets = [(p, (0,)) if v in inside else (1, range(1, p + 1)) for v in g.vertices]
+    return assert_admissible(_sheeted_cover(g, vertex_sheets, map(edge_sheets, g.edges)),
+                             "branched_cover")
 
 
 def voltage_cover(g: LabelledGraph, degree: int,
@@ -401,10 +399,9 @@ def voltage_cover(g: LabelledGraph, degree: int,
                              f"permutation of 0..{degree - 1}")
         perms[rec.name] = sigma
     sheets = range(1, degree + 1)
-    cover = _sheeted_cover(
-        g, lambda v: (1, sheets),
-        lambda rec: (rec.label_origin, rec.label_terminus, 1,
-                     ((i, i, perms[rec.name][i - 1] + 1) for i in sheets)))
+    cover = _sheeted_cover(g, [(1, sheets)] * len(g.vertices), (
+        (rec.label_origin, rec.label_terminus, 1,
+         ((i, i - 1, perms[rec.name][i - 1]) for i in sheets)) for rec in g.edges))
     return assert_admissible(cover, "voltage_cover")
 
 
@@ -521,56 +518,56 @@ def _prime_power_cover(g: LabelledGraph, primes: Iterable[int],
        divide n_e.  Every vertex sheet lies in such a copy, and every copy
        contains that one-sheet vertex.
     """
-    labels = {rec.name: [rec.label_origin, rec.label_terminus] for rec in g.edges}
-    vertex_mult, edge_mult = dict.fromkeys(g.vertices, 1), dict.fromkeys(labels, 1)
+    labels, heads, order, start = g._index
+    labels = list(labels)  # a label per dart, divided as the rounds go
+    n, edge_at = len(g.vertices), {rec.name: i for i, rec in enumerate(g.edges)}
+    vertex_mult, edge_mult = [1] * n, [1] * len(edge_at)
     # the sheet counts of each vertex and edge, one for each prime with a round
-    vertex_counts, edge_counts = {v: [] for v in g.vertices}, {name: [] for name in labels}
+    vertex_counts, edge_counts = [[] for _ in range(n)], [[] for _ in edge_at]
     for p in primes:
-        vertex_count, edge_count = dict.fromkeys(g.vertices, 0), dict.fromkeys(labels, 0)
-        rounds = 0
+        vertex_count, edge_count, rounds = [0] * n, [0] * len(edge_at), 0
         while plateaux := _plateaux(g, p, labels):
             rounds += 1
-            union_vertices = set().union(*(plat.vertices for plat in plateaux))
-            union_edges = set().union(*(plat.edges for plat in plateaux))
-            for name in union_edges:
-                edge_count[name] += 1
-            for v in union_vertices:
+            union_edges = {edge_at[name] for plat in plateaux for name in plat.edges}
+            for i in union_edges:
+                edge_count[i] += 1
+            for v in (g.vertex_position[v] for plat in plateaux for v in plat.vertices):
                 vertex_count[v] += 1
-                for name, forward in g.darts_at(v):  # divide the labels leaving the union
-                    if name not in union_edges:
-                        pair, end = labels[name], 0 if forward else 1
-                        if pair[end] % p != 0:
+                for d in order[start[v]:start[v + 1]]:  # divide the labels leaving the union
+                    if d >> 1 not in union_edges:
+                        if labels[d] % p != 0:
                             raise InternalError("label leaving a plateau union must be divisible")
-                        pair[end] //= p
+                        labels[d] //= p
         if not rounds:
             continue
         for mult, counts, occupancy in ((vertex_mult, vertex_counts, vertex_count),
                                         (edge_mult, edge_counts, edge_count)):
-            for x, k in occupancy.items():
+            for x, k in enumerate(occupancy):
                 mult[x] *= p ** k
                 counts[x].append(p ** (rounds - k))
-        predicted = sum(math.prod(vertex_counts[v]) for v in g.vertices)
+        predicted = sum(map(math.prod, vertex_counts))
         if predicted > size_limit:
             raise InputError(f"plateau-free cover would need {predicted} vertices "
                              f"for prime {p}, above the limit {size_limit}")
-    if not vertex_counts[g.vertices[0]]:  # no prime had a round
+    if not vertex_counts[0]:  # no prime had a round
         return None
 
-    def sheets(counts: list[int], modulo: list[int]) -> Iterator[str]:
-        """Sheets j of `counts`, named by their numbers j mod `modulo` from 1."""
-        return map(".".join, product(*([str(j % n + 1) for j in range(c)]
-                                       for c, n in zip(counts, modulo))))
+    def sheets(counts: list[int]) -> Iterator[str]:
+        """The sheets of `counts` named by their numbers from 1, first prime first."""
+        return map(".".join, product(*([str(j + 1) for j in range(c)] for c in counts)))
 
-    def vertex_sheets(v: str) -> _VertexSheets:
-        return vertex_mult[v], sheets(vertex_counts[v], vertex_counts[v])
+    def positions(counts: list[int], modulo: list[int]) -> list[int]:
+        """The place of sheet j mod `modulo` among those of `modulo`, for each sheet j."""
+        out = [0]
+        for c, m in zip(counts, modulo):
+            out = [x * m + j % m for x in out for j in range(c)]
+        return out
 
-    def edge_sheets(rec: EdgeRecord) -> _EdgeSheets:
-        counts = edge_counts[rec.name]
-        return (*labels[rec.name], edge_mult[rec.name],
-                zip(sheets(counts, counts), sheets(counts, vertex_counts[rec.origin]),
-                    sheets(counts, vertex_counts[rec.terminus])))
-
-    return _sheeted_cover(g, vertex_sheets, edge_sheets)
+    return _sheeted_cover(g, zip(vertex_mult, map(sheets, vertex_counts)), (
+        (labels[2 * i], labels[2 * i + 1], edge_mult[i],
+         zip(sheets(counts), positions(counts, vertex_counts[heads[2 * i]]),
+             positions(counts, vertex_counts[heads[2 * i + 1]])))
+        for i, counts in enumerate(edge_counts)))
 
 
 def plateau_free_cover(g: LabelledGraph,

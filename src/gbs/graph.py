@@ -143,6 +143,8 @@ class LabelledGraph:
 
     vertices: tuple[str, ...]
     edges: tuple[EdgeRecord, ...]
+    # the record by edge name: kept by the checking pass, built on first use when trusted
+    _edge_by_name = cached_property(lambda self: {rec.name: rec for rec in self.edges})
 
     def __post_init__(self):
         if not self.vertices:
@@ -177,11 +179,10 @@ class LabelledGraph:
 
     @classmethod
     def _trusted(cls, vertices: tuple[str, ...], edges: tuple[EdgeRecord, ...]) -> "LabelledGraph":
-        """A graph valid by construction, with the checking pass's tables, unchecked."""
+        """A graph valid by construction, unchecked, with the checking pass's vertex table."""
         g = object.__new__(cls)
         g.__dict__.update(vertices=vertices, edges=edges,
-                          vertex_position=dict(zip(vertices, range(len(vertices)))),
-                          _edge_by_name={rec.name: rec for rec in edges})
+                          vertex_position=dict(zip(vertices, range(len(vertices)))))
         return g
 
     # -- indexed access -------------------------------------------------
@@ -259,26 +260,35 @@ class LabelledGraph:
 
     # -- connectivity and Betti number ----------------------------------
 
-    def _component_walk(self, mask: bytes, roots: Iterable[int]) -> Iterator[list[int]]:
+    def _component_walk(self, mask: bytes, roots: Iterable[int],
+                        stops: bytearray | None = None) -> Iterator[list[int]]:
         """The one component walk.  Yields the vertex indices of each component of
         the spanning subgraph on the darts marked in `mask` that meets `roots`, in
         the order `roots` first reaches them, each in the discovery order of a
-        depth-first walk with a stack."""
+        depth-first walk with a stack.  `stops`, a byte per vertex, is 1 at the stops:
+        a component that reaches one is dropped at once, unyielded, and the vertices
+        it reached become stops; the walk writes 2 at the vertices it yields."""
         _, heads, order, start = self._index
-        seen = bytearray(len(self.vertices))
+        seen = bytearray(len(self.vertices)) if stops is None else stops
         for root in roots:
             if seen[root]:
                 continue
-            seen[root] = 1
+            seen[root] = 2
             comp, stack = [root], [root]
             while stack:
                 v = stack.pop()
                 for d in order[start[v]:start[v + 1]]:
-                    if mask[d] and not seen[w := heads[d ^ 1]]:
-                        seen[w] = 1
+                    if mask[d] and seen[w := heads[d ^ 1]] != 2:
+                        if seen[w]:  # a stop
+                            for u in comp:
+                                seen[u] = 1
+                            comp = stack = []
+                            break
+                        seen[w] = 2
                         comp.append(w)
                         stack.append(w)
-            yield comp
+            if comp:
+                yield comp
 
     def _kept_edges(self, comp: list[int], mask: bytes) -> set[int]:
         """Indices of the edges with a dart marked in `mask` at a vertex of `comp`."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import chain, compress, filterfalse
+from itertools import chain, compress
 from typing import Any, Callable, Sequence
 
 from .errors import InputError
@@ -62,24 +62,26 @@ def _walk(g: LabelledGraph, divisible: bytes) -> list[tuple[frozenset[str], froz
 
     The candidates are the components of the edges with no divisible dart; one
     is proper unless a vertex of it is a frontier vertex, where a coprime dart's
-    reverse is divisible, or it is the whole graph."""
+    reverse is divisible, or it is the whole graph.  The walk stops at the frontier
+    and starts at the first vertex of each component of g and at the vertices with
+    a divisible dart.  These roots suffice: a candidate that is not a whole component
+    of g meets an edge outside it with a divisible dart: at the candidate's end, a
+    root then, or else only at the far end, which makes that end a frontier vertex."""
     heads = g._index[1]
-    kept, frontier = bytearray(b"\1" * len(divisible)), set()
+    kept, frontier = bytearray(b"\1" * len(divisible)), bytearray(len(g.vertices))
+    roots = {g.vertex_position[comp[0]] for comp in g.components()}
     for d in compress(range(len(divisible)), divisible):
         kept[d] = kept[d ^ 1] = 0
+        roots.add(heads[d])
         if not divisible[d ^ 1]:  # coprime at the origin of d ^ 1, divisible at its far end
-            frontier.add(heads[d ^ 1])
-    out = []
-    # a component of frontier vertices alone is no candidate, so none is a root
-    for comp in g._component_walk(kept, filterfalse(frontier.__contains__,
-                                                     range(len(g.vertices)))):
-        if not frontier.isdisjoint(comp):
-            continue
+            frontier[heads[d ^ 1]] = 1
+    out = {}  # by least vertex index
+    for comp in g._component_walk(kept, roots, frontier):
         edges = g._kept_edges(comp, kept)
         if len(comp) < len(g.vertices) or len(edges) < len(g.edges):  # not the whole graph
-            out.append((frozenset(g.vertices[v] for v in comp),
-                        frozenset(g.edges[i].name for i in edges)))
-    return out
+            out[min(comp)] = (frozenset(g.vertices[v] for v in comp),
+                              frozenset(g.edges[i].name for i in edges))
+    return [out[least] for least in sorted(out)]
 
 
 def plateaux_for_prime(g: LabelledGraph, p: int) -> list[Plateau]:
@@ -96,14 +98,11 @@ def plateaux_for_prime(g: LabelledGraph, p: int) -> list[Plateau]:
     return _plateaux(g, p)
 
 
-def _plateaux(g: LabelledGraph, p: int,
-              labels: dict[str, Sequence[int]] | None = None) -> list[Plateau]:
-    """:func:`plateaux_for_prime` for a prime p, read with `labels` (each edge's
-    [origin, terminus] labels by name; g's own by default); g may be disconnected."""
-    dart_labels = g._index[0] if labels is None else [
-        label for rec in g.edges for label in labels[rec.name]]
-    return [Plateau(p, vertices, edges)
-            for vertices, edges in _walk(g, bytes(label % p == 0 for label in dart_labels))]
+def _plateaux(g: LabelledGraph, p: int, labels: Sequence[int] | None = None) -> list[Plateau]:
+    """:func:`plateaux_for_prime` for a prime p, read with `labels` (a label per dart,
+    in index order; g's own by default); g may be disconnected."""
+    return [Plateau(p, vertices, edges) for vertices, edges in _walk(g, bytes(
+        label % p == 0 for label in (g._index[0] if labels is None else labels)))]
 
 
 def check_plateau(g: LabelledGraph, plateau: Plateau) -> bool:

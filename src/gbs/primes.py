@@ -102,13 +102,16 @@ def prime_factors(n: int) -> list[int]:
         if not _small_product:  # 1 has no prime divisor: this only grows the table
             _trial_divide(1, 2, _PROOF_START)
             _small_product = prod(_primes[:bisect_right(_primes, _PROOF_START)])
-        small = gcd(n, _small_product)
-        while small > 1:  # a product of distinct primes up to _PROOF_START
-            d = _least_divisor(small, d)
-            out.append(d)
-            small //= d
-            while n % d == 0:
-                n //= d
+        small = rest = gcd(n, _small_product)  # distinct primes up to _PROOF_START
+        for q in _primes:  # one walk: past the square root of what is left, it is 1 or prime
+            if q * q > rest:
+                break
+            if rest % q == 0:
+                out.append(q)
+                rest //= q
+        out += [rest] * (rest > 1)
+        while (common := gcd(n, small)) > 1:  # strip their powers from n
+            n //= common
         d = _PROOF_START + 1
     while n > 1:
         d = _least_divisor(n, d, label)  # resumes where the last factor was found

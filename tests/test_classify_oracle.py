@@ -56,9 +56,10 @@ def double_cover_branched_over(g: LabelledGraph, plateaux):
         o_in, t_in = rec.origin in inside, rec.terminus in inside
         return (rec.label_origin // 2 if o_in else rec.label_origin,
                 rec.label_terminus // 2 if t_in else rec.label_terminus,
-                1, ((i, 0 if o_in else i, 0 if t_in else i) for i in (1, 2)))
+                1, ((i, 0 if o_in else i - 1, 0 if t_in else i - 1) for i in (1, 2)))
 
-    return assert_admissible(_sheeted_cover(g, vertex_sheets, edge_sheets), "test cover")
+    return assert_admissible(_sheeted_cover(g, map(vertex_sheets, g.vertices),
+                                            map(edge_sheets, g.edges)), "test cover")
 
 
 def hub_map(seed: int):

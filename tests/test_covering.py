@@ -19,6 +19,7 @@ from gbs import (AdmissibleMap, GeneratorConfig, InputError, InternalError, Labe
                  totally_unfolded, verify_admissible, voltage_cover)
 from gbs import covering, generate, graph, suites
 from gbs.covering import COVER_VERTEX_LIMIT, _prime_power_cover
+from gbs.graph import Dart
 from strategies import connected_graphs
 
 
@@ -533,9 +534,12 @@ class TestTrustedSteps:
         assert seen["compose"] == 200 * sum(len(recipe) - 1 for recipe in suites.RECIPES)
 
     def test_undivisible_leaving_label_is_internal_error(self, monkeypatch):
-        # {v_a} is no 2-plateau of f1(7): e_1 leaves it with the odd label 3
-        monkeypatch.setattr(covering, "_plateaux", lambda g, p, labels:
-                            [Plateau(p, frozenset({"v_a"}), frozenset())])
+        # {v_a} is no 2-plateau of f1(7): e_1 leaves it with the odd label 3; the
+        # rounds ask `_plateaux` with their label per dart, in index order
+        def asked(g, p, dart_labels):
+            assert list(dart_labels) == [3, 2, 7, 5]
+            return [Plateau(p, frozenset({"v_a"}), frozenset())]
+        monkeypatch.setattr(covering, "_plateaux", asked)
         with pytest.raises(InternalError, match="must be divisible"):
             _prime_power_cover(f1(7), [2], COVER_VERTEX_LIMIT)
 
@@ -618,6 +622,19 @@ class TestNoDartViews:
     def test_map_suites_build_no_dart_view(self, dart_view_builds, name):
         assert run_suite(name, 20, 1).ok
         assert dart_view_builds == {"_darts": [], "_darts_at": []}
+
+    def test_plateau_free_suite_constructs_no_dart(self, monkeypatch):
+        """The plateau-free rounds read the dart index, so no `Dart` is made at all."""
+        made, real = [], Dart.__new__
+
+        def constructing(cls, *args, **kwargs):
+            made.append(args)
+            return real(cls, *args, **kwargs)
+        monkeypatch.setattr(Dart, "__new__", staticmethod(constructing))
+        assert Dart("e", True).render() == "e" and made == [("e", True)]  # the spy sees one
+        made.clear()
+        assert run_suite("plateau-free-cover", 20, 1).ok
+        assert made == []
 
     def test_the_spy_sees_a_build(self, dart_view_builds):
         g = f3()

@@ -337,9 +337,9 @@ def test_connectivity_is_checked_once(operation, monkeypatch):
     walks = []
     real = LabelledGraph._component_walk
 
-    def counting(self, mask, roots):  # a walk of every dart from every vertex
+    def counting(self, mask, roots, stops=None):  # a walk of every dart from every vertex
         walks.append(self is g and all(mask) and roots == range(len(g.vertices)))
-        return real(self, mask, roots)
+        return real(self, mask, roots, stops)
 
     monkeypatch.setattr(LabelledGraph, "_component_walk", counting)
     with contextlib.suppress(InputError):  # generates then rejects the vertex zz

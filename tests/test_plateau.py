@@ -90,7 +90,7 @@ def check_round_table(g, p, inside, kept):
     rebuilt = LabelledGraph(g.vertices, tuple(
         rec._replace(label_origin=labels[rec.name][0], label_terminus=labels[rec.name][1])
         for rec in g.edges))
-    found = _plateaux(g, p, labels)
+    found = _plateaux(g, p, [label for rec in g.edges for label in labels[rec.name]])
     assert found == _plateaux(rebuilt, p)
     assert {(P.vertices, P.edges) for P in found} == plateau_oracle(rebuilt, p)
     return found
@@ -397,9 +397,9 @@ class TestPlateauFactsOncePerGraph:
         monkeypatch.setattr(LabelledGraph, "_index", index)
         walked, real_walk = [], LabelledGraph._component_walk
 
-        def walking(g, mask, roots):
+        def walking(g, mask, roots, stops=None):
             walked.append(g)
-            return real_walk(g, mask, roots)
+            return real_walk(g, mask, roots, stops)
         monkeypatch.setattr(LabelledGraph, "_component_walk", walking)
         assert run_suite("plateau-free-cover", count=15, base_seed=1).ok
         indexed = Counter(id(g) for key, g in built if key == "_index")

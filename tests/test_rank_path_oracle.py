@@ -1,22 +1,26 @@
 """Oracles for the rank path: the gcd step and the base prefix of factoring,
 and the bridge table that settles single-dart divisibility classes.
 
-The factoring reference is the trial-division loop that the gcd step replaced
-on large labels, with Miller-Rabin on all 13 bases, kept here.  The bridge
-flags are checked against networkx, and the single-dart shortcut against the
-walk it skips, on every single-dart mask of the `rank-query` corpus.
+The factoring references, kept here, are the trial-division loop that the gcd
+step replaced on large labels, with Miller-Rabin on all 13 bases, and the gcd
+step as it was before the primes of the gcd were found in one walk, with one
+`_least_divisor` call for each.  The bridge flags are checked against networkx,
+and the single-dart shortcut against the walk it skips, on every single-dart
+mask of the `rank-query` corpus.
 """
 
 import random
 import time
-from math import isqrt
+from functools import cache
+from math import gcd, isqrt, prod
 
 import pytest
 
 from gbs import GeneratorConfig, InputError, LabelledGraph, generate_graph
 from gbs.plateau import _walk
 from gbs.primes import (_MILLER_RABIN_BASES, _PSI, MILLER_RABIN_LIMIT, TRIAL_DIVISION_BOUND,
-                        _is_strong_probable_prime, _trial_divide, prime_factors)
+                        _is_strong_probable_prime, _least_divisor, _trial_divide,
+                        prime_factors)
 
 # -- the references -----------------------------------------------------------
 
@@ -67,6 +71,32 @@ def reference_prime_factors(n: int) -> list[int]:
     return out
 
 
+@cache
+def small_prime_product() -> int:
+    return prod(q for q in range(2, 1001) if all(q % r for r in range(2, isqrt(q) + 1)))
+
+
+def gcd_step_prime_factors(n: int) -> list[int]:
+    """The gcd step with a `_least_divisor` call for each prime of the gcd."""
+    label = n = abs(n)
+    out, d = [], 2
+    if n > TRIAL_DIVISION_BOUND:
+        small = gcd(n, small_prime_product())
+        while small > 1:
+            d = _least_divisor(small, d)
+            out.append(d)
+            small //= d
+            while n % d == 0:
+                n //= d
+        d = 1001
+    while n > 1:
+        d = _least_divisor(n, d, label)
+        out.append(d)
+        while n % d == 0:
+            n //= d
+    return out
+
+
 def outcome(factor, n):
     try:
         return factor(n)
@@ -95,13 +125,13 @@ class TestFactoringOracle:
         magnitudes = {abs(label) for g in rank_query_corpus() for label in g._index[0]}
         assert len(magnitudes) > 3000
         for n in sorted(magnitudes):
-            assert prime_factors(n) == reference_prime_factors(n), n
+            assert prime_factors(n) == gcd_step_prime_factors(n) == reference_prime_factors(n), n
 
     def test_seeded_labels_up_to_ten_to_the_twelve(self):
         rng = random.Random(34)
         for _ in range(20000):
             n = rng.randint(1, 10 ** 12)
-            assert prime_factors(n) == reference_prime_factors(n), n
+            assert prime_factors(n) == gcd_step_prime_factors(n) == reference_prime_factors(n), n
 
     @pytest.mark.parametrize("n", [
         10 ** 6, 10 ** 6 + 1, 999983 ** 2, 2 * 999983 * 1000003, 997 * 1009 * 10 ** 6,
@@ -113,7 +143,8 @@ class TestFactoringOracle:
     def test_edge_cases(self, n):
         """Labels about the bound and the proof step, pseudoprimes, and refusals,
         which name the same label and bound."""
-        assert outcome(prime_factors, n) == outcome(reference_prime_factors, n)
+        assert outcome(prime_factors, n) == outcome(gcd_step_prime_factors, n) \
+            == outcome(reference_prime_factors, n)
 
     def test_psi_table_is_a014233(self):
         assert _PSI == A014233 and MILLER_RABIN_LIMIT == A014233[-1]
