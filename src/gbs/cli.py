@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success or positive verdict, 1 negative verdict, 2 usage or
-parse error (including out-of-scope inputs), 3 internal invariant failure.
+parse error (including out-of-scope inputs, and running out of memory or
+recursion depth), 3 internal invariant failure.
 The environment variable GBS_SEED overrides any --seed option.
 """
 
@@ -307,6 +308,10 @@ def main(argv=None) -> int:
         return 3
     except (GbsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (MemoryError, RecursionError) as exc:  # a backstop: bounds should refuse first
+        need = "memory" if isinstance(exc, MemoryError) else "recursion depth"
+        print(f"error: the input needs more {need} than this process has", file=sys.stderr)
         return 2
 
 

@@ -14,7 +14,7 @@ import math
 import types
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, InternalError
@@ -183,7 +183,7 @@ def _check_admissible(m: AdmissibleMap) -> Verification:
     src_labels, src_heads, src_order, src_start = src._index
     tgt_labels, tgt_heads, tgt_order, tgt_start = tgt._index
     if (list(map(len, tables)) != [len(src.vertices), len(src_heads), len(src.vertices),
-                                   len(src.edges)]
+                                   len(src_heads) // 2]
             or not set(vertex_image).issubset(range(len(tgt.vertices)))
             or not set(dart_image).issubset(range(len(tgt_heads)))
             or dart_image[1::2] != tuple(d ^ 1 for d in dart_image[::2])
@@ -304,34 +304,37 @@ def is_topological_covering(m: AdmissibleMap) -> bool:
 
 # (multiplicity, sheet numbers) of a vertex
 _VertexSheets = tuple[int, Iterable[int | str]]
-# (label at origin, label at terminus, multiplicity, sheets) of an edge, where sheet j is the
-# triple (j, origin position, terminus position): its ends' places in their vertices' sheets
-_EdgeSheets = tuple[int, int, int, Iterable[tuple[int | str, int, int]]]
+# (label at origin, label at terminus, multiplicity, origin places, terminus places) of an
+# edge: its sheet j joins the sheets at places origins[j] and termini[j] of its two ends
+_EdgeSheets = tuple[int, int, int, Sequence[int], Iterable[int]]
 
 
 def _sheeted_cover(g: LabelledGraph, vertex_sheets: Iterable[_VertexSheets],
-                   edge_sheets: Iterable[_EdgeSheets]) -> AdmissibleMap:
-    """Assemble a cover of g from the sheets of its vertices and of its edges, each
-    in the declaration order of g, unchecked.
+                   edge_sheets: Iterable[_EdgeSheets],
+                   edge_numbers: Callable[[int], Iterable[int | str]]) -> AdmissibleMap:
+    """Assemble a cover of g, born as its dart index, from the sheets of its vertices
+    and of its edges, each in the declaration order of g, unchecked.
 
-    Sheet i of vertex v is named `v.i` and sheet j of edge e is named `e.j`;
-    every edge maps onto its base edge with the same orientation.
+    Sheet i of vertex v is named `v.i`.  The sheets of the edge e of index k are
+    named `e.j` for the numbers j of edge_numbers(k) in order, when the cover's edges
+    are first read.  Every edge maps onto its base edge with the same orientation.
     """
-    vertices, vertex_image, vertex_mult, names = [], [], [], []
+    vertices, vertex_image, vertex_mult, offsets = [], [], [], []
     for v_index, (v, (mult, sheets)) in enumerate(zip(g.vertices, vertex_sheets)):
-        names.append([f"{v}.{i}" for i in sheets])
-        vertices += names[-1]
-        vertex_image += [v_index] * len(names[-1])
-        vertex_mult += [mult] * len(names[-1])
-    records, dart_image, edge_mult, position = [], [], [], g.vertex_position
-    for e_index, (rec, (lo, lt, mult, sheets)) in enumerate(zip(g.edges, edge_sheets)):
-        origin, terminus = names[position[rec.origin]], names[position[rec.terminus]]
-        sheet_records = [EdgeRecord(f"{rec.name}.{j}", origin[i], terminus[k], lo, lt)
-                         for j, i, k in sheets]
-        records += sheet_records
-        dart_image += (2 * e_index, 2 * e_index + 1) * len(sheet_records)
-        edge_mult += [mult] * len(sheet_records)
-    source = LabelledGraph._trusted(tuple(vertices), tuple(records))
+        offsets.append(len(vertices))
+        vertices += [f"{v}.{i}" for i in sheets]
+        vertex_image += [v_index] * (len(vertices) - offsets[-1])
+        vertex_mult += [mult] * (len(vertices) - offsets[-1])
+    base_heads, labels, heads, dart_image, edge_mult = g._index[1], [], [], [], []
+    for e, (lo, lt, mult, origins, termini) in enumerate(edge_sheets):
+        o, t = offsets[base_heads[2 * e]], offsets[base_heads[2 * e + 1]]
+        heads += chain.from_iterable(zip(map(o.__add__, origins), map(t.__add__, termini)))
+        labels += (lo, lt) * len(origins)
+        dart_image += (2 * e, 2 * e + 1) * len(origins)
+        edge_mult += [mult] * len(origins)
+    source = LabelledGraph._trusted(tuple(vertices), lambda: (
+        f"{rec.name}.{j}" for k, rec in enumerate(g.edges) for j in edge_numbers(k)),
+        (tuple(labels), tuple(heads)))
     return AdmissibleMap._from_tables(source, g, vertex_image, dart_image, vertex_mult, edge_mult)
 
 
@@ -365,15 +368,17 @@ def branched_cover(g: LabelledGraph, plateau: Plateau) -> AdmissibleMap:
 
     def edge_sheets(rec: EdgeRecord) -> _EdgeSheets:
         if rec.name in plateau.edges:
-            return rec.label_origin, rec.label_terminus, p, ((0, 0, 0),)
+            return rec.label_origin, rec.label_terminus, p, (0,), (0,)
         o_in, t_in = rec.origin in inside, rec.terminus in inside
         return (rec.label_origin // p if o_in else rec.label_origin,
                 rec.label_terminus // p if t_in else rec.label_terminus,
-                1, ((i, 0 if o_in else i - 1, 0 if t_in else i - 1) for i in range(1, p + 1)))
+                1, (0,) * p if o_in else range(p), (0,) * p if t_in else range(p))
 
     vertex_sheets = [(p, (0,)) if v in inside else (1, range(1, p + 1)) for v in g.vertices]
-    return assert_admissible(_sheeted_cover(g, vertex_sheets, map(edge_sheets, g.edges)),
-                             "branched_cover")
+    return assert_admissible(_sheeted_cover(
+        g, vertex_sheets, map(edge_sheets, g.edges),
+        lambda i: (0,) if g.edges[i].name in plateau.edges else range(1, p + 1)),
+        "branched_cover")
 
 
 def voltage_cover(g: LabelledGraph, degree: int,
@@ -400,8 +405,8 @@ def voltage_cover(g: LabelledGraph, degree: int,
         perms[rec.name] = sigma
     sheets = range(1, degree + 1)
     cover = _sheeted_cover(g, [(1, sheets)] * len(g.vertices), (
-        (rec.label_origin, rec.label_terminus, 1,
-         ((i, i - 1, perms[rec.name][i - 1]) for i in sheets)) for rec in g.edges))
+        (rec.label_origin, rec.label_terminus, 1, range(degree), perms[rec.name])
+        for rec in g.edges), lambda i: sheets)
     return assert_admissible(cover, "voltage_cover")
 
 
@@ -565,9 +570,9 @@ def _prime_power_cover(g: LabelledGraph, primes: Iterable[int],
 
     return _sheeted_cover(g, zip(vertex_mult, map(sheets, vertex_counts)), (
         (labels[2 * i], labels[2 * i + 1], edge_mult[i],
-         zip(sheets(counts), positions(counts, vertex_counts[heads[2 * i]]),
-             positions(counts, vertex_counts[heads[2 * i + 1]])))
-        for i, counts in enumerate(edge_counts)))
+         positions(counts, vertex_counts[heads[2 * i]]),
+         positions(counts, vertex_counts[heads[2 * i + 1]]))
+        for i, counts in enumerate(edge_counts)), lambda i: sheets(edge_counts[i]))
 
 
 def plateau_free_cover(g: LabelledGraph,

@@ -4,7 +4,9 @@ A labelled graph is a finite multigraph (loops and parallel edges allowed)
 in which every oriented edge carries a nonzero integer label near its
 origin.  A non-oriented edge is stored once as an :class:`EdgeRecord`; its
 two orientations are addressed through :class:`Dart` handles, so the two
-labels of an edge live independently at its two ends.
+labels of an edge live independently at its two ends.  A construction may
+give a graph its integer dart index instead; its records are then built on
+first read.
 
 Everything here is immutable: transformations (`reduce`, sign changes,
 `normalize_signs`) return graphs and never modify their input, and all
@@ -17,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, cycle
+from itertools import accumulate, chain, count, cycle
 from math import gcd, prod
 from operator import itemgetter
 from typing import Any, Callable, Container, Iterable, Iterator, NamedTuple
@@ -143,7 +145,8 @@ class LabelledGraph:
 
     vertices: tuple[str, ...]
     edges: tuple[EdgeRecord, ...]
-    # the record by edge name: kept by the checking pass, built on first use when trusted
+    # the checking pass's tables (index by vertex, record by edge name), else built on first use
+    vertex_position = cached_property(lambda self: dict(zip(self.vertices, count())))
     _edge_by_name = cached_property(lambda self: {rec.name: rec for rec in self.edges})
 
     def __post_init__(self):
@@ -178,12 +181,28 @@ class LabelledGraph:
         return cls(tuple(vertices), tuple(EdgeRecord(*e) for e in edges))
 
     @classmethod
-    def _trusted(cls, vertices: tuple[str, ...], edges: tuple[EdgeRecord, ...]) -> "LabelledGraph":
-        """A graph valid by construction, unchecked, with the checking pass's vertex table."""
+    def _trusted(cls, vertices: tuple[str, ...],
+                 edges: tuple[EdgeRecord, ...] | Callable[[], Iterable[str]],
+                 index: tuple[tuple[int, ...], tuple[int, ...]] | None = None) -> LabelledGraph:
+        """A graph valid by construction, unchecked.  `edges` is its records or, for a
+        graph born as its dart `index` (labels, heads), a rule that names its edges in
+        order, from which the records are built when first read."""
         g = object.__new__(cls)
-        g.__dict__.update(vertices=vertices, edges=edges,
-                          vertex_position=dict(zip(vertices, range(len(vertices)))))
+        g.__dict__.update({"vertices": vertices, "edges": edges} if index is None else
+                          {"vertices": vertices, "_born": index, "_edge_names": edges})
         return g
+
+    def __getattr__(self, name: str):  # only reached for an attribute missing from the graph
+        if name != "edges" or "_born" not in self.__dict__:
+            raise AttributeError(name)
+        labels, heads = self._born  # the records of a graph born as its index, named by its rule
+        ends = list(map(self.vertices.__getitem__, heads))
+        edges = self.__dict__["edges"] = tuple(map(
+            EdgeRecord, self._edge_names(), ends[::2], ends[1::2], labels[::2], labels[1::2]))
+        return edges
+
+    def __reduce__(self):  # pickled and copied as its records: a naming rule is code
+        return LabelledGraph._trusted, (self.vertices, self.edges)
 
     # -- indexed access -------------------------------------------------
 
@@ -192,10 +211,12 @@ class LabelledGraph:
         """Dart 2i is edge i at its origin and 2i+1 at its terminus, so d ^ 1 reverses d.
         (labels, heads, order, start): the label and vertex index of each dart, and the
         darts at vertex v in declaration order, order[start[v]:start[v + 1]].  Built once
-        per graph, as tuples of ints, which the cyclic garbage collector stops tracking."""
-        labels = tuple(chain.from_iterable(map(itemgetter(3, 4), self.edges)))
-        heads = tuple(map(self.vertex_position.__getitem__,
-                          chain.from_iterable(map(itemgetter(1, 2), self.edges))))
+        per graph, as tuples of ints, which the cyclic garbage collector stops tracking;
+        a graph born as its index was given its labels and heads."""
+        labels, heads = self.__dict__.get("_born") or (
+            tuple(chain.from_iterable(map(itemgetter(3, 4), self.edges))),
+            tuple(map(self.vertex_position.__getitem__,
+                      chain.from_iterable(map(itemgetter(1, 2), self.edges)))))
         order = tuple(sorted(range(len(heads)), key=heads.__getitem__))  # a stable sort
         counts = Counter(heads)
         return labels, heads, order, tuple(accumulate(
@@ -313,21 +334,21 @@ class LabelledGraph:
                    frozenset(self.edges[i].name for i in self._kept_edges(comp, mask)))
 
     @cached_property
-    def _components(self) -> tuple[tuple[str, ...], ...]:
-        return tuple(tuple(self.vertices[v] for v in comp)
-                     for comp in self._component_walk(b"\1" * (2 * len(self.edges)),
-                                                      range(len(self.vertices))))
+    def _components(self) -> tuple[tuple[int, ...], ...]:
+        """The vertex indices of each connected component, in discovery order."""
+        return tuple(map(tuple, self._component_walk(b"\1" * len(self._index[1]),
+                                                     range(len(self.vertices)))))
 
     def components(self) -> tuple[tuple[str, ...], ...]:
         """Vertex sets of the connected components, each in discovery order (walked once)."""
-        return self._components
+        return tuple(tuple(map(self.vertices.__getitem__, comp)) for comp in self._components)
 
     def is_connected(self) -> bool:
-        return len(self.components()) == 1
+        return len(self._components) == 1
 
     def betti(self) -> int:
         """First Betti number |E| - |V| + number of components."""
-        return len(self.edges) - len(self.vertices) + len(self.components())
+        return len(self._index[1]) // 2 - len(self.vertices) + len(self._components)
 
     @cached_property
     def _bridges(self) -> bytes:
@@ -346,7 +367,7 @@ class LabelledGraph:
                         pre[w], into[w] = len(walk), e
                         walk.append(w)
                         stack += order[start[w]:start[w + 1]]
-        low, bridges = pre[:], bytearray(len(self.edges))
+        low, bridges = pre[:], bytearray(len(heads) // 2)
         for v in reversed(walk):  # each child of v has passed its low point up
             for e in order[start[v]:start[v + 1]]:
                 if pre[heads[e ^ 1]] < low[v] and e ^ 1 != into[v]:
@@ -531,3 +552,4 @@ class LabelledGraph:
                 edges.append(EdgeRecord(rec.name, self.vertices[o], self.vertices[t], lo, lt))
         return LabelledGraph._trusted(
             tuple(v for i, v in enumerate(self.vertices) if into[i] == i), tuple(edges))
+

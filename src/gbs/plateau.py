@@ -69,7 +69,7 @@ def _walk(g: LabelledGraph, divisible: bytes) -> list[tuple[frozenset[str], froz
     root then, or else only at the far end, which makes that end a frontier vertex."""
     heads = g._index[1]
     kept, frontier = bytearray(b"\1" * len(divisible)), bytearray(len(g.vertices))
-    roots = {g.vertex_position[comp[0]] for comp in g.components()}
+    roots = {comp[0] for comp in g._components}
     for d in compress(range(len(divisible)), divisible):
         kept[d] = kept[d ^ 1] = 0
         roots.add(heads[d])
@@ -78,7 +78,7 @@ def _walk(g: LabelledGraph, divisible: bytes) -> list[tuple[frozenset[str], froz
     out = {}  # by least vertex index
     for comp in g._component_walk(kept, roots, frontier):
         edges = g._kept_edges(comp, kept)
-        if len(comp) < len(g.vertices) or len(edges) < len(g.edges):  # not the whole graph
+        if len(comp) < len(g.vertices) or len(edges) < len(heads) // 2:  # not the whole graph
             out[min(comp)] = (frozenset(g.vertices[v] for v in comp),
                               frozenset(g.edges[i].name for i in edges))
     return [out[least] for least in sorted(out)]
@@ -123,7 +123,7 @@ def all_plateaux(g: LabelledGraph) -> PlateauCollection:
     g._require_connected()
 
     def compute(g: LabelledGraph) -> PlateauCollection:
-        masks = {p: bytearray(2 * len(g.edges)) for p in label_primes(g)}  # factors the labels
+        masks = {p: bytearray(len(g._index[1])) for p in label_primes(g)}  # factors the labels
         factors, labels = _factors(g), g._index[0]
         for d, label in enumerate(labels):
             for p in factors[abs(label)]:
@@ -224,6 +224,8 @@ def minimum_hitting_set(order: tuple[str, ...],
 def minimum_generating_vertices(g: LabelledGraph) -> frozenset[str]:
     """A smallest vertex set meeting every plateau (deterministic witness)."""
     sets = [P.vertices for P in all_plateaux(g).proper_plateaux]
+    if not sets:  # the whole graph is the only plateau: the search would pick vertex 0
+        return frozenset(g.vertices[:1])
     sets.append(frozenset(g.vertices))  # the whole graph is a plateau
     return minimum_hitting_set(g.vertices, sets)
 

@@ -7,7 +7,9 @@ a bug in this package, never bad luck with the seed.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .analysis import check_inequalities
 from .covering import (AdmissibleMap, covering_characterizations, plateau_free_cover,
@@ -50,70 +52,50 @@ class SuiteReport:
         return f"{body}\n{summary}" if body else summary
 
 
-class _Collector:
-    def __init__(self, name: str):
-        self.name = name
-        self.lines: list[str] = []
-        self.failures = 0
-        self.instances = 0
-
-    def record(self, tag: str, prop: str, passed: bool) -> None:
-        self.lines.append(f"suite={self.name} instance={tag} property={prop} "
-                          f"pass={str(passed).lower()}")
-        if not passed:
-            self.failures += 1
-
-    def report(self) -> SuiteReport:
-        return SuiteReport(self.name, self.instances, self.failures,
-                           tuple(self.lines))
+def _report(name: str, results: Iterable[tuple[str, dict[str, bool]]]) -> SuiteReport:
+    """One line per property of each instance, in order, from each instance's tag
+    and its properties by name."""
+    results = list(results)
+    return SuiteReport(name, len(results), sum(
+        not passed for _, props in results for passed in props.values()), tuple(
+        f"suite={name} instance={tag} property={prop} pass={str(passed).lower()}"
+        for tag, props in results for prop, passed in props.items()))
 
 
-def _rank_monotonicity(out: _Collector, tag: str, m: AdmissibleMap) -> None:
-    out.record(tag, "admissible", bool(verify_admissible(m)))
-    src, tgt = m.source, m.target
-    out.record(tag, "rank-monotonicity", rank(src) >= rank(tgt))
-    out.record(tag, "betti-monotonicity", src.betti() >= tgt.betti())
-    lhs = 2 * tgt.betti() + len(tgt.terminal_vertices())
-    rhs = 2 * src.betti() + len(src.terminal_vertices())
-    out.record(tag, "betti-terminal-half", lhs <= rhs)
-    total = m.total_multiplicity()
-    conserved = all(sum(m.edge_multiplicity[name] for name in m.edge_preimages[rec.name]) == total
-                    for rec in tgt.edges)
-    out.record(tag, "edge-multiplicity-conservation", conserved)
+def _generated_maps(count: int, base_seed: int) -> Iterator[tuple[str, AdmissibleMap]]:
+    for seed in range(base_seed, base_seed + count):
+        yield str(seed), generate_admissible_map(_map_config(seed))
+
+
+def _rank_monotonicity(m: AdmissibleMap) -> dict[str, bool]:
+    src, tgt, total = m.source, m.target, m.total_multiplicity()
+    return {
+        "admissible": bool(verify_admissible(m)),
+        "rank-monotonicity": rank(src) >= rank(tgt),
+        "betti-monotonicity": src.betti() >= tgt.betti(),
+        "betti-terminal-half": 2 * tgt.betti() + len(tgt.terminal_vertices())
+        <= 2 * src.betti() + len(src.terminal_vertices()),
+        "edge-multiplicity-conservation": all(
+            sum(m.edge_multiplicity[name] for name in m.edge_preimages[rec.name]) == total
+            for rec in tgt.edges),
+    }
 
 
 def suite_rank_monotonicity(count: int, base_seed: int) -> SuiteReport:
-    out = _Collector("rank-monotonicity")
-    for i in range(count):
-        seed = base_seed + i
-        m = generate_admissible_map(_map_config(seed))
-        out.instances += 1
-        _rank_monotonicity(out, str(seed), m)
-    return out.report()
+    return _report("rank-monotonicity", ((tag, _rank_monotonicity(m))
+                                         for tag, m in _generated_maps(count, base_seed)))
 
 
 def suite_covering_equivalence(count: int, base_seed: int) -> SuiteReport:
-    out = _Collector("covering-equivalence")
-    for i in range(count):
-        seed = base_seed + i
-        m = generate_admissible_map(_map_config(seed))
-        out.instances += 1
-        chars = covering_characterizations(m)
-        out.record(str(seed), "characterizations-agree", len(set(chars.values())) == 1)
-    return out.report()
+    return _report("covering-equivalence", (
+        (tag, {"characterizations-agree": len(set(covering_characterizations(m).values())) == 1})
+        for tag, m in _generated_maps(count, base_seed)))
 
 
 def suite_audit(count: int, base_seed: int) -> SuiteReport:
-    out = _Collector("audit")
-    for tag, m in exceptional_fixture_maps():
-        out.instances += 1
-        out.record(tag, "inequalities", check_inequalities(m).ok)
-    for i in range(count):
-        seed = base_seed + i
-        m = generate_admissible_map(_map_config(seed))
-        out.instances += 1
-        out.record(str(seed), "inequalities", check_inequalities(m).ok)
-    return out.report()
+    return _report("audit", (
+        (tag, {"inequalities": check_inequalities(m).ok}) for tag, m in
+        itertools.chain(exceptional_fixture_maps(), _generated_maps(count, base_seed))))
 
 
 _COVER_SIZE_LIMIT = 1500
@@ -123,25 +105,20 @@ def suite_plateau_free(count: int, base_seed: int) -> SuiteReport:
     """Random graphs with labels up to 60, skipping candidates whose cover
     would exceed the desk-scale vertex limit (many distinct label primes
     multiply the cover size beyond reach; correctness is unaffected)."""
-    out = _Collector("plateau-free-cover")
-    seed = base_seed - 1
-    while out.instances < count:
-        seed += 1
-        cfg = GeneratorConfig(seed=seed, max_vertices=5, max_edges=7,
-                              max_label_magnitude=60)
-        g = generate_graph(cfg)
-        try:
-            m = plateau_free_cover(g, size_limit=_COVER_SIZE_LIMIT)
-        except InputError:
-            continue
-        out.instances += 1
-        tag = str(seed)
-        out.record(tag, "admissible", bool(verify_admissible(m)))
-        out.record(tag, "connected-source", m.source.is_connected())
-        out.record(tag, "plateau-free-source", not has_proper_plateau(m.source))
-        out.record(tag, "mu-monotonicity", m.source.betti() + mu(m.source)
-                   >= g.betti() + mu(g))
-    return out.report()
+    def instances() -> Iterator[tuple[str, dict[str, bool]]]:
+        for seed in itertools.count(base_seed):
+            g = generate_graph(GeneratorConfig(seed=seed, max_vertices=5, max_edges=7,
+                                               max_label_magnitude=60))
+            try:
+                m = plateau_free_cover(g, size_limit=_COVER_SIZE_LIMIT)
+            except InputError:
+                continue
+            yield str(seed), {
+                "admissible": bool(verify_admissible(m)),
+                "connected-source": m.source.is_connected(),
+                "plateau-free-source": not has_proper_plateau(m.source),
+                "mu-monotonicity": m.source.betti() + mu(m.source) >= g.betti() + mu(g)}
+    return _report("plateau-free-cover", itertools.islice(instances(), count))
 
 
 SUITES = {
@@ -173,19 +150,12 @@ def _segment_target() -> LabelledGraph:
 def accordion_fixture(size: int) -> AdmissibleMap:
     """Circle wrapped 2*size times over a segment labelled (2, 2)."""
     target = _segment_target()
-    vertices = []
+    vertices = [v for i in range(1, size + 1) for v in (f"x{i}", f"y{i}")]
+    records, emap = [], {}
     for i in range(1, size + 1):
-        vertices += [f"x{i}", f"y{i}"]
-    records = []
-    emap = {}
-    for i in range(1, size + 1):
-        up = f"a{i}"
-        down = f"b{i}"
-        nxt = f"x{i % size + 1}"
-        records.append((up, f"x{i}", f"y{i}", 1, 1))
-        records.append((down, f"y{i}", nxt, 1, 1))
-        emap[up] = ("s", True)
-        emap[down] = ("s", False)  # descending strand runs against the segment
+        records += [(f"a{i}", f"x{i}", f"y{i}", 1, 1),
+                    (f"b{i}", f"y{i}", f"x{i % size + 1}", 1, 1)]
+        emap.update({f"a{i}": ("s", True), f"b{i}": ("s", False)})  # b descends against s
     source = LabelledGraph.build(vertices, records)
     vmap = {v: ("u" if v.startswith("x") else "w") for v in vertices}
     return AdmissibleMap(source, target, vmap, emap, {v: 2 for v in vertices},
@@ -198,13 +168,8 @@ def star_branched_fixture() -> AdmissibleMap:
         ["c", "l1", "l2", "l3"],
         [(f"t{i}", "c", f"l{i}", 3, 2) for i in (1, 2, 3)])
     vertices = ["c1", "c2", "x1", "x2", "x3"]
-    records = []
-    emap = {}
-    for i in (1, 2, 3):
-        for j in (1, 2):
-            name = f"b{i}_{j}"
-            records.append((name, f"c{j}", f"x{i}", 3, 1))
-            emap[name] = (f"t{i}", True)
+    records = [(f"b{i}_{j}", f"c{j}", f"x{i}", 3, 1) for i in (1, 2, 3) for j in (1, 2)]
+    emap = {name: (f"t{name[1]}", True) for name, *_ in records}
     source = LabelledGraph.build(vertices, records)
     vmap = {"c1": "c", "c2": "c", "x1": "l1", "x2": "l2", "x3": "l3"}
     return AdmissibleMap(source, target, vmap, emap,

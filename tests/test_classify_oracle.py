@@ -52,14 +52,18 @@ def double_cover_branched_over(g: LabelledGraph, plateaux):
 
     def edge_sheets(rec):
         if rec.name in inside_edges:
-            return rec.label_origin, rec.label_terminus, 2, ((0, 0, 0),)
+            return rec.label_origin, rec.label_terminus, 2, (0,), (0,)
         o_in, t_in = rec.origin in inside, rec.terminus in inside
         return (rec.label_origin // 2 if o_in else rec.label_origin,
                 rec.label_terminus // 2 if t_in else rec.label_terminus,
-                1, ((i, 0 if o_in else i - 1, 0 if t_in else i - 1) for i in (1, 2)))
+                1, (0, 0) if o_in else (0, 1), (0, 0) if t_in else (0, 1))
+
+    def edge_numbers(i):
+        return (0,) if g.edges[i].name in inside_edges else (1, 2)
 
     return assert_admissible(_sheeted_cover(g, map(vertex_sheets, g.vertices),
-                                            map(edge_sheets, g.edges)), "test cover")
+                                            map(edge_sheets, g.edges), edge_numbers),
+                             "test cover")
 
 
 def hub_map(seed: int):

@@ -134,6 +134,24 @@ class TestBasicCommands:
         assert main(["rank", write_graph(tmp_path, "f3.gbs", f3())]) == 3
         assert capsys.readouterr().err == "internal error: planted\n"
 
+    @pytest.mark.parametrize("error, need", [(MemoryError, "memory"),
+                                             (RecursionError, "recursion depth")])
+    @pytest.mark.parametrize("command", ["rank", "suite"])
+    def test_running_out_is_exit_two_without_a_traceback(self, tmp_path, capsys, monkeypatch,
+                                                         error, need, command):
+        """A backstop: an input that escapes every bound and exhausts memory or the
+        recursion depth is refused with exit 2, not answered with exit 1."""
+        def exhausted(*args, **kwargs):
+            raise error("planted")
+
+        argv = {"rank": ["rank", write_graph(tmp_path, "f3.gbs", f3())],
+                "suite": ["suite", "plateau-free-cover", "--count", "1"]}[command]
+        monkeypatch.setattr(cli, {"rank": "mu", "suite": "run_suite"}[command], exhausted)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err == f"error: the input needs more {need} than this process has\n"
+
 
 class TestCoverCommands:
     def test_verify(self, f4_files, capsys):

@@ -19,7 +19,7 @@ from gbs import (AdmissibleMap, GeneratorConfig, InputError, InternalError, Labe
                  totally_unfolded, verify_admissible, voltage_cover)
 from gbs import covering, generate, graph, suites
 from gbs.covering import COVER_VERTEX_LIMIT, _prime_power_cover
-from gbs.graph import Dart
+from gbs.graph import Dart, EdgeRecord
 from strategies import connected_graphs
 
 
@@ -641,6 +641,49 @@ class TestNoDartViews:
         g.darts_at("v_a")
         g.darts()
         assert dart_view_builds == {"_darts": [g], "_darts_at": [g]}
+
+
+class TestCoversBornAsTheirIndex:
+    """A cover is born as its dart index and builds its edge records only when they
+    are first read, so the plateau-free paths build no `EdgeRecord` for a cover:
+    before covers were born so, `run_suite("plateau-free-cover", 20, 1)` built
+    7,582 and one pass of the benchmark's corpus 39,366."""
+
+    @pytest.fixture
+    def records(self, monkeypatch):
+        made, real = [], EdgeRecord.__new__
+
+        def constructing(cls, *args, **kwargs):
+            made.append(real(cls, *args, **kwargs))
+            return made[-1]
+        monkeypatch.setattr(EdgeRecord, "__new__", staticmethod(constructing))
+        return made
+
+    def test_plateau_free_suite_builds_records_for_its_inputs_only(self, records, monkeypatch):
+        inputs, real = [], suites.generate_graph
+
+        def generating(cfg):
+            g = real(cfg)
+            inputs.extend(g.edges)
+            return g
+        monkeypatch.setattr(suites, "generate_graph", generating)
+        assert run_suite("plateau-free-cover", 20, 1).ok
+        assert len(inputs) > 20 and list(map(id, records)) == list(map(id, inputs))
+
+    def test_one_pass_of_the_benchmark_corpus_builds_none(self, records):
+        from test_benchmark_api import perfbench_workloads
+        workload = perfbench_workloads().WORKLOADS["plateau-free-cover"]
+        items = workload.build()
+        records.clear()
+        sizes = [workload.op(item.payload).counts.get("cover_source_vertices")
+                 for item in items]
+        assert len(items) == 124 and sum(map(bool, sizes)) == 100
+        assert records == []
+
+    def test_the_spy_sees_the_records_read(self, records):
+        cover = plateau_free_cover(THREE_PRIMES)
+        assert records == []
+        assert list(cover.source.edges) == records and len(records) > 10
 
 
 class TestCheckCount:

@@ -3,9 +3,12 @@ setup parts read off run.py's output, the WORSE and UNRESOLVED marks, and the
 imports mode's report, source line count and pair order.
 
 All are pure functions of the runs' output or of a small tree written here,
-so no tree is exported and no process is started here.
+so no tree is exported and no process is started here, except by the record
+case: `record` runs the passes and the suites of the working tree, which takes
+about a second, and the tier-1 run inside it is replaced, as tier-1 is running.
 """
 
+import argparse
 import importlib.util
 from pathlib import Path
 
@@ -116,3 +119,34 @@ def test_imports_mode_and_workload_mode_check_their_arguments(pairs, capsys, arg
     with pytest.raises(SystemExit) as exit:
         pairs.main(argv)
     assert exit.value.code == 2 and message in capsys.readouterr().err
+
+
+def test_two_records_give_the_same_digests_and_keys(pairs, monkeypatch):
+    monkeypatch.setattr(pairs, "tier1", lambda: {"wall_s": 0.0, "exit": 0, "summary": "not run"})
+    first, second = (pairs.record(argparse.Namespace(passes=1, seed=1)) for _ in range(2))
+
+    def keys(value, path=()):
+        if not isinstance(value, dict):
+            return {path}
+        return {path} | {k for key, item in value.items() for k in keys(item, path + (key,))}
+
+    def digests(record):
+        return ({name: run["answers_sha256"] for name, run in record["workloads"].items()},
+                {name: run["report_sha256"] for name, run in record["suites"].items()})
+
+    assert keys(first) == keys(second)
+    assert digests(first) == digests(second)
+    assert sorted(first["workloads"]) == ["map-suites", "plateau-free-cover", "rank-query",
+                                          "witness"]
+    assert {name: run["count"] for name, run in first["suites"].items()} == {
+        "plateau-free-cover": 10, "rank-monotonicity": 20, "audit": 20,
+        "covering-equivalence": 20}
+    assert all(run["golden"] for run in first["suites"].values())
+    assert first["lines"] == {"src/gbs": pairs.source_lines(pairs.ROOT),
+                              "perfbench": pairs.source_lines(pairs.ROOT, "perfbench")}
+
+
+def test_record_checks_its_arguments(pairs, capsys):
+    with pytest.raises(SystemExit) as exit:
+        pairs.main(["--record", "0"])
+    assert exit.value.code == 2 and "--record must be at least 1" in capsys.readouterr().err

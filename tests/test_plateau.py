@@ -688,3 +688,52 @@ class TestGenerates:
         assert minimum_generating_vertices(f1(7)) == frozenset({"v_a", "v_c"})
         assert minimum_generating_vertices(f3()) == frozenset({"v_a", "v_b"})
         assert minimum_generating_vertices(bs(2, 3)) == frozenset({"v"})
+
+
+class TestMuWithoutPlateaux:
+    """With no proper plateau the whole graph is the only plateau, and the witness is
+    read off without a search: the first vertex, which the search itself returns
+    (every count is 1, the greedy picks position 0, and the lower bound 1 is met)."""
+
+    @staticmethod
+    def searched(g):
+        return minimum_hitting_set(g.vertices, [frozenset(g.vertices)])
+
+    def assert_shortcut(self, g, monkeypatch):
+        assert not has_proper_plateau(g)
+        witness = self.searched(g)
+        monkeypatch.setattr(plateau, "minimum_hitting_set", None)  # not called
+        assert minimum_generating_vertices(g) == witness == frozenset(g.vertices[:1])
+        assert mu(g) == 1
+        monkeypatch.undo()
+
+    def test_corpus_covers(self, monkeypatch):
+        from test_benchmark_api import perfbench_workloads
+        covers = 0
+        for item in perfbench_workloads().WORKLOADS["plateau-free-cover"].build():
+            try:
+                m = plateau_free_cover(item.payload[1], size_limit=1500)
+            except InputError:
+                continue
+            self.assert_shortcut(m.source, monkeypatch)
+            covers += m.source is not m.target
+        assert covers == 71
+
+    def test_one_vertex_graphs(self, monkeypatch):
+        for g in [LabelledGraph.build(["v"], []), bs(2, 3), bs(1, 1), bs(-5, 7),
+                  LabelledGraph.build(["v"], [("a", "v", "v", 2, 3), ("b", "v", "v", 5, 7)])]:
+            self.assert_shortcut(g, monkeypatch)
+
+    def test_generated_plateau_free_graphs(self, monkeypatch):
+        found = 0
+        for seed in range(1, 1200):
+            g = generate_graph(GeneratorConfig(seed=seed, max_vertices=5, max_edges=7,
+                                               max_label_magnitude=60))
+            if not has_proper_plateau(g):
+                self.assert_shortcut(g, monkeypatch)
+                found += 1
+        assert found >= 300
+
+    def test_a_graph_with_a_plateau_still_searches(self):
+        assert not has_proper_plateau(bs(2, 3)) and has_proper_plateau(f3())
+        assert minimum_generating_vertices(f3()) == frozenset({"v_a", "v_b"})

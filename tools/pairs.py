@@ -4,6 +4,7 @@
         --seconds 12 --pairs 10 [--base REV]
     python3 tools/pairs.py --workload map-suites --seed 1 --passes 5 --pairs 10 [--base REV]
     python3 tools/pairs.py --imports 20 [--base REV]
+    python3 tools/pairs.py --record N [--passes 5] [--seed 1]
 
 Run from anywhere inside a checkout.  The base is the commit REV (HEAD by
 default), exported with `git archive` into a temporary directory; the change
@@ -39,20 +40,34 @@ the modules it needs already loaded, as in run.py's setup), writing and
 reading no bytecode.  It prints each side's median and quartiles, the
 ratio of the medians, the pairs the change won and each side's line count of
 `src/gbs`, the source that such an import compiles.
+
+With `--record N` it compares nothing: it writes `BENCH_<N>.json` at the root
+of the working tree, one point of the trajectory that `ls BENCH_*.json` lists.
+The file holds, for each workload of `BENCHMARK.json`, the least CPU seconds
+of K passes (`--passes`, 5 by default) and a digest of the ops' answers, from
+the passes mode's process; the CPU seconds and report digest of each `gbs
+suite` run at the count and seed that `tests/test_golden.py` pins, and whether
+the digest is the pinned one; the wall seconds and summary of one tier-1 run;
+the line counts of `src/gbs` and `perfbench/`; and the Python version,
+machine type and CPU count the numbers were taken on.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
+import hashlib
 import io
 import json
 import os
+import platform
 import re
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -142,10 +157,76 @@ def run_import(tree: Path) -> float:
     return float(output([sys.executable, "-c", IMPORT], tree, "import gbs")[-1])
 
 
-def source_lines(tree: Path) -> int:
-    """Lines of the Python files of `src/gbs` in `tree`."""
-    return sum(len(path.read_text().splitlines())
-               for path in (tree / "src" / "gbs").glob("*.py"))
+def source_lines(tree: Path, directory: str = "src/gbs") -> int:
+    """Lines of the Python files of `directory` (`src/gbs` by default) in `tree`."""
+    return sum(len(path.read_text().splitlines()) for path in (tree / directory).glob("*.py"))
+
+
+# the record's process of suite runs: argv is a JSON object of counts by suite name;
+# prints one JSON object of the CPU seconds of each `run_suite` at seed 1 and the
+# sha256 of its report as `gbs suite` prints it
+SUITE_RUNS = """
+import hashlib, json, sys
+from time import process_time
+sys.path[:0] = ["src"]
+from gbs import run_suite
+out = {}
+for name, count in json.loads(sys.argv[1]).items():
+    start = process_time()
+    report = run_suite(name, count, 1).render() + "\\n"
+    out[name] = {"count": count, "seed": 1, "cpu_s": process_time() - start,
+                 "report_sha256": hashlib.sha256(report.encode()).hexdigest()}
+print(json.dumps(out))
+"""
+
+
+def golden_suites() -> dict[str, tuple[int, str]]:
+    """The count and seed-1 report digest of each suite, as `SUITE_DIGESTS` in
+    `tests/test_golden.py` pins them."""
+    module = ast.parse((ROOT / "tests" / "test_golden.py").read_text())
+    return next(ast.literal_eval(node.value) for node in module.body
+                if isinstance(node, ast.Assign) and any(
+                    getattr(target, "id", None) == "SUITE_DIGESTS" for target in node.targets))
+
+
+def tier1() -> dict:
+    """The wall seconds and summary of one tier-1 run of the working tree, written
+    without bytecode, as ROADMAP.md gives the command."""
+    path = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "--continue-on-collection-errors"], cwd=ROOT, env=env,
+                          capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    last = (done.stdout.strip().splitlines() or [""])[-1]
+    return {"wall_s": round(wall, 2), "exit": done.returncode,
+            "summary": re.sub(r" in [\d.]+s.*", "", last.strip("= "))}
+
+
+def record(args) -> dict:
+    """The trajectory record of the working tree: see `--record`."""
+    workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    passes = {workload: run_passes(ROOT, workload, args) for workload in workloads}
+    golden = golden_suites()
+    suites = last_json([sys.executable, "-c", SUITE_RUNS,
+                        json.dumps({name: count for name, (count, _) in golden.items()})],
+                       ROOT, "the suite runs")
+    return {
+        "machine": {"python": platform.python_version(), "machine": platform.machine(),
+                    "cpus": os.cpu_count()},
+        "passes": {"count": args.passes, "seed": args.seed},
+        "workloads": {workload: {
+            "least_pass_cpu_s": float(f"{min(run['seconds']):.4g}"),
+            "answers_sha256": hashlib.sha256(json.dumps(
+                run["answers"], sort_keys=True).encode()).hexdigest()[:16]}
+            for workload, run in passes.items()},
+        "suites": {name: {**run, "cpu_s": float(f"{run['cpu_s']:.4g}"),
+                          "golden": run["report_sha256"] == golden[name][1]}
+                   for name, run in suites.items()},
+        "tier1": tier1(),
+        "lines": {"src/gbs": source_lines(ROOT), "perfbench": source_lines(ROOT, "perfbench")},
+    }
 
 
 def imports_report(seconds: dict[str, list[float]], lines: dict[str, int], base: str) -> None:
@@ -285,7 +366,19 @@ def main(argv=None) -> int:
                         help="time K in-process corpus passes per side instead of run.py")
     parser.add_argument("--imports", type=int, default=None,
                         help="time N fresh `import gbs` processes per side instead")
+    parser.add_argument("--record", type=int, default=None,
+                        help="write BENCH_<N>.json for the working tree instead")
     args = parser.parse_args(argv)
+    if args.record is not None:
+        if args.record < 1:
+            parser.error("--record must be at least 1")
+        args.passes, args.seed = args.passes or 5, 1 if args.seed is None else args.seed
+        if args.passes < 1:
+            parser.error("--passes must be at least 1")
+        path = ROOT / f"BENCH_{args.record}.json"
+        path.write_text(json.dumps(record(args), indent=2, sort_keys=True) + "\n")
+        print(f"wrote {path}")
+        return 0
     if args.imports is not None:
         if args.imports < 2:
             parser.error("--imports must be at least 2")
