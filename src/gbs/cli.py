@@ -25,7 +25,7 @@ from .graph import LabelledGraph
 from .plateau import (all_plateaux, generates, minimum_generating_vertices, mu,
                       plateaux_for_prime, rank)
 from .suites import run_suite
-from .torus import _mapping_torus_graph, _subdivide_inverted_edges, verify_automorphism
+from .torus import mapping_torus_graph, subdivide_inverted_edges, verify_automorphism
 
 
 def _plateau_line(g: LabelledGraph, plateau) -> str:
@@ -217,7 +217,7 @@ def cmd_cover_audit(args) -> int:
 def cmd_mapping_torus(args) -> int:
     automorphism = io.load_automorphism(args.file)
     order = verify_automorphism(automorphism)
-    quotient = _mapping_torus_graph(_subdivide_inverted_edges(automorphism))
+    quotient = mapping_torus_graph(subdivide_inverted_edges(automorphism))
     print(f"order={order}")
     print(io.emit_graph(quotient), end="")
     if not args.graph_only:

@@ -18,7 +18,7 @@ from itertools import chain, product
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, InternalError
-from .graph import Dart, EdgeRecord, LabelledGraph
+from .graph import EdgeRecord, LabelledGraph
 from .plateau import Plateau, _plateaux, check_plateau, has_proper_plateau, label_primes
 from .primes import smallest_prime_factor, valuation
 
@@ -76,10 +76,6 @@ class AdmissibleMap:
         if isinstance(tables, Verification):
             raise InputError(f"not a map from its source to its target: {tables.render()}")
         return tables
-
-    def map_dart(self, dart: Dart) -> Dart:
-        image, same = self.edge_map[dart.edge]
-        return Dart(image, dart.forward == same)
 
     @cached_property
     def vertex_preimages(self) -> dict[str, tuple[str, ...]]:
@@ -178,7 +174,7 @@ def _check_admissible(m: AdmissibleMap) -> Verification:
     except InputError:  # a map given by names that fails its structural pass
         return _name_tables(m)
     src, tgt = m.source, m.target
-    # each fact is read once from the tables and the two dart indices; a Dart only
+    # each fact is read once from the tables and the two dart indices; `_dart` only
     # names a failing site
     src_labels, src_heads, src_order, src_start = src._index
     tgt_labels, tgt_heads, tgt_order, tgt_start = tgt._index
@@ -206,13 +202,13 @@ def _check_admissible(m: AdmissibleMap) -> Verification:
             k = math.gcd(mult_x, abs(label))
             lifts = grouped.get(target_dart, ())
             if len(lifts) != k:
-                return _fail("condition-star", f"{x}/{tgt.darts()[target_dart].render()}",
+                return _fail("condition-star", f"{x}/{tgt._dart(target_dart).render()}",
                              f"expected {k} lifts, found {len(lifts)}")
             want_label = label // k
             want_mult = mult_x // k
             for lift in lifts:
                 if src_labels[lift] != want_label:
-                    return _fail("condition-star", f"{x}/{src.darts()[lift].render()}",
+                    return _fail("condition-star", f"{x}/{src._dart(lift).render()}",
                                  f"lift label {src_labels[lift]} differs from {want_label}")
                 if edge_mult[lift >> 1] != want_mult:
                     return _fail("condition-star", f"{x}/{src.edges[lift >> 1].name}",

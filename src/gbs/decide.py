@@ -113,7 +113,7 @@ def _smallest_common_cover(h1: LabelledGraph, h2: LabelledGraph, colors1: dict[s
             for label, t1, d1 in steps1[x1]:
                 if label not in table:
                     raise InternalError(f"no dart at {h2.vertices[x2]!r} matches "
-                                        f"{h1.darts()[d1].render()!r}")
+                                        f"{h1._dart(d1).render()!r}")
                 t2, d2 = table[label]
                 j = index.setdefault((t1, t2), len(pairs))
                 if j == len(pairs):

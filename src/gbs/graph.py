@@ -3,10 +3,10 @@
 A labelled graph is a finite multigraph (loops and parallel edges allowed)
 in which every oriented edge carries a nonzero integer label near its
 origin.  A non-oriented edge is stored once as an :class:`EdgeRecord`; its
-two orientations are addressed through :class:`Dart` handles, so the two
-labels of an edge live independently at its two ends.  A construction may
-give a graph its integer dart index instead; its records are then built on
-first read.
+two orientations are the darts 2i and 2i+1 of the graph's integer index, so
+the two labels of an edge live independently at its two ends.  A construction
+may give a graph its integer dart index instead; its records are then built on
+first read.  A :class:`Dart` only names a dart of the index in output.
 
 Everything here is immutable: transformations (`reduce`, sign changes,
 `normalize_signs`) return graphs and never modify their input, and all
@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, count, cycle
+from itertools import accumulate, chain, count
 from math import gcd, prod
 from operator import itemgetter
 from typing import Any, Callable, Container, Iterable, Iterator, NamedTuple
@@ -114,8 +114,8 @@ class CycleBasisModulus:
                 else:
                     down.append(parent[b])
                     b = heads[parent[b]]
-            loop = (Dart(g.edges[d >> 1].name, not d & 1) for d in (2 * i, *up, *reversed(down)))
-            entries.append(ModulusEntry(tuple(loop), value))
+            entries.append(ModulusEntry(tuple(map(g._dart, (2 * i, *up, *reversed(down)))),
+                                        value))
         return tuple(entries)
 
 
@@ -222,17 +222,9 @@ class LabelledGraph:
         return labels, heads, order, tuple(accumulate(
             map(counts.__getitem__, range(len(self.vertices))), initial=0))
 
-    @cached_property
-    def _darts(self) -> tuple[Dart, ...]:
-        """Each dart of the index as a `Dart`: the view for name-level callers."""
-        names = [rec.name for rec in self.edges]
-        return tuple(map(Dart, chain.from_iterable(zip(names, names)), cycle((True, False))))
-
-    @cached_property
-    def _darts_at(self) -> tuple[tuple[Dart, ...], ...]:
-        _, _, order, start = self._index
-        return tuple(tuple(map(self._darts.__getitem__, order[start[v]:start[v + 1]]))
-                     for v in range(len(self.vertices)))
+    def _dart(self, d: int) -> Dart:
+        """Dart d of the index, named: the one place a `Dart` is built."""
+        return Dart(self.edges[d >> 1].name, not d & 1)
 
     def edge(self, name: str) -> EdgeRecord:
         try:
@@ -245,25 +237,6 @@ class LabelledGraph:
 
     def has_edge(self, name: str) -> bool:
         return name in self._edge_by_name
-
-    def origin(self, dart: Dart) -> str:
-        rec = self.edge(dart.edge)
-        return rec.origin if dart.forward else rec.terminus
-
-    def terminus(self, dart: Dart) -> str:
-        return self.origin(dart.reverse())
-
-    def label(self, dart: Dart) -> int:
-        rec = self.edge(dart.edge)
-        return rec.label_origin if dart.forward else rec.label_terminus
-
-    def darts(self) -> tuple[Dart, ...]:
-        """Every dart, in index order: dart 2i is Dart(edge i, True)."""
-        return self._darts
-
-    def darts_at(self, v: str) -> tuple[Dart, ...]:
-        """Oriented edges with origin v; a loop at v contributes both darts."""
-        return self._darts_at[self._position(v)]
 
     def _position(self, v: str) -> int:
         try:

@@ -1,9 +1,9 @@
 from collections import Counter
-from functools import cached_property
 
 import pytest
 
-from gbs import (AdmissibleMap, LabelledGraph, covering, generate_admissible_map,
+import dart_views as views
+from gbs import (AdmissibleMap, Dart, LabelledGraph, covering, generate_admissible_map,
                  plateau_free_cover, run_suite, stable_colorings, suites, verify_admissible,
                  voltage_cover)
 from gbs.decide import _smallest_common_cover
@@ -83,21 +83,16 @@ def graph_builds(monkeypatch):
 
 
 @pytest.fixture
-def dart_view_builds(monkeypatch):
-    """The graphs that build a `Dart` view, by view, in build order."""
-    built = {"_darts": [], "_darts_at": []}
+def dart_constructions(monkeypatch):
+    """The arguments of every `Dart` constructed from here on, in order."""
+    made, real = [], Dart.__new__
 
-    def spy(name, real):
-        def building(g):
-            built[name].append(g)
-            return real(g)
-        view = cached_property(building)
-        view.__set_name__(LabelledGraph, name)
-        return view
+    def constructing(cls, *args, **kwargs):
+        made.append(args)
+        return real(cls, *args, **kwargs)
 
-    for name in built:
-        monkeypatch.setattr(LabelledGraph, name, spy(name, getattr(LabelledGraph, name).func))
-    return built
+    monkeypatch.setattr(Dart, "__new__", staticmethod(constructing))
+    return made
 
 
 @pytest.fixture
@@ -125,7 +120,7 @@ THREE_PRIMES = LabelledGraph.build(
 
 def distinct_labels(g: LabelledGraph) -> bool:
     """Are the labels at every vertex pairwise distinct, as the fibre-product walk needs?"""
-    return all(len({g.label(d) for d in g.darts_at(v)}) == g.valence(v) for v in g.vertices)
+    return all(len({views.label(g, d) for d in views.darts_at(g, v)}) == g.valence(v) for v in g.vertices)
 
 
 def walk_isomorphism(g: LabelledGraph, h: LabelledGraph):

@@ -15,6 +15,7 @@ from dataclasses import replace
 
 import pytest
 
+import dart_views as views
 from gbs import AdmissibleMap, LabelledGraph, identity_map, suites
 from gbs.covering import Verification, _check_admissible, _fail
 from gbs.graph import Dart
@@ -44,7 +45,7 @@ def per_dart_check(m: AdmissibleMap) -> Verification:
 
     for rec in src.edges:
         for dart in (Dart(rec.name, True), Dart(rec.name, False)):
-            if tgt.origin(m.map_dart(dart)) != vm[src.origin(dart)]:
+            if views.origin(tgt, views.map_dart(m, dart)) != vm[views.origin(src, dart)]:
                 return _fail("incidence", rec.name,
                              "edge image is not incident to the images of its endpoints")
 
@@ -52,10 +53,10 @@ def per_dart_check(m: AdmissibleMap) -> Verification:
         v = vm[x]
         mult_x = m.vertex_multiplicity[x]
         grouped: dict[Dart, list[Dart]] = {}
-        for dart in src.darts_at(x):
-            grouped.setdefault(m.map_dart(dart), []).append(dart)
-        for target_dart in tgt.darts_at(v):
-            label = tgt.label(target_dart)
+        for dart in views.darts_at(src, x):
+            grouped.setdefault(views.map_dart(m, dart), []).append(dart)
+        for target_dart in views.darts_at(tgt, v):
+            label = views.label(tgt, target_dart)
             k = math.gcd(mult_x, abs(label))
             lifts = grouped.get(target_dart, [])
             if len(lifts) != k:
@@ -64,9 +65,9 @@ def per_dart_check(m: AdmissibleMap) -> Verification:
             want_label = label // k
             want_mult = mult_x // k
             for lift in lifts:
-                if src.label(lift) != want_label:
+                if views.label(src, lift) != want_label:
                     return _fail("condition-star", f"{x}/{lift.render()}",
-                                 f"lift label {src.label(lift)} differs from {want_label}")
+                                 f"lift label {views.label(src, lift)} differs from {want_label}")
                 if m.edge_multiplicity[lift.edge] != want_mult:
                     return _fail("condition-star", f"{x}/{lift.edge}",
                                  f"lift multiplicity {m.edge_multiplicity[lift.edge]} "

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import bs, f1, f4_map
+import dart_views as views
 from gbs import (InputError, LabelledGraph, Plateau, all_plateaux, check_inequalities,
                  classify, identity_map, minimal_plateaux, plateaux_for_prime,
                  totally_unfolded, voltage_cover)
@@ -184,7 +185,7 @@ class TestAudit:
 
 
 def _lifts(m, x, target_dart):
-    return [d for d in m.source.darts_at(x) if m.map_dart(d) == target_dart]
+    return [d for d in views.darts_at(m.source, x) if views.map_dart(m, d) == target_dart]
 
 
 def test_plateau_facts_match_their_definitions():
@@ -199,17 +200,17 @@ def test_plateau_facts_match_their_definitions():
         bad = []
         for P in inventory:
             p = P.prime
-            leaving = [(v, d) for v in P.vertices for d in tgt.darts_at(v)
+            leaving = [(v, d) for v in P.vertices for d in views.darts_at(tgt, v)
                        if d.edge not in P.edges]
             unfolded = all(len(_lifts(m, x, d)) % p == 0
                            for v, d in leaving for x in m.vertex_preimages[v])
             pre_vertices = [x for v in P.vertices for x in m.vertex_preimages[v]]
             pre_edges = {e for name in P.edges for e in m.edge_preimages[name]}
             preimage_plateau = any(
-                all((src.label(d) % p == 0) == (d.edge not in edges)
-                    for x in vertices for d in src.darts_at(x))
+                all((views.label(src, d) % p == 0) == (d.edge not in edges)
+                    for x in vertices for d in views.darts_at(src, x))
                 for vertices, edges in src.subgraph_components(pre_edges, pre_vertices))
-            boundary = [(v, d) for v, d in leaving if tgt.terminus(d) not in P.vertices]
+            boundary = [(v, d) for v, d in leaving if views.terminus(tgt, d) not in P.vertices]
             if p == 2 and len(boundary) == 1:
                 v, d = boundary[0]
                 if sum(len(_lifts(m, x, d)) for x in m.vertex_preimages[v]) == 2:

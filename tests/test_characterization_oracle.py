@@ -15,6 +15,7 @@ from collections import Counter
 import pytest
 
 from conftest import f3, f4_map, f4_source, f4_target
+import dart_views as views
 from gbs import (AdmissibleMap, EdgeRecord, GeneratorConfig, LabelledGraph, compose,
                  covering_characterizations, generate, generate_admissible_map, identity_map,
                  suites, verify_admissible)
@@ -24,15 +25,15 @@ def name_level_characterizations(m: AdmissibleMap) -> dict[str, bool]:
     src, tgt = m.source, m.target
 
     def local_gcd(x, target_dart):
-        return math.gcd(m.vertex_multiplicity[x], abs(tgt.label(target_dart)))
+        return math.gcd(m.vertex_multiplicity[x], abs(views.label(tgt, target_dart)))
 
-    local_bijection = all(sorted(map(m.map_dart, src.darts_at(x)))
-                          == sorted(tgt.darts_at(m.vertex_map[x])) for x in src.vertices)
+    local_bijection = all(sorted(views.map_dart(m, d) for d in views.darts_at(src, x))
+                          == sorted(views.darts_at(tgt, m.vertex_map[x])) for x in src.vertices)
     unit_gcds = all(local_gcd(x, td) == 1
                     for x in src.vertices
-                    for td in tgt.darts_at(m.vertex_map[x]))
-    label_preserving = all(src.label(d) == tgt.label(m.map_dart(d))
-                           for d in src.darts())
+                    for td in views.darts_at(tgt, m.vertex_map[x]))
+    label_preserving = all(views.label(src, d) == views.label(tgt, views.map_dart(m, d))
+                           for d in views.darts(src))
     constant_multiplicity = all(
         len({m.vertex_multiplicity[x] for x in vertices}
             | {m.edge_multiplicity[name] for name in edges}) == 1

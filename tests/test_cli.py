@@ -333,14 +333,15 @@ class TestInputBounds:
         assert out.startswith("order=3200\n") and out.endswith("\nrank=2\n")
 
     def test_mapping_torus_steps_each_dart_a_few_times(self, tmp_path, capsys, monkeypatch):
-        steps = []
-        real = torus.GraphAutomorphism.dart_image
+        steps = []  # the members of every orbit walked, vertices and darts alike
+        real = torus._orbit
 
-        def counting(a, dart):
-            steps.append(dart)
-            return real(a, dart)
+        def counting(start, image):
+            orbit = real(start, image)
+            steps.extend(orbit)
+            return orbit
 
-        monkeypatch.setattr(torus.GraphAutomorphism, "dart_image", counting)
+        monkeypatch.setattr(torus, "_orbit", counting)
         path = tmp_path / "cycle.aut"
         path.write_text(rotated_cycle(200))
         assert main(["mapping-torus", str(path)]) == 0
@@ -448,15 +449,14 @@ class TestOtherCommands:
         assert "rank=" not in capsys.readouterr().out
 
     def test_mapping_torus_verifies_once(self, tmp_path, capsys, monkeypatch):
-        calls = []
-        real = torus.verify_automorphism
+        calls = []  # real checks: an automorphism keeps its order, as its subdivision does
+        real = torus._check_automorphism
 
         def counting(a):
             calls.append(a)
             return real(a)
 
-        monkeypatch.setattr(torus, "verify_automorphism", counting)
-        monkeypatch.setattr(cli, "verify_automorphism", counting)
+        monkeypatch.setattr(torus, "_check_automorphism", counting)
         path = tmp_path / "theta.aut"
         path.write_text(THETA_AUT)
         assert main(["mapping-torus", str(path)]) == 0

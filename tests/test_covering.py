@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (THREE_PRIMES, bs, checked, circle_graph, f1, f2, f3, f4_map, f4_source,
                       f4_target, nx_isomorphic)
+import dart_views as views
 from gbs import (AdmissibleMap, GeneratorConfig, InputError, InternalError, LabelledGraph,
                  Plateau, all_plateaux, branched_cover, check_inequalities, classify, compose,
                  covering_characterizations, emit_graph, emit_map, extract_proper_plateau,
@@ -19,8 +20,9 @@ from gbs import (AdmissibleMap, GeneratorConfig, InputError, InternalError, Labe
                  totally_unfolded, verify_admissible, voltage_cover)
 from gbs import covering, generate, graph, suites
 from gbs.covering import COVER_VERTEX_LIMIT, _prime_power_cover
-from gbs.graph import Dart, EdgeRecord
+from gbs.graph import EdgeRecord
 from strategies import connected_graphs
+from test_benchmark_api import perfbench_workloads
 
 
 PATH_2_3 = LabelledGraph.build(["a", "b"], [("e", "a", "b", 2, 3)])
@@ -343,7 +345,7 @@ class TestOrientationDoubleCover:
     def test_klein_becomes_flat_torus_presentation(self):
         cover = orientation_double_cover(bs(1, -1))
         normalized = cover.source.normalize_signs()
-        assert all(normalized.label(d) > 0 for d in normalized.darts())
+        assert all(views.label(normalized, d) > 0 for d in views.darts(normalized))
         assert normalized.modulus().is_trivial()
 
     def test_positive_modulus_is_a_no_op(self):
@@ -600,10 +602,9 @@ class TestTrustedBuilds:
             assert list(g.vertex_position.items()) == list(checked.vertex_position.items())
             assert list(g._edge_by_name.items()) == list(checked._edge_by_name.items())
 
-    def test_no_cover_source_builds_the_dart_view(self, suite_covers):
+    def test_no_cover_source_builds_the_dart_view(self, dart_constructions, suite_covers):
         covers, _, _, _ = suite_covers
-        assert not any(view in m.source.__dict__
-                       for m in covers for view in ("_darts", "_darts_at"))
+        assert dart_constructions == []
         assert all("_index" in m.source.__dict__ for m in covers)
 
     def test_only_generated_inputs_are_checked(self, suite_covers):
@@ -614,33 +615,30 @@ class TestTrustedBuilds:
 
 
 class TestNoDartViews:
-    """The map readers (the check, `compose`, the characterizations and the
-    audit) read the maps' tables and the dart indices, so the map suites build
-    no `Dart` view of any graph."""
+    """The package reads darts as integers of the dart index and builds a `Dart`
+    only to name one in output, so no suite and no benchmark corpus constructs
+    one: not the map readers (the check, `compose`, the characterizations and
+    the audit), not the plateau-free rounds and not the witness search."""
 
     @pytest.mark.parametrize("name", ["covering-equivalence", "audit", "rank-monotonicity"])
-    def test_map_suites_build_no_dart_view(self, dart_view_builds, name):
+    def test_map_suites_build_no_dart_view(self, dart_constructions, name):
         assert run_suite(name, 20, 1).ok
-        assert dart_view_builds == {"_darts": [], "_darts_at": []}
+        assert dart_constructions == []
 
-    def test_plateau_free_suite_constructs_no_dart(self, monkeypatch):
-        """The plateau-free rounds read the dart index, so no `Dart` is made at all."""
-        made, real = [], Dart.__new__
-
-        def constructing(cls, *args, **kwargs):
-            made.append(args)
-            return real(cls, *args, **kwargs)
-        monkeypatch.setattr(Dart, "__new__", staticmethod(constructing))
-        assert Dart("e", True).render() == "e" and made == [("e", True)]  # the spy sees one
-        made.clear()
+    def test_plateau_free_suite_constructs_no_dart(self, dart_constructions):
         assert run_suite("plateau-free-cover", 20, 1).ok
-        assert made == []
+        assert dart_constructions == []
 
-    def test_the_spy_sees_a_build(self, dart_view_builds):
-        g = f3()
-        g.darts_at("v_a")
-        g.darts()
-        assert dart_view_builds == {"_darts": [g], "_darts_at": [g]}
+    @pytest.mark.parametrize("name", ["plateau-free-cover", "map-suites", "rank-query", "witness"])
+    def test_benchmark_corpus_constructs_no_dart(self, dart_constructions, name):
+        workload = perfbench_workloads().WORKLOADS[name]
+        assert all(workload.op(item.payload).ok for item in workload.build())
+        assert dart_constructions == []
+
+    def test_the_spy_sees_a_build(self, dart_constructions):
+        (entry,) = f3().modulus().entries  # the triangle's one loop names its darts
+        assert dart_constructions == [tuple(dart) for dart in entry.loop]
+        assert [dart.render() for dart in entry.loop] == ["e_3", "~e_2", "~e_1"]
 
 
 class TestCoversBornAsTheirIndex:
@@ -769,8 +767,7 @@ def accessor_calls_in_check(monkeypatch):
     """Calls of the per-dart accessors made from inside `_check_admissible`,
     by name, and the number of real checks; calls from elsewhere are not counted."""
     inside = [False]
-    calls = dict.fromkeys(["checks", "map_dart", "origin", "label", "edge",
-                           "vertex_preimages"], 0)
+    calls = dict.fromkeys(["checks", "edge", "vertex_preimages"], 0)
     real_check = covering._check_admissible
 
     def flagged(m):
@@ -788,9 +785,7 @@ def accessor_calls_in_check(monkeypatch):
         return counting
 
     monkeypatch.setattr(covering, "_check_admissible", flagged)
-    for owner, name in [(AdmissibleMap, "map_dart"), (LabelledGraph, "origin"),
-                        (LabelledGraph, "label"), (LabelledGraph, "edge")]:
-        monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
+    monkeypatch.setattr(LabelledGraph, "edge", spy("edge", LabelledGraph.edge))
     preimages = AdmissibleMap.vertex_preimages.func  # a cached_property
     monkeypatch.setattr(AdmissibleMap, "vertex_preimages",
                         property(spy("vertex_preimages", preimages)))
@@ -806,5 +801,4 @@ class TestCheckReadsTables:
     def test_no_accessor_calls_inside_the_check(self, accessor_calls_in_check,
                                                 name, count, checks):
         assert run_suite(name, count, 1).ok
-        assert accessor_calls_in_check == {"checks": checks, "map_dart": 0, "origin": 0,
-                                           "label": 0, "edge": 0, "vertex_preimages": 0}
+        assert accessor_calls_in_check == {"checks": checks, "edge": 0, "vertex_preimages": 0}

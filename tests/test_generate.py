@@ -1,5 +1,6 @@
 import pytest
 
+import dart_views as views
 from gbs import (GeneratorConfig, InputError, generate_admissible_map,
                  generate_graph, verify_admissible)
 from gbs.suites import RECIPES
@@ -23,8 +24,8 @@ class TestGenerateGraph:
             assert len(g.edges) <= 6
             assert g.is_connected()
             assert g.is_reduced()
-            for dart in g.darts():
-                assert 1 <= abs(g.label(dart)) <= 9
+            for dart in views.darts(g):
+                assert 1 <= abs(views.label(g, dart)) <= 9
 
 
 class TestGenerateMap:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bs, circle_graph, f1, f2, f3, f4_source, nx_isomorphic
+import dart_views as views
 from gbs import (InputError, LabelledGraph, all_plateaux, commensurable,
                  generates, has_proper_plateau, is_large, mu, orientation_double_cover,
                  plateau_free_cover, plateaux_for_prime, rank)
@@ -107,7 +108,7 @@ class TestNormalizeSigns:
     def test_klein_keeps_one_negative(self):
         klein = bs(1, -1)
         normalized = klein.normalize_signs()
-        negatives = sum(1 for d in normalized.darts() if normalized.label(d) < 0)
+        negatives = sum(1 for d in views.darts(normalized) if views.label(normalized, d) < 0)
         assert negatives == 1
 
     def test_tree_becomes_positive(self):
@@ -115,7 +116,7 @@ class TestNormalizeSigns:
             ["a", "b", "c"],
             [("e1", "a", "b", -3, 2), ("e2", "b", "c", 3, -5)])
         normalized = g.normalize_signs()
-        assert all(normalized.label(d) > 0 for d in normalized.darts())
+        assert all(views.label(normalized, d) > 0 for d in views.darts(normalized))
 
     @given(connected_graphs())
     @settings(deadline=None)
@@ -131,7 +132,7 @@ class TestNormalizeSigns:
             else:
                 assert rec.label_origin > 0 or rec.label_terminus > 0
         if not g.modulus().takes_negative_value():
-            assert all(normalized.label(d) > 0 for d in normalized.darts())
+            assert all(views.label(normalized, d) > 0 for d in views.darts(normalized))
 
 
 class TestModulus:
@@ -259,8 +260,8 @@ def _dfs_orders(g, keep, starts):
         seen.add(start)
         order, stack = [start], [start]
         while stack:
-            for dart in g.darts_at(stack.pop()):
-                w = g.terminus(dart)
+            for dart in views.darts_at(g, stack.pop()):
+                w = views.terminus(g, dart)
                 if dart.edge in keep and w not in seen:
                     seen.add(w)
                     order.append(w)

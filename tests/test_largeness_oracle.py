@@ -12,6 +12,7 @@ import random
 from collections import Counter
 
 from conftest import circle_graph
+import dart_views as views
 from gbs import (GeneratorConfig, InputError, LabelledGraph, Plateau, all_plateaux,
                  branched_cover, commensurable, generate_graph, is_large, voltage_cover)
 from gbs.primes import smallest_prime_factor
@@ -59,8 +60,8 @@ def test_betti_number_one_with_a_proper_plateau_is_large():
             kind, plateaux = "circle", all_plateaux(r).proper_plateaux[:1]
         else:
             v = r.terminal_vertices()[0]
-            (dart,) = r.darts_at(v)
-            kind, plateaux = "non-circle", [Plateau(smallest_prime_factor(abs(r.label(dart))),
+            (dart,) = views.darts_at(r, v)
+            kind, plateaux = "non-circle", [Plateau(smallest_prime_factor(abs(views.label(r, dart))),
                                                     frozenset({v}), frozenset())]
         for plateau in plateaux:
             assert branched_cover(r, plateau).source.betti() >= 2, seed

@@ -18,10 +18,6 @@ ALLOWED = {
     # `plateaux_for_prime` does not take, and a prime from `label_primes`,
     # on which it would run `is_prime`, trial division up to its square root
     ("covering", "plateau", "_plateaux"),
-    # `gbs mapping-torus` verifies the automorphism once, to print its order,
-    # and then builds the quotient without verifying it again
-    ("cli", "torus", "_mapping_torus_graph"),
-    ("cli", "torus", "_subdivide_inverted_edges"),
 }
 
 

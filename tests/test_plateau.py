@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bs, f1, f2, f3, f4_source
+import dart_views as views
 import gbs
 from gbs import (GeneratorConfig, InputError, LabelledGraph, Plateau, all_plateaux,
                  branched_cover, check_plateau, covering, emit_graph, generate_graph, generates,
@@ -38,11 +39,11 @@ def plateau_oracle(g, p):
         edges = set()
         ok = True
         for v in inside:
-            for dart in g.darts_at(v):
-                if g.label(dart) % p != 0:
+            for dart in views.darts_at(g, v):
+                if views.label(g, dart) % p != 0:
                     # must be contained: other endpoint inside, other label coprime
-                    if g.terminus(dart) not in inside or \
-                            g.label(dart.reverse()) % p == 0:
+                    if views.terminus(g, dart) not in inside or \
+                            views.label(g, dart.reverse()) % p == 0:
                         ok = False
                         break
                     edges.add(dart.edge)
@@ -56,10 +57,10 @@ def plateau_oracle(g, p):
         frontier = [start]
         while frontier:
             v = frontier.pop()
-            for dart in g.darts_at(v):
-                if dart.edge in edges and g.terminus(dart) not in seen:
-                    seen.add(g.terminus(dart))
-                    frontier.append(g.terminus(dart))
+            for dart in views.darts_at(g, v):
+                if dart.edge in edges and views.terminus(g, dart) not in seen:
+                    seen.add(views.terminus(g, dart))
+                    frontier.append(views.terminus(g, dart))
         if seen != inside:
             continue
         if len(inside) == len(verts) and len(edges) == len(g.edges):
@@ -83,7 +84,7 @@ def check_round_table(g, p, inside, kept):
     Returns the plateaux found."""
     labels = {rec.name: [rec.label_origin, rec.label_terminus] for rec in g.edges}
     for v in inside:
-        for name, forward in g.darts_at(v):
+        for name, forward in views.darts_at(g, v):
             end = 0 if forward else 1
             if name not in kept and labels[name][end] % p == 0:
                 labels[name][end] //= p
@@ -145,8 +146,8 @@ class TestPlateauxForPrime:
             for Q in plateaux[i + 1:]:
                 assert not P.vertices & Q.vertices
             for v in P.vertices:
-                for dart in g.darts_at(v):
-                    assert (g.label(dart) % p == 0) == (dart.edge not in P.edges)
+                for dart in views.darts_at(g, v):
+                    assert (views.label(g, dart) % p == 0) == (dart.edge not in P.edges)
 
 
 class TestCheckPlateau:
@@ -309,7 +310,7 @@ class TestPrimes:
 class TestLabelPrimes:
     @staticmethod
     def per_dart(g):
-        return sorted({p for d in g.darts() for p in prime_factors(g.label(d))})
+        return sorted({p for d in views.darts(g) for p in prime_factors(views.label(g, d))})
 
     def test_generated_graphs(self):
         for seed in range(1, 301):
@@ -359,9 +360,10 @@ class TestPlateauFactsOncePerGraph:
             rank(g)
             all_plateaux(g)
             generates(g, g.vertices[:1])
-            magnitudes = {abs(g.label(d)) for d in g.darts()}
+            magnitudes = {abs(views.label(g, d)) for d in views.darts(g)}
             assert sorted(n for n, in factored) == sorted(magnitudes), seed
-            classes = {bytes(g.label(d) % p == 0 for d in g.darts()) for p in label_primes(g)}
+            classes = {bytes(views.label(g, d) % p == 0 for d in views.darts(g))
+                       for p in label_primes(g)}
             names = {rec.name for rec in g.edges}
 
             def splits(edge):  # g less the edge is disconnected
@@ -484,7 +486,7 @@ class TestInventoryOracle:
         for g in shared_class_graphs():
             self.assert_inventory_matches(g)
             primes = label_primes(g)
-            classes = {bytes(g.label(d) % p == 0 for d in g.darts()) for p in primes}
+            classes = {bytes(views.label(g, d) % p == 0 for d in views.darts(g)) for p in primes}
             seen["shared"] += len(classes) < len(primes)
             seen["loop"] += any(rec.is_loop for rec in g.edges)
             seen["parallel"] += len({frozenset((r.origin, r.terminus)) for r in g.edges

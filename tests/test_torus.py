@@ -4,12 +4,14 @@ import random
 
 import pytest
 
+import dart_views as views
 from gbs import (AdmissibleMap, Dart, GeneratorConfig, GraphAutomorphism, InputError,
                  LabelledGraph, generate_graph, mapping_torus_graph, mapping_torus_rank,
-                 subdivide_inverted_edges, verify_admissible, verify_automorphism,
-                 voltage_cover)
+                 parse_automorphism, subdivide_inverted_edges, verify_admissible,
+                 verify_automorphism, voltage_cover)
 from gbs import torus
-from gbs.torus import _inverted_edges, _subdivide_inverted_edges
+from gbs.cli import main
+from gbs.torus import _inverted_edges
 
 
 def theta_symmetry():
@@ -88,6 +90,15 @@ FIXTURES = {"theta": theta_symmetry, "two-cycle": two_cycle_rotation, "edge-flip
 DECKS = deck_transformations(30)
 
 
+SWAP = {"e1": ("e2", True), "e2": ("e1", True)}
+# (vertex map, edge map, message) refused on the graph of `two_cycle_rotation`
+COVERAGE_CASES = [
+    ({"u": "w"}, SWAP, "vertex map must cover exactly the vertices"),
+    ({"u": "w", "w": "w"}, SWAP, "vertex map must be a bijection"),
+    ({"u": "w", "w": "u"}, {"e1": ("e2", True)}, "edge map must cover exactly the edges"),
+]
+
+
 class TestVerifyAutomorphism:
     def test_orders(self):
         assert verify_automorphism(theta_symmetry()) == 6
@@ -109,13 +120,7 @@ class TestVerifyAutomorphism:
         with pytest.raises(InputError):
             verify_automorphism(bad)
 
-    SWAP = {"e1": ("e2", True), "e2": ("e1", True)}
-
-    @pytest.mark.parametrize("vertex_map, edge_map, message", [
-        ({"u": "w"}, SWAP, "vertex map must cover exactly the vertices"),
-        ({"u": "w", "w": "w"}, SWAP, "vertex map must be a bijection"),
-        ({"u": "w", "w": "u"}, {"e1": ("e2", True)}, "edge map must cover exactly the edges"),
-    ])
+    @pytest.mark.parametrize("vertex_map, edge_map, message", COVERAGE_CASES)
     def test_coverage_and_bijection_rejections(self, vertex_map, edge_map, message):
         bad = GraphAutomorphism(two_cycle_rotation().graph, vertex_map, edge_map)
         with pytest.raises(InputError, match=f"^{message}$"):
@@ -136,10 +141,10 @@ class TestVerifyAutomorphism:
 def reverses_some_dart(a) -> bool:
     """Reference predicate: some power of `a` maps some dart to its reverse."""
     order = verify_automorphism(a)
-    for dart in a.graph.darts():
+    for dart in views.darts(a.graph):
         image = dart
         for _ in range(order):
-            image = a.dart_image(image)
+            image = views.dart_image(a, image)
             if image == dart.reverse():
                 return True
     return False
@@ -163,12 +168,12 @@ class TestSubdivision:
         assert not _inverted_edges(subdivided)
         assert verify_automorphism(subdivided) == 6
         # one edge orbit of size 6, vertex orbits of sizes 2 and 3
-        dart = g.darts()[0]
+        dart = views.darts(g)[0]
         orbit = {dart.edge}
-        image = subdivided.dart_image(dart)
+        image = views.dart_image(subdivided, dart)
         while image != dart:
             orbit.add(image.edge)
-            image = subdivided.dart_image(image)
+            image = views.dart_image(subdivided, image)
         assert len(orbit) == 6
         vertex_orbits = {}
         for v in g.vertices:
@@ -191,6 +196,32 @@ class TestSubdivision:
         names = {rec.name for rec in g.edges}
         assert {subdivided.edge_map[name][0] for name in names} == names
         assert not _inverted_edges(subdivided)
+
+    # the loop e is inverted, and a vertex or an edge already bears the name
+    # that its midpoint or its half at the origin would take by default
+    TAKEN = {
+        "vertex": ("vertex a\nvertex e__mid\nedge e a a\nedge f a e__mid\n"
+                   "fv a a\nfv e__mid e__mid\nfe e ~e\nfe f f\n"),
+        "edge": ("vertex a\nvertex w\nedge e a a\nedge e__a a w\n"
+                 "fv a a\nfv w w\nfe e ~e\nfe e__a e__a\n"),
+    }
+
+    @pytest.mark.parametrize("taken", TAKEN)
+    def test_new_names_are_fresh(self, taken, tmp_path, capsys):
+        subdivided = subdivide_inverted_edges(parse_automorphism(self.TAKEN[taken]))
+        assert "e___mid" in subdivided.graph.vertices
+        assert [rec.name for rec in subdivided.graph.edges][:2] == ["e___a", "e___b"]
+        assert verify_automorphism(unseeded(subdivided)) == 2
+        path = tmp_path / "taken.aut"
+        path.write_text(self.TAKEN[taken])
+        assert main(["mapping-torus", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("order=2\n") and out.endswith("\nrank=2\n")
+        # the input with the taken name renamed answers the same
+        path.write_text(self.TAKEN[taken].replace("e__mid", "w").replace("e__a", "f"))
+        assert main(["mapping-torus", str(path)]) == 0
+        renamed = capsys.readouterr().out
+        assert renamed.startswith("order=2\n") and renamed.endswith("\nrank=2\n")
 
 
 class TestMappingTorus:
@@ -246,16 +277,22 @@ class TestMappingTorus:
                        for rec in quotient.edges)
 
 
+def unseeded(a: GraphAutomorphism) -> GraphAutomorphism:
+    """A copy of a that keeps no verified order."""
+    return GraphAutomorphism(a.graph, a.vertex_map, a.edge_map)
+
+
 class TestTrustedSteps:
-    """The private torus steps skip the checks that their public callers make
-    once; each step is verified here instead."""
+    """A subdivision is born with its parent's verified order, so the public
+    torus steps do not check it again; each one is checked here instead, on a
+    copy that keeps no order."""
 
     @pytest.mark.parametrize("aut", [make() for make in FIXTURES.values()]
                              + [shift for _, _, shift in DECKS],
                              ids=[*FIXTURES, *(f"deck-{i}" for i in range(len(DECKS)))])
     def test_subdivision_is_an_automorphism_inverting_no_edge(self, aut):
         order = verify_automorphism(aut)
-        subdivided = _subdivide_inverted_edges(aut)
+        subdivided = unseeded(subdivide_inverted_edges(aut))
         assert verify_automorphism(subdivided) == order
         assert not _inverted_edges(subdivided)
         assert not reverses_some_dart(subdivided)
@@ -289,7 +326,7 @@ def power(a: GraphAutomorphism, k: int) -> GraphAutomorphism:
     for rec in a.graph.edges:
         dart = Dart(rec.name, True)
         for _ in range(k):
-            dart = a.dart_image(dart)
+            dart = views.dart_image(a, dart)
         edge_map[rec.name] = (dart.edge, dart.forward)
     return GraphAutomorphism(a.graph, vertex_map, edge_map)
 
@@ -311,7 +348,7 @@ def quotient_darts(a: GraphAutomorphism) -> dict[Dart, tuple[str, bool]]:
     out: dict[Dart, tuple[str, bool]] = {}
     for rec in a.graph.edges:
         if Dart(rec.name, True) not in out:
-            orbit = orbit_of(Dart(rec.name, True), a.dart_image)
+            orbit = orbit_of(Dart(rec.name, True), lambda d: views.dart_image(a, d))
             name = min(dart.edge for dart in orbit)
             for dart in orbit:
                 out[dart], out[dart.reverse()] = (name, True), (name, False)
@@ -346,7 +383,7 @@ class TestPowers:
                 forward = Dart(rec.name, True)
                 image, same = darts[forward]
                 edge_map[rec.name] = (image, same == source_darts[forward][1])
-                period = len(orbit_of(forward, a.dart_image))
+                period = len(orbit_of(forward, lambda d: views.dart_image(a, d)))
                 edge_multiplicity[rec.name] = k // math.gcd(period, k)
             m = AdmissibleMap(source, quotient, {v: min(vertex_orbit[v]) for v in source.vertices},
                               edge_map,
