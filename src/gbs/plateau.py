@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import chain, compress
+from itertools import chain
 from typing import Any, Callable, Sequence
 
 from .errors import InputError
@@ -55,9 +55,9 @@ def label_primes(g: LabelledGraph) -> list[int]:
     return sorted({p for ps in _factors(g).values() for p in ps})
 
 
-def _walk(g: LabelledGraph, divisible: bytes) -> list[tuple[frozenset[str], frozenset[str]]]:
+def _walk(g: LabelledGraph, darts: Sequence[int]) -> list[tuple[frozenset[str], frozenset[str]]]:
     """The proper plateaux (vertices, edges) of a prime dividing the labels at exactly
-    the darts marked in `divisible`, by least vertex index: the only test of the
+    the darts listed in `darts`, by least vertex index: the only test of the
     divisibility dichotomy.  g may be disconnected.
 
     The candidates are the components of the edges with no divisible dart; one
@@ -68,13 +68,14 @@ def _walk(g: LabelledGraph, divisible: bytes) -> list[tuple[frozenset[str], froz
     of g meets an edge outside it with a divisible dart: at the candidate's end, a
     root then, or else only at the far end, which makes that end a frontier vertex."""
     heads = g._index[1]
-    kept, frontier = bytearray(b"\1" * len(divisible)), bytearray(len(g.vertices))
+    kept, frontier = bytearray(b"\1" * len(heads)), bytearray(len(g.vertices))
     roots = {comp[0] for comp in g._components}
-    for d in compress(range(len(divisible)), divisible):
-        kept[d] = kept[d ^ 1] = 0
+    for d in darts:
+        kept[d] = 0
         roots.add(heads[d])
-        if not divisible[d ^ 1]:  # coprime at the origin of d ^ 1, divisible at its far end
-            frontier[heads[d ^ 1]] = 1
+    for d in darts:  # d ^ 1 still kept: coprime at its origin, divisible at its far end
+        if kept[d ^ 1]:
+            kept[d ^ 1], frontier[heads[d ^ 1]] = 0, 1
     out = {}  # by least vertex index
     for comp in g._component_walk(kept, roots, frontier):
         edges = g._kept_edges(comp, kept)
@@ -101,8 +102,8 @@ def plateaux_for_prime(g: LabelledGraph, p: int) -> list[Plateau]:
 def _plateaux(g: LabelledGraph, p: int, labels: Sequence[int] | None = None) -> list[Plateau]:
     """:func:`plateaux_for_prime` for a prime p, read with `labels` (a label per dart,
     in index order; g's own by default); g may be disconnected."""
-    return [Plateau(p, vertices, edges) for vertices, edges in _walk(g, bytes(
-        label % p == 0 for label in (g._index[0] if labels is None else labels)))]
+    return [Plateau(p, vertices, edges) for vertices, edges in _walk(g, [
+        d for d, label in enumerate(g._index[0] if labels is None else labels) if label % p == 0])]
 
 
 def check_plateau(g: LabelledGraph, plateau: Plateau) -> bool:
@@ -123,17 +124,16 @@ def all_plateaux(g: LabelledGraph) -> PlateauCollection:
     g._require_connected()
 
     def compute(g: LabelledGraph) -> PlateauCollection:
-        masks = {p: bytearray(len(g._index[1])) for p in label_primes(g)}  # factors the labels
-        factors, labels = _factors(g), g._index[0]
-        for d, label in enumerate(labels):
+        darts, factors = {p: [] for p in label_primes(g)}, _factors(g)  # factors the labels
+        for d, label in enumerate(g._index[0]):  # each prime's divisible darts, ascending
             for p in factors[abs(label)]:
-                masks[p][d] = 1
+                darts[p].append(d)
         # a class of one divisible dart d on a loop or a non-bridge edge has no plateau:
         # g less that edge is connected and holds d's far end, a frontier vertex
-        walks = {mask: [] if mask.count(1) == 1 and not g._bridges[mask.index(1) >> 1]
-                 else _walk(g, mask) for mask in {bytes(mask) for mask in masks.values()}}
-        return PlateauCollection(tuple(Plateau(p, vertices, edges) for p, mask in masks.items()
-                                       for vertices, edges in walks[bytes(mask)]))
+        walks = {c: [] if len(c) == 1 and not g._bridges[c[0] >> 1] else _walk(g, c)
+                 for c in set(map(tuple, darts.values()))}
+        return PlateauCollection(tuple(Plateau(p, vertices, edges) for p, ds in darts.items()
+                                       for vertices, edges in walks[tuple(ds)]))
     return _memo(g, "_all_plateaux", compute)
 
 

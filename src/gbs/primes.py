@@ -3,10 +3,10 @@
 Factoring trial-divides by primes: up to 1000, then, unless the Miller-Rabin
 test below proves the cofactor prime, on up to TRIAL_DIVISION_BOUND, so every
 number up to its square (10**12) factors and a cofactor with no divisor up to
-the bound is refused with InputError.  Past the bound, one gcd with the product
-of the primes up to 1000, built on first use, names the ones to divide by.  The
-primes come from a sieve grown on demand, only as far as the square roots
-divided need, and never past the bound.
+the bound is refused with InputError.  A block of 128 primes sharing no factor
+with the number is passed by one gcd with their product, and a number past the
+bound finds its primes up to 1000 by one gcd.  The primes and products grow on
+demand, only as far as the square roots divided need, never past the bound.
 """
 
 from __future__ import annotations
@@ -51,10 +51,12 @@ def _is_strong_probable_prime(n: int) -> bool:
 # every prime up to _sieved, ascending; a cache, so how far it has grown changes no answer
 _primes, _sieved = array("I", (2, 3, 5, 7)), 10
 _small_product = 0  # the product of the primes up to _PROOF_START once built, else 0
+_BLOCK, _block_products = 128, []  # the product of each full block of _BLOCK primes, in order
 
 
 def _trial_divide(n: int, lo: int, hi: int) -> int:
-    """Least prime in [lo, hi] dividing n, or 0; hi is at most TRIAL_DIVISION_BOUND."""
+    """Least prime in [lo, hi] dividing n, or 0; hi is at most TRIAL_DIVISION_BOUND.  n has
+    no prime divisor below lo, so a full block of primes coprime to n is passed by one gcd."""
     global _primes, _sieved
     if hi < lo:  # as for the last, prime cofactor of most numbers: nothing to divide by
         return 0
@@ -64,7 +66,13 @@ def _trial_divide(n: int, lo: int, hi: int) -> int:
         for q in range(2, isqrt(_sieved) + 1):  # a composite q crosses out nothing new
             sieve[q * q::q] = bytes(len(sieve[q * q::q]))
         _primes = array("I", compress(range(2, _sieved + 1), sieve[2:]))
-    for q in memoryview(_primes)[bisect_left(_primes, lo):bisect_right(_primes, hi)]:
+        _block_products.extend(prod(_primes[k:k + _BLOCK]) for k in range(
+            len(_block_products) * _BLOCK, len(_primes) - _BLOCK + 1, _BLOCK))
+    i, end = bisect_left(_primes, lo), bisect_right(_primes, hi)
+    while (i + _BLOCK // 2 <= end and (k := i // _BLOCK) < len(_block_products)
+           and gcd(n, _block_products[k]) == 1):  # not for a stretch shorter than half a block
+        i = k * _BLOCK + _BLOCK
+    for q in memoryview(_primes)[i:end]:  # from a block sharing a prime with n, if any
         if n % q == 0:
             return q
     return 0

@@ -66,6 +66,12 @@ def _check_automorphism(a: GraphAutomorphism) -> int:
     names = {rec.name for rec in g.edges}
     if set(a.edge_map) != names:
         raise InputError("edge map must cover exactly the edges")
+    for value in a.edge_map.values():  # worded as an admissible map's structural pass
+        if not isinstance(value, tuple) or len(value) != 2:
+            raise InputError(f"edge map value {value!r} must be an (image edge, orientation "
+                             "flag) pair")
+        if not isinstance(value[1], bool):
+            raise InputError(f"orientation flag {value[1]!r} must be a bool")
     if {image for image, _ in a.edge_map.values()} != names:
         raise InputError("edge map must be a bijection")
     vertex_image, dart_image = a._tables
@@ -100,13 +106,14 @@ def _orbits(image: Sequence[int], starts: Iterable[int]) -> Iterator[list[int]]:
 
 
 def _inverted_edges(a: GraphAutomorphism) -> frozenset[int]:
-    """Indices of the edges whose dart orbit holds the reverse of a member; `a` is verified."""
-    dart_image = a._tables[1]
-    out: set[int] = set()
-    for orbit in _orbits(dart_image, range(0, len(dart_image), 2)):
-        if orbit[0] ^ 1 in orbit:  # the image commutes with reversal: the orbit is closed under it
-            out.update(d >> 1 for d in orbit)
-    return frozenset(out)
+    """Indices of the edges whose dart orbit holds the reverse of a member, kept on `a`."""
+    if "_inverted" not in a.__dict__:  # `a` is verified
+        dart_image, out = a._tables[1], set()
+        for orbit in _orbits(dart_image, range(0, len(dart_image), 2)):
+            if orbit[0] ^ 1 in orbit:  # closed under reversal, which commutes with the image
+                out.update(d >> 1 for d in orbit)
+        a.__dict__["_inverted"] = frozenset(out)
+    return a.__dict__["_inverted"]
 
 
 def subdivide_inverted_edges(a: GraphAutomorphism) -> GraphAutomorphism:
@@ -143,7 +150,7 @@ def subdivide_inverted_edges(a: GraphAutomorphism) -> GraphAutomorphism:
         emap[rec.name + sep + "a"] = (image + sep + first, same)
         emap[rec.name + sep + "b"] = (image + sep + second, same)
     subdivided = GraphAutomorphism(LabelledGraph(tuple(vertices), tuple(records)), vmap, emap)
-    subdivided.__dict__["_order"] = order  # each new orbit's length divides an old one's
+    subdivided.__dict__.update(_order=order, _inverted=frozenset())  # the docstring's two facts
     return subdivided
 
 

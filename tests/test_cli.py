@@ -332,9 +332,11 @@ class TestInputBounds:
         out = capsys.readouterr().out
         assert out.startswith("order=3200\n") and out.endswith("\nrank=2\n")
 
-    def test_mapping_torus_steps_each_dart_a_few_times(self, tmp_path, capsys, monkeypatch):
-        steps = []  # the members of every orbit walked, vertices and darts alike
-        real = torus._orbit
+    @staticmethod
+    def orbit_steps(tmp_path, monkeypatch) -> list[int]:
+        """The members of every orbit walked, vertices and darts alike, by
+        `gbs mapping-torus` on the rotated 200-cycle."""
+        steps, real = [], torus._orbit
 
         def counting(start, image):
             orbit = real(start, image)
@@ -345,7 +347,18 @@ class TestInputBounds:
         path = tmp_path / "cycle.aut"
         path.write_text(rotated_cycle(200))
         assert main(["mapping-torus", str(path)]) == 0
+        return steps
+
+    def test_mapping_torus_steps_each_dart_a_few_times(self, tmp_path, capsys, monkeypatch):
+        steps = self.orbit_steps(tmp_path, monkeypatch)
         assert len(steps) <= 4 * 400  # 400 darts; quadratic walks made 120,600 steps
+
+    def test_mapping_torus_walks_the_forward_orbits_once(self, tmp_path, capsys, monkeypatch):
+        """The order walks the 200 vertices and 400 darts, `_inverted_edges` the 200
+        forward darts, and the quotient the 200 forward darts again: 1,200.  The
+        subdivision keeps its empty inverted set, so the quotient does not walk the
+        forward darts a third time (1,400)."""
+        assert len(self.orbit_steps(tmp_path, monkeypatch)) == 1200
 
     def test_cover_limit_is_inclusive(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(covering, "COVER_VERTEX_LIMIT", 6)

@@ -362,16 +362,16 @@ class TestPlateauFactsOncePerGraph:
             generates(g, g.vertices[:1])
             magnitudes = {abs(views.label(g, d)) for d in views.darts(g)}
             assert sorted(n for n, in factored) == sorted(magnitudes), seed
-            classes = {bytes(views.label(g, d) % p == 0 for d in views.darts(g))
-                       for p in label_primes(g)}
+            classes = {tuple(i for i, d in enumerate(views.darts(g))
+                             if views.label(g, d) % p == 0) for p in label_primes(g)}
             names = {rec.name for rec in g.edges}
 
             def splits(edge):  # g less the edge is disconnected
                 return len(list(g.subgraph_components(keep=names - {edge}))) > 1
-            settled = {mask for mask in classes if mask.count(1) == 1
-                       and not splits(g.edges[mask.index(1) >> 1].name)}
+            settled = {darts for darts in classes if len(darts) == 1
+                       and not splits(g.edges[darts[0] >> 1].name)}
             assert [h for h, _ in walked] == [g] * len(classes - settled), seed
-            assert {mask for _, mask in walked} == classes - settled, seed
+            assert {darts for _, darts in walked} == classes - settled, seed
             shared += len(classes) < len(label_primes(g))
             skipped += len(settled)
             factored.clear()
@@ -514,15 +514,18 @@ class TestInventoryOracle:
 
 class TestPrimeTable:
     """Trial division walks a table of primes grown on demand, never at import
-    and never past TRIAL_DIVISION_BOUND, and the gcd step's product of the primes
-    up to 1000 is built on its first use; a fresh interpreter sees both from the start."""
+    and never past TRIAL_DIVISION_BOUND, the gcd step's product of the primes up
+    to 1000 is built on its first use, and the product of a block of primes only
+    once the table holds the whole block; a fresh interpreter sees all three from
+    the start."""
 
     SCRIPT = """
 import json
 from math import isqrt, prod
 import gbs
 from gbs import primes
-out = {"fresh": [list(primes._primes), primes._sieved, primes._small_product]}
+out = {"fresh": [list(primes._primes), primes._sieved, primes._small_product,
+                 list(primes._block_products)]}
 primes.prime_factors(10 ** 6)  # at the bound: no gcd step
 out["bound"] = primes._small_product
 for seed in range(1, 11):
@@ -534,6 +537,9 @@ try:
     primes.prime_factors(2 * 1000003 ** 2)
 except gbs.InputError:
     out["refused"] = [primes._primes[-1], primes._sieved, len(primes._primes)]
+    out["blocks"] = [len(primes._block_products), all(
+        product == prod(primes._primes[k * primes._BLOCK:(k + 1) * primes._BLOCK])
+        for k, product in enumerate(primes._block_products))]
 print(json.dumps(out))
 """
 
@@ -542,13 +548,14 @@ print(json.dumps(out))
         run = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env,
                              capture_output=True, text=True, check=True)
         out = json.loads(run.stdout)
-        assert out["fresh"] == [[2, 3, 5, 7], 10, 0]
+        assert out["fresh"] == [[2, 3, 5, 7], 10, 0, []]
         assert out["bound"] == 0
         assert out["product"] is True
         top, sieved, bound = out["rank"]
         assert 1000 < top <= sieved <= bound
         top, sieved, count = out["refused"]
         assert (top, sieved, count) == (999983, TRIAL_DIVISION_BOUND, 78498)
+        assert out["blocks"] == [613, True]  # 78,498 primes: 613 full blocks of 128
 
 
 class TestInventories:

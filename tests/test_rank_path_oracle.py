@@ -1,26 +1,30 @@
-"""Oracles for the rank path: the gcd step and the base prefix of factoring,
-and the bridge table that settles single-dart divisibility classes.
+"""Oracles for the rank path: the gcd step, the block scan and the base prefix
+of factoring, and the bridge table that settles single-dart divisibility classes.
 
 The factoring references, kept here, are the trial-division loop that the gcd
-step replaced on large labels, with Miller-Rabin on all 13 bases, and the gcd
+step replaced on large labels, with Miller-Rabin on all 13 bases, the gcd
 step as it was before the primes of the gcd were found in one walk, with one
-`_least_divisor` call for each.  The bridge flags are checked against networkx,
-and the single-dart shortcut against the walk it skips, on every single-dart
-mask of the `rank-query` corpus.
+`_least_divisor` call for each, and the per-prime loop that the block scan of
+`_trial_divide` replaced, over a prime table of its own.  The bridge flags are
+checked against networkx, and the single-dart shortcut against the walk it
+skips, on every single-dart class of the `rank-query` corpus.
 """
 
 import random
 import time
+from array import array
+from bisect import bisect_left, bisect_right
 from functools import cache
 from math import gcd, isqrt, prod
 
 import pytest
 
 from gbs import GeneratorConfig, InputError, LabelledGraph, generate_graph
+from gbs import primes
 from gbs.plateau import _walk
-from gbs.primes import (_MILLER_RABIN_BASES, _PSI, MILLER_RABIN_LIMIT, TRIAL_DIVISION_BOUND,
-                        _is_strong_probable_prime, _least_divisor, _trial_divide,
-                        prime_factors)
+from gbs.primes import (_BLOCK, _MILLER_RABIN_BASES, _PSI, MILLER_RABIN_LIMIT,
+                        TRIAL_DIVISION_BOUND, _is_strong_probable_prime, _least_divisor,
+                        _trial_divide, prime_factors)
 
 # -- the references -----------------------------------------------------------
 
@@ -97,6 +101,26 @@ def gcd_step_prime_factors(n: int) -> list[int]:
     return out
 
 
+@cache
+def prime_table() -> tuple[int, ...]:
+    """Every prime up to TRIAL_DIVISION_BOUND, by a sieve of its own."""
+    sieve = bytearray([1]) * (TRIAL_DIVISION_BOUND + 1)
+    sieve[:2] = b"\0\0"
+    for q in range(2, isqrt(TRIAL_DIVISION_BOUND) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = bytes(len(sieve[q * q::q]))
+    return tuple(q for q, flag in enumerate(sieve) if flag)
+
+
+def reference_trial_divide(n: int, lo: int, hi: int) -> int:
+    """The per-prime loop: the least prime in [lo, hi] dividing n, or 0."""
+    table = prime_table()
+    for q in table[bisect_left(table, lo):bisect_right(table, hi)]:
+        if n % q == 0:
+            return q
+    return 0
+
+
 def outcome(factor, n):
     try:
         return factor(n)
@@ -169,6 +193,67 @@ class TestFactoringOracle:
                 n, _MILLER_RABIN_BASES), n
 
 
+class TestBlockScan:
+    """`_trial_divide` passes a block of primes whose product is coprime to n by one
+    gcd, which is exact for an n with no prime divisor below lo: every n here is 1,
+    a prime above the bound, or a product of primes from lo on."""
+
+    @staticmethod
+    def cases(rng: random.Random):
+        table = prime_table()
+        edges = [k * _BLOCK + step for k in (1, 2, 7, 8, 100, 612, 613) for step in (-1, 0, 1)]
+        ends = [2, 3] + [q + shift for i in edges if i < len(table) for q in [table[i]]
+                         for shift in (-1, 0, 1)] + [TRIAL_DIVISION_BOUND]
+        for lo in ends:
+            at = table[bisect_left(table, lo):][:400]
+            for hi in rng.sample(ends, 3) + [lo - 1, lo, lo + 1, *at[127:130], *at[-2:]]:
+                yield 1, lo, hi
+                yield 1000003, lo, hi  # a prime above the bound
+                for _ in range(4 * bool(at)):
+                    n = prod(rng.sample(at, rng.randint(1, 3)))
+                    yield n, lo, hi
+                    yield n * rng.choice(at[:5]), lo, hi
+
+    def check(self, rng: random.Random) -> tuple[int, int]:
+        """Asserts agreement on every case: (divisors found, those past lo's block)."""
+        found = passed = 0
+        table = prime_table()
+        for n, lo, hi in self.cases(rng):
+            q = _trial_divide(n, lo, hi)
+            assert q == reference_trial_divide(n, lo, hi), (n, lo, hi)
+            found += q > 0
+            passed += q > 0 and bisect_left(table, q) // _BLOCK > bisect_left(table, lo) // _BLOCK
+        products = primes._block_products
+        assert len(products) <= len(primes._primes) // _BLOCK  # full blocks only
+        assert products == [prod(table[k * _BLOCK:(k + 1) * _BLOCK])
+                            for k in range(len(products))]
+        return found, passed
+
+    def test_block_boundaries(self):
+        found, passed = self.check(random.Random(38))
+        assert found > 2000 and passed > 500, (found, passed)
+
+    def test_from_a_fresh_table(self, monkeypatch):
+        """Each range with hi past `_sieved` grows the table and, with it, the block
+        products: a table restarted at 10 meets the boundaries as they are sieved."""
+        monkeypatch.setattr(primes, "_primes", array("I", (2, 3, 5, 7)))
+        monkeypatch.setattr(primes, "_sieved", 10)
+        monkeypatch.setattr(primes, "_block_products", [])
+        assert _trial_divide(1, 2, 5000) == 0 and primes._sieved == 5000
+        assert len(primes._block_products) == 669 // _BLOCK  # 669 primes up to 5000
+        found, passed = self.check(random.Random(39))
+        assert found > 2000 and passed > 500, (found, passed)
+        assert primes._sieved == TRIAL_DIVISION_BOUND
+
+    def test_ends_of_the_table(self):
+        table = prime_table()
+        for n in (1, table[-1], table[-1] * table[-2], 1000003, 1000003 * 1000033):
+            for lo, hi in ((table[-1], TRIAL_DIVISION_BOUND), (1001, TRIAL_DIVISION_BOUND),
+                           (2, table[-1] - 1), (table[-2] + 1, table[-1])):
+                if n == 1 or all(n % q for q in table if q < lo):
+                    assert _trial_divide(n, lo, hi) == reference_trial_divide(n, lo, hi)
+
+
 # -- the bridge table ---------------------------------------------------------
 
 
@@ -235,14 +320,12 @@ class TestBridges:
 
 class TestSingleDartShortcut:
     def test_agrees_with_the_walk_on_the_rank_query_corpus(self):
-        """Every one-dart mask of every corpus graph: where `all_plateaux` answers
-        a class of that mask with no walk, on a loop or a non-bridge, so does the walk."""
+        """Every one-dart class of every corpus graph: where `all_plateaux` answers
+        that class with no walk, on a loop or a non-bridge, so does the walk."""
         settled = walked = 0
         for g in rank_query_corpus():
             for d in range(2 * len(g.edges)):
-                mask = bytearray(2 * len(g.edges))
-                mask[d] = 1
-                plateaux = _walk(g, bytes(mask))
+                plateaux = _walk(g, (d,))
                 if not g._bridges[d >> 1]:
                     assert plateaux == [], (g, d)
                     settled += 1

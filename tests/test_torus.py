@@ -126,6 +126,26 @@ class TestVerifyAutomorphism:
         with pytest.raises(InputError, match=f"^{message}$"):
             verify_automorphism(bad)
 
+    @pytest.mark.parametrize("value, message", [
+        (("e", "no"), "orientation flag 'no' must be a bool"),
+        (("e", 1), "orientation flag 1 must be a bool"),
+        (("e", None), "orientation flag None must be a bool"),
+        ("e", "edge map value 'e' must be an (image edge, orientation flag) pair"),
+        (("e",), "edge map value ('e',) must be an (image edge, orientation flag) pair"),
+        (("e", True, True),
+         "edge map value ('e', True, True) must be an (image edge, orientation flag) pair"),
+        (None, "edge map value None must be an (image edge, orientation flag) pair")],
+        ids=["string-flag", "int-flag", "none-flag", "bare-name", "one", "three", "none"])
+    def test_edge_map_values_are_name_and_bool_pairs(self, value, message):
+        """Refused in the words of an admissible map's structural pass: a truthy flag
+        that is not a bool once verified as order 1, and a value that is not a pair
+        escaped as a ValueError or TypeError."""
+        g = LabelledGraph.build(["u", "w"], [("e", "u", "w", 1, 1)])
+        bad = GraphAutomorphism(g, {"u": "u", "w": "w"}, {"e": value})
+        with pytest.raises(InputError) as refused:
+            verify_automorphism(bad)
+        assert str(refused.value) == message
+
     @pytest.mark.parametrize("public", [
         f for name, f in vars(torus).items()
         if inspect.isfunction(f) and f.__module__ == torus.__name__ and name[0] != "_"],
